@@ -11,6 +11,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import integrate, laplace
@@ -37,13 +38,19 @@ def _usage_error(message: str) -> int:
 def _cmd_eval(args) -> int:
     try:
         alphas = _parse_alphas(args.alpha)
+        if not math.isfinite(args.x):
+            raise ValueError("x must be finite")
         if args.x < 0:
             raise ValueError("x must be nonnegative")
         poly = assoc_closed(args.n, args.m)
+        values = [poly.eval(args.x, a) for a in alphas]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(
+                f"L_{args.n}^{args.m} at x={args.x!r} is not a finite float"
+            )
     except ValueError as exc:
         return _usage_error(str(exc))
-    for a in alphas:
-        value = poly.eval(args.x, a)
+    for a, value in zip(alphas, values):
         print(f"L_{args.n}^{args.m}(alpha={a!r}, x={args.x!r}) = {value:.12g}")
     print(f"exact form: {x_view_str(poly)}")
     return 0
@@ -61,10 +68,29 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _transform_quad_check(g, s: float, closed: float) -> None:
-    rule = integrate.gauss_laguerre(48)
-    numeric = integrate.quad_transform(g, s, rule)
+def _transform_at(F, g, s: float) -> int:
+    """Print the closed value F(s) and its quadrature cross-check of g.
+
+    Both values are computed before either is printed; one that is not a
+    finite float is a usage error, not a printed nan or a traceback.
+    """
+    try:
+        closed = F(s)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    except ArithmeticError:
+        closed = math.nan
+    if not math.isfinite(closed):
+        return _usage_error(f"the transform at s={s!r} is not a finite float")
+    try:
+        numeric = integrate.quad_transform(g, s, integrate.gauss_laguerre(48))
+    except (ArithmeticError, ValueError):
+        numeric = math.nan
+    if not math.isfinite(numeric):
+        return _usage_error(f"the quadrature check at s={s!r} is not a finite float")
+    print(f"value at s={s!r}: {closed:.12g}")
     print(f"quadrature check: {numeric:.12g} (|diff| = {abs(numeric - closed):.3e})")
+    return 0
 
 
 def _cmd_transform(args) -> int:
@@ -74,6 +100,8 @@ def _cmd_transform(args) -> int:
         if len(alphas) != 1:
             raise ValueError("transform takes a single alpha")
         alpha = alphas[0]
+        if args.s is not None and not math.isfinite(args.s):
+            raise ValueError("s must be finite")
     except ValueError as exc:
         return _usage_error(str(exc))
 
@@ -86,16 +114,13 @@ def _cmd_transform(args) -> int:
             T = laplace.laguerre_transform(n)
         except ValueError as exc:
             return _usage_error(str(exc))
+        if args.s is not None and args.s <= 0:
+            return _usage_error("s must be positive for the numeric check")
         print(f"Y(s) = (s-1)^{n}/s^{n + 1}")
         print(f"partial fractions: {T}")
-        if args.s is not None:
-            if args.s <= 0:
-                return _usage_error("s must be positive for the numeric check")
-            closed = T(args.s)
-            print(f"value at s={args.s!r}: {closed:.12g}")
-            signal = laplace.inverse(T)
-            _transform_quad_check(signal.eval_u, args.s, closed)
-        return 0
+        if args.s is None:
+            return 0
+        return _transform_at(T, laplace.inverse(T).eval_u, args.s)
 
     try:
         if kind == "power_p":
@@ -109,19 +134,16 @@ def _cmd_transform(args) -> int:
             sig = laplace.NamedSignal(kind)
         else:
             raise ValueError(f"unknown expression {kind!r}")
+        F = laplace.transform_named(sig, alpha)
     except ValueError as exc:
         return _usage_error(str(exc))
+    except ArithmeticError:
+        return _usage_error(f"the transform of {kind} is not a finite float")
 
-    F = laplace.transform_named(sig, alpha)
     print(f"transform: {sig.describe(alpha)}")
-    if args.s is not None:
-        try:
-            closed = F(args.s)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        print(f"value at s={args.s!r}: {closed:.12g}")
-        _transform_quad_check(sig.reduced(alpha), args.s, closed)
-    return 0
+    if args.s is None:
+        return 0
+    return _transform_at(F, sig.reduced(alpha), args.s)
 
 
 def _cmd_solve(args) -> int:

@@ -5,7 +5,9 @@ everything integrates in u-space.  This is the one numerically load-bearing
 choice in the package: the x-space weight is singular at 0 for alpha < 1,
 while the u-space integrand is smooth, so quadrature never sees the branch
 point.  Exact rational moments are the primary oracle; a Gauss-Laguerre rule
-built here from scratch is the independent numeric one.
+built here from scratch is the independent numeric one.  Its nodes come from
+Newton on the three-term recurrence, started at the classical asymptotic
+guesses, and each finished rule is memoised per order on first use.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class DivergenceError(ValueError):
 
 
 class RootFindingError(RuntimeError):
-    """Node refinement failed to converge (indicates an implementation bug)."""
+    """Newton missed a node of a rule (indicates an implementation bug)."""
 
 
 def moment_exact(f: ExpPoly) -> Fraction:
@@ -72,58 +74,6 @@ def _laguerre_pair(n: int, x: float) -> tuple[float, float]:
     return cur, prev
 
 
-def _refine_root(n: int, lo: float, hi: float) -> float:
-    """One zero of the classical degree-n polynomial inside (lo, hi).
-
-    Bisection carries the bracket to floating-point resolution; a few
-    safeguarded Newton steps (derivative from x*L' = n*(L - L_prev)) polish
-    the result without ever leaving the bracket.
-    """
-    flo = _laguerre_pair(n, lo)[0]
-    fhi = _laguerre_pair(n, hi)[0]
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise RootFindingError(f"no sign change in ({lo}, {hi}) for order {n}")
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-        fm = _laguerre_pair(n, mid)[0]
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    x = 0.5 * (lo + hi)
-    for _ in range(20):
-        value, prev = _laguerre_pair(n, x)
-        slope = n * (value - prev) / x
-        if slope == 0.0 or value == 0.0:
-            return x
-        step = value / slope
-        candidate = x - step
-        # the recurrence evaluates with ~1e-15 noise near a root, so a step
-        # at that scale means the iterate sits on the noise floor
-        if abs(step) <= 1e-14 * (1.0 + abs(x)):
-            return candidate if lo < candidate < hi else x
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        if candidate == x:
-            return x
-        # keep the bracket valid so a wild Newton step cannot escape
-        fc = _laguerre_pair(n, candidate)[0]
-        if (fc > 0.0) == (flo > 0.0):
-            lo, flo = candidate, fc
-        else:
-            hi = candidate
-        x = candidate
-    raise RootFindingError(f"refinement stalled near {x} for order {n}")
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for integral_0^inf exp(-u) g(u) du.
@@ -148,27 +98,61 @@ class QuadratureRule:
             raise ValueError("weights must sum to 1 (zeroth moment)")
 
 
-def gauss_laguerre(order: int) -> QuadratureRule:
-    """Gauss-Laguerre rule built from the classical three-term recurrence.
+_RULES: dict[int, QuadratureRule] = {}
 
-    The zeros of successive degrees interlace, so the zeros of degree k-1
-    (plus 0 below and a crude upper bound above; every zero of degree k sits
-    under 4k+3) bracket exactly one zero of degree k each.  Weights use the
-    standard formula x / ((N+1) * L_{N+1}(x))**2.
+
+def _newton_root(n: int, x: float) -> float:
+    """Zero of the classical degree-n polynomial reached by Newton from x.
+
+    The derivative comes from x*L' = n*(L - L_prev).  The recurrence
+    evaluates with ~1e-15 noise near a root, so a step at that scale means
+    the iterate sits on the noise floor and the root is found.
+    """
+    for _ in range(30):
+        value, prev = _laguerre_pair(n, x)
+        step = value / (n * (value - prev) / x)
+        x -= step
+        if abs(step) <= 1e-14 * (1.0 + abs(x)):
+            return x
+    raise RootFindingError(f"Newton stalled near {x} for order {n}")
+
+
+def gauss_laguerre(order: int) -> QuadratureRule:
+    """Gauss-Laguerre rule of the given order, built once and then memoised.
+
+    Each zero of L_N is found by Newton from the classical asymptotic
+    initial guesses (Stroud & Secrest 1966, as in Numerical Recipes'
+    gaulag for the plain weight): 3/(1+2.4N) for the first zero, plus
+    15/(1+2.5N) for the second, and for the i-th an extrapolation from the
+    two zeros before it.  A zero that does not converge, or zeros that are
+    not strictly increasing, raise RootFindingError; N distinct zeros of a
+    degree-N polynomial are all of its zeros.  Weights use the standard
+    formula x / ((N+1) * L_{N+1}(x))**2.  The rule is frozen, so every call
+    with the same order returns the same shared object.
     """
     if not (isinstance(order, int) and 1 <= order <= 64):
         raise ValueError("order must be an integer in [1, 64]")
-    roots = [1.0]
-    for k in range(2, order + 1):
-        brackets = [0.0] + roots + [4.0 * k + 3.0]
-        roots = [
-            _refine_root(k, brackets[i], brackets[i + 1]) for i in range(k)
-        ]
+    rule = _RULES.get(order)
+    if rule is not None:
+        return rule
+    roots: list[float] = []
+    for i in range(order):
+        if i == 0:
+            guess = 3.0 / (1.0 + 2.4 * order)
+        elif i == 1:
+            guess = roots[0] + 15.0 / (1.0 + 2.5 * order)
+        else:
+            ratio = (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1))
+            guess = roots[-1] + ratio * (roots[-1] - roots[-2])
+        roots.append(_newton_root(order, guess))
+    if any(b <= a for a, b in zip(roots, roots[1:])):
+        raise RootFindingError(f"zeros of order {order} are not strictly increasing")
     weights = []
     for x in roots:
         value = _laguerre_pair(order + 1, x)[0]
         weights.append(x / ((order + 1) * value) ** 2)
-    return QuadratureRule(tuple(roots), tuple(weights), order)
+    rule = _RULES[order] = QuadratureRule(tuple(roots), tuple(weights), order)
+    return rule
 
 
 def quad_dalpha(

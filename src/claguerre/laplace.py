@@ -274,6 +274,8 @@ class NamedSignal:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.p < 0:
             raise ValueError("power must be nonnegative")
+        if not math.isfinite(self.p):
+            raise ValueError("power must be finite")
         if not math.isfinite(self.omega):
             raise ValueError("omega must be finite")
 

@@ -350,14 +350,11 @@ def _named_pair_cases():
     )
 
 
-def _adaptive_transform_quad(g, s: float, rules: dict[int, object], tol: float) -> float:
+def _adaptive_transform_quad(g, s: float, tol: float) -> float:
     """Escalate the rule order until two estimates agree within tol/10."""
     previous = None
     for order in (16, 32, 48):
-        rule = rules.get(order)
-        if rule is None:
-            rule = rules[order] = integrate.gauss_laguerre(order)
-        value = integrate.quad_transform(g, s, rule)
+        value = integrate.quad_transform(g, s, integrate.gauss_laguerre(order))
         if previous is not None and abs(value - previous) <= tol / 10:
             return value
         previous = value
@@ -365,13 +362,12 @@ def _adaptive_transform_quad(g, s: float, rules: dict[int, object], tol: float) 
 
 
 def _suite_named_pairs() -> str:
-    rules: dict[int, object] = {}
     checks = 0
     for sig, alpha, grid, tol in _named_pair_cases():
         F = laplace.transform_named(sig, alpha)
         g = sig.reduced(alpha)
         for s in grid:
-            numeric = _adaptive_transform_quad(g, s, rules, tol)
+            numeric = _adaptive_transform_quad(g, s, tol)
             closed = F(s)
             _ensure(
                 abs(numeric - closed) <= tol,

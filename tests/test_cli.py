@@ -144,6 +144,30 @@ class TestTransform:
         assert run_cli(capsys, "transform", "power_p")[0] == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "one", "--s", "nan"),
+            ("transform", "laguerre", "3", "--s", "nan"),
+            ("transform", "one", "--s", "inf"),
+            ("transform", "sin_wu", "1e308", "--s", "1"),
+            ("transform", "power_p", "nan", "--s", "1"),
+            ("transform", "power_p", "1e308", "--s", "1"),
+            ("transform", "one", "--s", "1e-320"),
+            ("eval", "--n", "2", "--x", "nan"),
+            ("eval", "--n", "2", "--x", "inf"),
+            ("eval", "--n", "2", "--alpha", "1", "--x", "1e200"),
+        ],
+    )
+    def test_one_line_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "nan" not in out and "inf" not in out
+
+
 class TestSolve:
     @pytest.mark.parametrize("n", [0, 4, 12])
     def test_exact_match(self, capsys, n):

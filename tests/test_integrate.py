@@ -5,10 +5,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from claguerre import integrate
 from claguerre.alpha_calc import ExpPoly, ReducedPoly
 from claguerre.integrate import (
     DivergenceError,
     QuadratureRule,
+    RootFindingError,
     gauss_laguerre,
     moment_exact,
     orthonormality,
@@ -90,7 +92,7 @@ class TestGaussLaguerre:
             got = math.fsum(w * u**k for u, w in zip(rule.nodes, rule.weights))
             assert got == pytest.approx(float(math.factorial(k)), rel=1e-10)
 
-    @pytest.mark.parametrize("order", [3, 8, 16, 32, 64])
+    @pytest.mark.parametrize("order", range(1, 65))
     def test_against_numpy_oracle(self, order):
         rule = gauss_laguerre(order)
         nodes, weights = np.polynomial.laguerre.laggauss(order)
@@ -102,6 +104,22 @@ class TestGaussLaguerre:
             gauss_laguerre(0)
         with pytest.raises(ValueError):
             gauss_laguerre(65)
+
+    def test_rule_is_memoised(self):
+        assert gauss_laguerre(48) is gauss_laguerre(48)
+
+    def test_repeated_zero_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(integrate, "_RULES", {})
+        monkeypatch.setattr(integrate, "_newton_root", lambda n, x: 1.0)
+        with pytest.raises(RootFindingError):
+            gauss_laguerre(3)
+
+    def test_divergent_newton_is_rejected(self, monkeypatch):
+        # a slope of the wrong sign pushes every iterate away from the zero
+        monkeypatch.setattr(integrate, "_RULES", {})
+        monkeypatch.setattr(integrate, "_laguerre_pair", lambda n, x: (1.0, 2.0))
+        with pytest.raises(RootFindingError):
+            gauss_laguerre(3)
 
     def test_rule_invariants_enforced(self):
         with pytest.raises(ValueError):
