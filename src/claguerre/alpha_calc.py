@@ -9,7 +9,9 @@ with exact rational arithmetic, with alpha entering only at evaluation or
 rendering time.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads.  A
+ReducedPoly fills its Fraction and float coefficient views on first use;
+threads that race to fill one compute equal tuples, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ def _as_fraction(value) -> Fraction:
     )
 
 
+def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, magnitude text) pieces as ``a - b + c``; "0" if none."""
+    text = ""
+    for neg, body in pieces:
+        if text:
+            text += (" - " if neg else " + ") + body
+        else:
+            text = ("-" if neg else "") + body
+    return text or "0"
+
+
 @dataclass(frozen=True)
 class AlphaValue:
     """Derivative order, restricted to (0, 1]."""
@@ -79,18 +92,47 @@ def as_alpha(alpha) -> float:
 class ReducedPoly:
     """Polynomial in u = x**alpha / alpha with exact rational coefficients.
 
-    ``coeffs[k]`` multiplies u**k.  Trailing zeros are stripped on
-    construction, so the highest stored coefficient is nonzero and the zero
-    polynomial stores nothing; equality and hashing are structural.
+    ``coeffs[k]`` multiplies u**k.  The polynomial is stored in
+    content/primitive-part form: a tuple of integer numerators over one
+    positive common denominator, normalised so that the denominator and the
+    numerators share no factor and the highest stored numerator is nonzero.
+    The zero polynomial stores ``((), 1)``.  The form is canonical, so
+    equality and hashing are structural, and all arithmetic runs on Python
+    integers; ``coeffs`` builds the tuple of Fractions on first use.  A
+    constant polynomial compares and hashes equal to its scalar value.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den", "_fractions", "_floats")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        self._num = tuple(num)
+        self._den = den
+        self._fractions = None
+        self._floats = None
+
+    @classmethod
+    def _from_ints(cls, num: list[int], den: int = 1) -> "ReducedPoly":
+        """Internal constructor: integer numerators over a nonzero integer
+        denominator, normalised here; skips the public per-coefficient check."""
+        p = cls.__new__(cls)
+        p._set(num, den)
+        return p
 
     @classmethod
     def zero(cls) -> "ReducedPoly":
@@ -109,20 +151,23 @@ class ReducedPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        if self._fractions is None:
+            den = self._den
+            self._fractions = tuple(Fraction(c, den) for c in self._num)
+        return self._fractions
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._num):
+            return self.coeffs[k]
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
@@ -131,26 +176,34 @@ class ReducedPoly:
     def _coerce(value) -> "ReducedPoly | None":
         if isinstance(value, ReducedPoly):
             return value
-        if isinstance(value, (int, Fraction)):
-            return ReducedPoly((value,))
+        if isinstance(value, int):
+            return ReducedPoly._from_ints([value])
+        if isinstance(value, Fraction):
+            return ReducedPoly._from_ints([value.numerator], value.denominator)
         return None
 
     def __add__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        a, b = self._coeffs, q._coeffs
+        a, da, b, db = self._num, self._den, q._num, q._den
+        if da != db:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            a = [c * fa for c in a]
+            b = [c * fb for c in b]
+            da *= fa
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return ReducedPoly(out)
+        return ReducedPoly._from_ints(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ReducedPoly(tuple(-c for c in self._coeffs))
+        return ReducedPoly._from_ints([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         q = self._coerce(other)
@@ -167,23 +220,33 @@ class ReducedPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return ReducedPoly(tuple(c * a for a in self._coeffs))
+            p = c.numerator
+            return ReducedPoly._from_ints(
+                [p * a for a in self._num], self._den * c.denominator
+            )
         if isinstance(other, ReducedPoly):
-            if self.is_zero or other.is_zero:
-                return ReducedPoly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a:
-                    for j, b in enumerate(other._coeffs):
-                        out[i + j] += a * b
-            return ReducedPoly(out)
+            a, b = self._num, other._num
+            if not a or not b:
+                return ReducedPoly._from_ints([])
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return ReducedPoly._from_ints(out, self._den * other._den)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return self * (Fraction(1) / _as_fraction(scalar))
+            c = _as_fraction(scalar)
+            if not c:
+                raise ZeroDivisionError("division of a polynomial by zero")
+            q = c.denominator
+            return ReducedPoly._from_ints(
+                [q * a for a in self._num], self._den * c.numerator
+            )
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -202,36 +265,63 @@ class ReducedPoly:
         """Derivative d/du, applied ``order`` times."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        p = self
-        for _ in range(order):
-            p = ReducedPoly(tuple(k * c for k, c in enumerate(p._coeffs) if k))
-        return p
+        if order == 0:
+            return self
+        num = self._num
+        return ReducedPoly._from_ints(
+            [math.perm(k, order) * num[k] for k in range(order, len(num))],
+            self._den,
+        )
 
     def divide_by_u(self, m: int) -> "ReducedPoly":
         """Exact division by u**m; the low coefficients must vanish."""
         if m < 0:
             raise ValueError("power must be nonnegative")
-        if any(c != 0 for c in self._coeffs[:m]):
+        if any(self._num[:m]):
             raise AlgebraError(f"u^{m} does not divide {self}")
-        return ReducedPoly(self._coeffs[m:])
+        return ReducedPoly._from_ints(list(self._num[m:]), self._den)
 
     def taylor_shift(self, a: Rational) -> "ReducedPoly":
         """Coefficients of p(u + a)."""
         a = _as_fraction(a)
-        shift = ReducedPoly((a, 1))
-        out = ReducedPoly()
-        for c in reversed(self._coeffs):
-            out = out * shift + c
-        return out
+        d = self.degree
+        if d < 1:
+            return self
+        p, q = a.numerator, a.denominator
+        # With a = p/q, den * q**d * f(u + a) = g(q*u) where g(w) is the
+        # integer polynomial sum_k num[k] * q**(d-k) * (w + p)**k; shift by
+        # the integer p with the classical synthetic-division scheme.
+        g = [c * q ** (d - k) for k, c in enumerate(self._num)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                g[j] += p * g[j + 1]
+        return ReducedPoly._from_ints(
+            [c * q**k for k, c in enumerate(g)], self._den * q**d
+        )
 
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, u):
-        """Horner evaluation; exact for int/Fraction inputs."""
-        if not self._coeffs:
+        """Horner evaluation: exact for int/Fraction u, else over the float
+        values of the coefficients."""
+        num = self._num
+        if not num:
             return 0 * u
-        acc = self._coeffs[-1]
-        for c in reversed(self._coeffs[:-1]):
+        if isinstance(u, (int, Fraction)):
+            # Horner on integers: sum num[k] * p**k * q**(d-k) / (den * q**d).
+            u = _as_fraction(u)
+            p, q = u.numerator, u.denominator
+            acc, scale = num[-1], 1
+            for c in reversed(num[:-1]):
+                scale *= q
+                acc = acc * p + c * scale
+            return Fraction(acc, self._den * scale)
+        floats = self._floats
+        if floats is None:
+            den = self._den
+            floats = self._floats = tuple(c / den for c in num)
+        acc = floats[-1]
+        for c in reversed(floats[:-1]):
             acc = acc * u + c
         return acc
 
@@ -249,19 +339,20 @@ class ReducedPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._coeffs == q._coeffs
+        return self._num == q._num and self._den == q._den
 
     def __hash__(self):
-        return hash(("ReducedPoly", self._coeffs))
+        if len(self._num) <= 1:
+            # Constants hash like the scalar they compare equal to.
+            return hash(Fraction(self._num[0], self._den)) if self._num else 0
+        return hash(("ReducedPoly", self._num, self._den))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._num)
 
-    def to_str(self, var: str = "u") -> str:
-        if not self._coeffs:
-            return "0"
+    def _signed_terms(self, var: str) -> list[tuple[bool, str]]:
         pieces = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             mag = abs(c)
@@ -271,17 +362,16 @@ class ReducedPoly:
                 head = "" if mag == 1 else f"{mag}*"
                 body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
             pieces.append((c < 0, body))
-        neg, body = pieces[0]
-        text = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return pieces
+
+    def to_str(self, var: str = "u") -> str:
+        return _join_signed(self._signed_terms(var))
 
     def __str__(self):
         return self.to_str("u")
 
     def __repr__(self):
-        return f"ReducedPoly({[str(c) for c in self._coeffs]})"
+        return f"ReducedPoly({[str(c) for c in self.coeffs]})"
 
 
 class ExpPoly:
@@ -301,7 +391,7 @@ class ExpPoly:
             p = ReducedPoly._coerce(poly)
             if p is None:
                 raise TypeError(f"polynomial part expected, got {type(poly).__name__}")
-            merged[r] = merged.get(r, ReducedPoly()) + p
+            merged[r] = merged[r] + p if r in merged else p
         self._terms = tuple(
             (r, merged[r]) for r in sorted(merged) if not merged[r].is_zero
         )
@@ -405,6 +495,11 @@ class ExpPoly:
         return self._terms == q._terms
 
     def __hash__(self):
+        if not self._terms:
+            return 0
+        if len(self._terms) == 1 and self._terms[0][0] == 0:
+            # A plain polynomial equals (and hashes like) its ReducedPoly.
+            return hash(self._terms[0][1])
         return hash(("ExpPoly", self._terms))
 
     def __bool__(self):
@@ -501,19 +596,12 @@ def from_x_view(terms: Iterable[XViewTerm]) -> ReducedPoly:
 
 def x_view_str(p: ReducedPoly) -> str:
     """Text form of the x-view, e.g. ``1 - 2 * a^(-1) * x^(1*a)``."""
-    terms = x_view(p)
-    if not terms:
-        return "0"
     pieces = []
-    for t in terms:
+    for t in x_view(p):
         mag = abs(t.rational_part)
         if t.k == 0:
             body = str(mag)
         else:
             body = f"{mag} * a^({t.alpha_power}) * x^({t.k}*a)"
         pieces.append((t.rational_part < 0, body))
-    neg, body = pieces[0]
-    text = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        text += (" - " if neg else " + ") + body
-    return text
+    return _join_signed(pieces)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .alpha_calc import ExpPoly, ReducedPoly, d_alpha_n
 
@@ -153,31 +153,31 @@ class GeneratingExpansion:
 def generating_series(m: int, order: int) -> GeneratingExpansion:
     """Expand exp(-u*t/(1-t)) / (1-t)**(m+1) as a power series in t.
 
-    Both factors are expanded with exact rational arithmetic: the geometric
-    factor termwise, the exponential through the standard recurrence for the
-    exponential of a series with zero constant term.  The coefficient of t**n
-    equals the associated polynomial of index (n, m); this route never touches
-    the closed-form coefficients, so the two act as independent checks.
+    Both factors are expanded with exact rational arithmetic.  The
+    exponential E = exp(A) of A = -u*(t + t^2 + ...) follows the standard
+    recurrence n*E_n = sum_k k*a_k*E_{n-k} = -u*S_n with
+    S_n = sum_{j<n} (n-j)*E_j, kept up to date by running prefix sums
+    (S_{n+1} = S_n + E_0 + ... + E_n).  Multiplying by the geometric factor
+    1/(1-t)**(m+1) is m+1 prefix sums over the t-coefficients.  The
+    coefficient of t**n equals the associated polynomial of index (n, m);
+    this route never touches the closed-form coefficients, so the two act as
+    independent checks.
     """
     _check_index(0, m)
     if order < 1:
         raise ValueError("order must be at least 1")
     minus_u = ReducedPoly((0, -1))
-    # E = exp(A) with A = -u * (t + t^2 + ...): n*E_n = sum_k k*a_k*E_{n-k}.
-    exp_coeffs = [ReducedPoly.one()]
-    for k in range(1, order + 1):
-        acc = ReducedPoly()
-        for j in range(1, k + 1):
-            acc = acc + exp_coeffs[k - j] * Fraction(j, k)
-        exp_coeffs.append(minus_u * acc)
-    geometric = [Fraction(comb(j + m, m)) for j in range(order + 1)]
-    out = []
-    for k in range(order + 1):
-        acc = ReducedPoly()
-        for j in range(k + 1):
-            acc = acc + exp_coeffs[k - j] * geometric[j]
-        out.append(acc)
-    return GeneratingExpansion(order, tuple(out))
+    coeffs = [ReducedPoly.one()]
+    prefix = s_n = coeffs[0]
+    for n in range(1, order + 1):
+        e_n = minus_u * s_n / n
+        coeffs.append(e_n)
+        prefix = prefix + e_n
+        s_n = s_n + prefix
+    for _ in range(m + 1):
+        for n in range(1, order + 1):
+            coeffs[n] = coeffs[n - 1] + coeffs[n]
+    return GeneratingExpansion(order, tuple(coeffs))
 
 
 def values_at_zero(n: int) -> tuple[Fraction, Fraction, Fraction]:

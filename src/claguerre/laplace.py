@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, as_alpha
+from .alpha_calc import (
+    AlgebraError,
+    ExpPoly,
+    ReducedPoly,
+    _as_fraction,
+    _join_signed,
+    as_alpha,
+)
 
 __all__ = [
     "ConvergenceError",
@@ -75,8 +82,9 @@ class TransformExpr:
         for coeff, rate, order in poles:
             if not (isinstance(order, int) and order >= 1):
                 raise ValueError(f"pole order must be a positive integer, got {order!r}")
-            key = (Fraction(rate), order)
-            merged[key] = merged.get(key, Fraction(0)) + Fraction(coeff)
+            key = (_as_fraction(rate), order)
+            c = _as_fraction(coeff)
+            merged[key] = merged[key] + c if key in merged else c
         self._poles = tuple(
             PoleTerm(merged[key], key[0], key[1])
             for key in sorted(merged)
@@ -107,6 +115,9 @@ class TransformExpr:
         return self._poles == other._poles and self._poly == other._poly
 
     def __hash__(self):
+        if not self._poles:
+            # A pole-free expression equals (and hashes like) its polynomial.
+            return hash(self._poly)
         return hash(("TransformExpr", self._poles, self._poly))
 
     def __add__(self, other):
@@ -176,18 +187,24 @@ class TransformExpr:
 
     def shifted(self, a) -> "TransformExpr":
         """Substitute s -> s + a exactly."""
-        a = Fraction(a)
+        a = _as_fraction(a)
         return TransformExpr(
             tuple((c, r - a, m) for c, r, m in self._poles),
             self._poly.taylor_shift(a),
         )
 
     def __call__(self, s: float) -> float:
-        """Numeric evaluation away from the poles."""
-        total = float(self._poly(float(s)))
+        """Numeric value away from the poles, rounded once.
+
+        The sum is formed exactly at Fraction(s): the pole terms of an image
+        like (s-1)**n / s**(n+1) cancel to many orders of magnitude below
+        their size, so a float sum would keep none of the value's digits.
+        """
+        s = Fraction(s)
+        total = self._poly(s)
         for c, r, m in self._poles:
-            total += float(c) / (s - float(r)) ** m
-        return total
+            total += c / (s - r) ** m
+        return float(total)
 
     def __str__(self):
         pieces = []
@@ -199,16 +216,7 @@ class TransformExpr:
                 base = f"(s{sign}{abs(r)})"
                 den = base if m == 1 else f"{base}^{m}"
             pieces.append((c < 0, f"{abs(c)}/{den}"))
-        if not self._poly.is_zero:
-            body = self._poly.to_str("s")
-            pieces.append((body.startswith("-"), body.lstrip("-")))
-        if not pieces:
-            return "0"
-        neg, body = pieces[0]
-        text = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return _join_signed(pieces + self._poly._signed_terms("s"))
 
     def __repr__(self):
         return f"TransformExpr({self})"
@@ -243,15 +251,17 @@ def inverse(T: TransformExpr) -> ExpPoly:
         raise NonInvertibleError(
             "polynomial part present; no inverse within the function class"
         )
-    return ExpPoly(
-        (r, ReducedPoly.monomial(m - 1, c * Fraction(1, math.factorial(m - 1))))
-        for c, r, m in T.poles
-    )
+    by_rate: dict[Fraction, list[Fraction]] = {}
+    for c, r, m in T.poles:
+        coeffs = by_rate.setdefault(r, [])
+        coeffs.extend([Fraction(0)] * (m - len(coeffs)))
+        coeffs[m - 1] = c / math.factorial(m - 1)
+    return ExpPoly((r, ReducedPoly(coeffs)) for r, coeffs in by_rate.items())
 
 
 def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
     """Image of the conformable derivative: s*F(s) - f(0)."""
-    return T.mul_s() - Fraction(f0)
+    return T.mul_s() - _as_fraction(f0)
 
 
 @dataclass(frozen=True)

@@ -279,3 +279,171 @@ def test_recanonicalization_is_identity(p):
 @given(exppolys)
 def test_exppoly_recanonicalization_is_identity(e):
     assert ExpPoly(e.terms) == e
+
+
+# -- integer-content representation -------------------------------------------
+#
+# ReducedPoly stores integer numerators over one common denominator.  These
+# tests hold it against a plain list-of-Fraction model of every operation.
+
+fraction_lists = st.lists(
+    st.builds(F, st.integers(-50, 50), st.integers(1, 12)), max_size=7
+)
+scalars = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+
+
+def model(cs):
+    """Canonical list-of-Fraction form: trailing zeros stripped."""
+    out = [F(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def model_add(a, b):
+    n = max(len(a), len(b))
+    return model(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def model_mul(a, b):
+    return model(conv(a, b)) if a and b else ()
+
+
+def model_deriv(a, order):
+    for _ in range(order):
+        a = [k * c for k, c in enumerate(a)][1:]
+    return model(a)
+
+
+def model_shift(a, s):
+    out = ()
+    for c in reversed(a):
+        out = model_add(model_mul(out, (s, F(1))), (c,))
+    return out
+
+
+def model_call(a, u):
+    return sum((c * u**k for k, c in enumerate(a)), F(0))
+
+
+def assert_canonical(p):
+    num, den = p._num, p._den
+    assert all(type(c) is int for c in num) and type(den) is int
+    assert den > 0
+    assert not num or num[-1] != 0
+    assert math.gcd(den, *num) == 1
+    if not num:
+        assert (num, den) == ((), 1)
+    assert p.coeffs == tuple(F(c, den) for c in num)
+    assert all(type(c) is F for c in p.coeffs)
+
+
+class TestIntegerContentModel:
+    @settings(max_examples=150, deadline=None)
+    @given(fraction_lists, fraction_lists, scalars)
+    def test_ring_operations(self, a, b, c):
+        p, q = ReducedPoly(a), ReducedPoly(b)
+        ma, mb = model(a), model(b)
+        cases = [
+            (p, ma),
+            (p + q, model_add(ma, mb)),
+            (p - q, model_add(ma, [-x for x in mb])),
+            (-p, model([-x for x in ma])),
+            (p * q, model_mul(ma, mb)),
+            (p**2, model_mul(ma, ma)),
+            (p * c, model([x * c for x in ma])),
+            (c * p, model([x * c for x in ma])),
+            (p + c, model_add(ma, (F(c),))),
+            (c - p, model_add((F(c),), [-x for x in ma])),
+        ]
+        if c:
+            cases.append((p / c, model([x / F(c) for x in ma])))
+        for got, want in cases:
+            assert got.coeffs == want
+            assert_canonical(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fraction_lists, st.integers(0, 4), scalars)
+    def test_calculus_operations(self, a, order, s):
+        p, ma = ReducedPoly(a), model(a)
+        got = p.deriv(order)
+        assert got.coeffs == model_deriv(ma, order)
+        assert_canonical(got)
+        got = p.taylor_shift(s)
+        assert got.coeffs == model_shift(ma, F(s))
+        assert_canonical(got)
+        shifted_up = p * ReducedPoly.monomial(order)
+        got = shifted_up.divide_by_u(order)
+        assert got == p
+        assert_canonical(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fraction_lists, scalars)
+    def test_exact_call(self, a, u):
+        got = ReducedPoly(a)(u)
+        assert got == model_call(model(a), F(u))
+        if model(a):
+            assert type(got) is F
+
+    @settings(max_examples=100, deadline=None)
+    @given(fraction_lists, st.floats(-30, 30))
+    def test_float_call_is_horner_over_float_coefficients(self, a, u):
+        p = ReducedPoly(a)
+        cs = [float(c) for c in p.coeffs]
+        if not cs:
+            assert p(u) == 0
+            return
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * u + c
+        assert p(u) == acc
+
+    def test_float_eval_is_bit_identical_on_laguerre_polynomials(self):
+        from claguerre.laguerre import assoc_closed
+
+        for n in range(0, 41, 3):
+            for m in range(5):
+                p = assoc_closed(n, m)
+                cs = [float(c) for c in p.coeffs]
+                for alpha in (0.25, 0.5, 0.75, 1.0):
+                    for x in (0.0, 0.37, 2.5, 11.0, 40.0):
+                        u = x**alpha / alpha
+                        acc = cs[-1]
+                        for c in reversed(cs[:-1]):
+                            acc = acc * u + c
+                        assert p.eval(x, alpha) == acc
+
+    def test_canonical_forms(self):
+        assert (ReducedPoly()._num, ReducedPoly()._den) == ((), 1)
+        assert (ReducedPoly((0, 0))._num, ReducedPoly((0, 0))._den) == ((), 1)
+        p = ReducedPoly((F(2, 6), F(-4, 3), 0))
+        assert (p._num, p._den) == ((1, -4), 3)
+        assert ((p * 3)._num, (p * 3)._den) == ((1, -4), 1)
+        assert_canonical(p - p)
+        assert (p - p)._den == 1
+
+    def test_scalar_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            ReducedPoly((1, 2)) / 0
+
+
+class TestHashAgreesWithEquality:
+    def test_constant_polynomials(self):
+        for value in (0, 3, -7, F(5, 2), F(-1, 3)):
+            p = ReducedPoly((value,))
+            assert p == value
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
+        assert len({ReducedPoly((3,)), 3}) == 1
+        assert len({ReducedPoly(), 0, F(0)}) == 1
+
+    def test_exppoly_constants_and_plain_polynomials(self):
+        for value in (0, 3, F(-5, 4)):
+            e = ExpPoly.from_poly(value)
+            assert e == value and hash(e) == hash(value)
+        p = ReducedPoly((1, F(-1, 2), 3))
+        assert ExpPoly.from_poly(p) == p
+        assert len({ExpPoly.from_poly(p), p}) == 1
+        assert len({ExpPoly(), ReducedPoly(), 0}) == 1

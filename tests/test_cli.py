@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,14 @@ from claguerre import cli
 from claguerre.alpha_calc import x_view_str
 from claguerre.laguerre import laguerre_closed
 from claguerre.verify import SuiteResult, VerifyReport
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# Child interpreters find the package from a fresh checkout, as pytest does.
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+)
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +136,12 @@ class TestTransform:
         check_line = [l for l in out.splitlines() if "quadrature" in l][0]
         assert "|diff|" in check_line
 
+    def test_laguerre_value_survives_cancellation(self, capsys):
+        # (s-1)^36/s^37 at s = 0.5 is exactly 2; the partial fractions cancel
+        code, out, _ = run_cli(capsys, "transform", "laguerre", "36", "--s", "0.5")
+        assert code == 0
+        assert "value at s=0.5: 2\n" in out
+
     def test_sine_with_omega(self, capsys):
         code, out, _ = run_cli(capsys, "transform", "sin_wu", "1", "--s", "1")
         assert code == 0
@@ -218,12 +234,13 @@ class TestProcessContract:
             [sys.executable, "-m", "claguerre.cli", "verify", "--scope", "cli"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "figure-fixtures" in proc.stdout
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "claguerre.cli"], capture_output=True
+            [sys.executable, "-m", "claguerre.cli"], capture_output=True, env=CHILD_ENV
         )
         assert proc.returncode == 2

@@ -130,9 +130,9 @@ class TestGeneratingSeries:
         assert generating_series(1, 2)[1] == assoc_closed(1, 1)
 
     def test_coefficients_match_closed_forms(self):
-        for m in range(4):
-            expansion = generating_series(m, 10)
-            for n in range(11):
+        for m in range(5):
+            expansion = generating_series(m, 80)
+            for n in range(81):
                 assert expansion[n] == assoc_closed(n, m)
 
     def test_partial_sum_against_closed_form(self):

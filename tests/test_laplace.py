@@ -260,6 +260,79 @@ class TestRendering:
     def test_zero(self):
         assert str(TransformExpr()) == "0"
 
+    def test_signed_poly_part(self):
+        T = TransformExpr([(1, 1, 1)], poly_part=ReducedPoly((-1, 2)))
+        assert str(T) == "1/(s-1) - 1 + 2*s"
+        T = TransformExpr((), poly_part=ReducedPoly((-1, 0, F(-1, 2))))
+        assert str(T) == "-1 - 1/2*s^2"
+        T = TransformExpr([(-2, 0, 1), (F(3, 4), -2, 3)], poly_part=ReducedPoly((0, -1)))
+        assert str(T) == "3/4/(s+2)^3 - 2/s - s"
+
+
+LAGUERRE_S = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0)
+
+
+class TestNumericValue:
+    def test_laguerre_transform_keeps_its_digits(self):
+        # The partial fractions of (s-1)**n / s**(n+1) cancel by many orders
+        # of magnitude; the value must still be right to 1e-10 relative.
+        for n in range(41):
+            T = laguerre_transform(n)
+            for s in LAGUERRE_S:
+                S = F(s)
+                want = float((S - 1) ** n / S ** (n + 1))
+                assert abs(T(s) - want) <= 1e-10 * abs(want), (n, s)
+
+    def test_known_cancellations(self):
+        assert laguerre_transform(36)(0.5) == 2.0
+        assert laguerre_transform(40)(1.5) == pytest.approx(
+            float(F(1, 3) ** 40 / F(3, 2)), rel=1e-12
+        )
+
+    def test_poly_part_and_shifted_poles(self):
+        T = TransformExpr([(F(3, 4), -2, 3)], poly_part=ReducedPoly((1, F(1, 2))))
+        assert T(2) == 1 + 0.5 * 2 + 0.75 / 4**3
+
+    def test_pole_is_an_arithmetic_error(self):
+        with pytest.raises(ZeroDivisionError):
+            TransformExpr([(1, 1, 1)])(1.0)
+
+
+class TestExactInputsOnly:
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            TransformExpr([(0.1, 0, 1)])
+
+    def test_float_rate_rejected(self):
+        with pytest.raises(TypeError):
+            TransformExpr([(1, 0.5, 1)])
+
+    def test_float_poly_part_rejected(self):
+        with pytest.raises(TypeError):
+            TransformExpr((), poly_part=0.5)
+
+    def test_float_shift_rejected(self):
+        with pytest.raises(TypeError):
+            TransformExpr([(1, 0, 1)]).shifted(0.1)
+
+    def test_float_initial_value_rejected(self):
+        with pytest.raises(TypeError):
+            derivative_rule(TransformExpr([(1, 0, 1)]), 0.3)
+
+    def test_exact_inputs_still_accepted(self):
+        T = TransformExpr([(1, F(1, 2), 1), (F(2, 3), 0, 2)])
+        assert T.shifted(1) == TransformExpr([(1, F(-1, 2), 1), (F(2, 3), -1, 2)])
+        assert derivative_rule(T, F(1, 3)).poly_part == 1 - F(1, 3)
+
+
+def test_hash_agrees_with_equality():
+    for value in (0, 4, F(-2, 7)):
+        T = TransformExpr((), value)
+        assert T == value and hash(T) == hash(value)
+        assert len({T, value}) == 1
+    T = laguerre_transform(3)
+    assert hash(T) == hash(laguerre_transform(3))
+
 
 def test_randomized_suite_smoke():
     # the acceptance suite runs 100 draws; keep a quick spot check here
