@@ -379,22 +379,31 @@ class ExpPoly:
 
     Terms are merged on construction so rates are pairwise distinct, terms
     with a zero polynomial part are dropped, and the remaining terms are kept
-    sorted by rate.  The rate-0 term is the plain polynomial part.
+    sorted by rate.  The rate-0 term is the plain polynomial part.  The
+    public constructor validates every term; results of the operations go
+    through private constructors that skip that check, and the derivatives,
+    negation and scalar products, which keep the rates, skip the merge too.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Rational, "ReducedPoly | Rational"]] = ()):
-        merged: dict[Fraction, ReducedPoly] = {}
+        checked = []
         for rate, poly in terms:
             r = _as_fraction(rate)
             p = ReducedPoly._coerce(poly)
             if p is None:
                 raise TypeError(f"polynomial part expected, got {type(poly).__name__}")
-            merged[r] = merged[r] + p if r in merged else p
-        self._terms = tuple(
-            (r, merged[r]) for r in sorted(merged) if not merged[r].is_zero
-        )
+            checked.append((r, p))
+        self._terms = _collect_rates(checked)
+
+    @classmethod
+    def _from_sorted(cls, terms: Iterable[tuple[Fraction, ReducedPoly]]) -> "ExpPoly":
+        """Internal constructor: validated terms with distinct, increasing
+        rates; only zero polynomials are dropped."""
+        e = cls.__new__(cls)
+        e._terms = tuple((r, p) for r, p in terms if p)
+        return e
 
     @classmethod
     def from_poly(cls, poly) -> "ExpPoly":
@@ -430,12 +439,12 @@ class ExpPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return ExpPoly(self._terms + q._terms)
+        return ExpPoly._from_sorted(_merge_rates(self._terms, q._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly(tuple((r, -p) for r, p in self._terms))
+        return ExpPoly._from_sorted((r, -p) for r, p in self._terms)
 
     def __sub__(self, other):
         q = self._coerce(other)
@@ -451,20 +460,22 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ExpPoly(tuple((r, p * other) for r, p in self._terms))
+            return ExpPoly._from_sorted((r, p * other) for r, p in self._terms)
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         # Rates add pairwise: exp(a*u) * exp(b*u) = exp((a+b)*u).
-        return ExpPoly(
+        return ExpPoly._from_sorted(_collect_rates(
             (ra + rb, pa * pb) for ra, pa in self._terms for rb, pb in q._terms
-        )
+        ))
 
     __rmul__ = __mul__
 
     def d_alpha(self) -> "ExpPoly":
         """Conformable derivative: on a rate-r term it is (p' + r*p)*exp(r*u)."""
-        return ExpPoly((r, p.deriv() + p * r) for r, p in self._terms)
+        return ExpPoly._from_sorted(
+            (r, _rate_derivative(r, p, 1)) for r, p in self._terms
+        )
 
     def value_at_zero(self) -> Fraction:
         """Exact value at u = 0 (exponentials all equal 1 there)."""
@@ -522,6 +533,58 @@ class ExpPoly:
         return f"ExpPoly({[(str(r), str(p)) for r, p in self._terms]})"
 
 
+def _merge_rates(a, b) -> tuple:
+    """Sum two rate-sorted tuples of (rate, ReducedPoly) pairs in one pass,
+    dropping rates whose polynomials cancel."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ra, rb = a[i][0], b[j][0]
+        if ra == rb:
+            p = a[i][1] + b[j][1]
+            if p:
+                out.append((ra, p))
+            i += 1
+            j += 1
+        elif ra < rb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _collect_rates(pairs) -> tuple:
+    """Merge validated (rate, ReducedPoly) pairs in any order into a
+    rate-sorted tuple without zero polynomials."""
+    # Key on the canonical (numerator, denominator) ints: hashing a tuple of
+    # ints is far cheaper than Fraction.__hash__.
+    merged: dict[tuple[int, int], tuple[Fraction, ReducedPoly]] = {}
+    for r, p in pairs:
+        key = (r.numerator, r.denominator)
+        old = merged.get(key)
+        merged[key] = (r, p) if old is None else (r, old[1] + p)
+    return tuple(sorted((t for t in merged.values() if t[1]), key=lambda t: t[0]))
+
+
+def _rate_derivative(rate: Fraction, p: ReducedPoly, n: int) -> ReducedPoly:
+    """(d/du + rate)**n applied to p: the polynomial factor of the n-th
+    derivative of p(u) * exp(rate*u), on integer numerators."""
+    a, b = rate.numerator, rate.denominator
+    num = list(p._num)
+    for _ in range(n):
+        # With rate = a/b, p' + rate*p has numerators b*(k+1)*c[k+1] + a*c[k]
+        # over one more factor b of the denominator.
+        nxt = [a * c for c in num]
+        for k in range(1, len(num)):
+            nxt[k - 1] += b * k * num[k]
+        num = nxt
+    return ReducedPoly._from_ints(num, p._den * b**n)
+
+
 def d_alpha(f):
     """Exact conformable derivative of a ReducedPoly or ExpPoly.
 
@@ -536,12 +599,22 @@ def d_alpha(f):
 
 
 def d_alpha_n(f, n: int):
-    """n-fold conformable derivative."""
+    """n-fold conformable derivative.
+
+    On an ExpPoly each term's polynomial is stepped n times through
+    p <- p' + rate*p and one ExpPoly is built at the end.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
-    for _ in range(n):
-        f = d_alpha(f)
-    return f
+    if isinstance(f, ReducedPoly):
+        return f.deriv(n)
+    if isinstance(f, ExpPoly):
+        if n == 0:
+            return f
+        return ExpPoly._from_sorted(
+            (r, _rate_derivative(r, p, n)) for r, p in f._terms
+        )
+    raise TypeError(f"ReducedPoly or ExpPoly expected, got {type(f).__name__}")
 
 
 def d_alpha_numeric(

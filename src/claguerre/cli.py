@@ -18,9 +18,14 @@ from . import integrate, laplace
 from .alpha_calc import as_alpha, x_view_str
 from .laguerre import laguerre_closed, assoc_closed
 from .tables import build_table
-from .verify import run_suites, scope_names
+from .verify import classical_laguerre, run_suites, scope_names
 
 _DEFAULT_ALPHAS = "0.25,0.5,0.75,1.0"
+# The quadrature check of ``transform laguerre <n> --s`` integrates a
+# degree-n polynomial with the 48-point Gauss-Laguerre rule, which is exact
+# up to degree 2*48 - 1.
+_QUAD_RULE_ORDER = 48
+_QUAD_CHECK_MAX_N = 2 * _QUAD_RULE_ORDER - 1
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -83,7 +88,8 @@ def _transform_at(F, g, s: float) -> int:
     if not math.isfinite(closed):
         return _usage_error(f"the transform at s={s!r} is not a finite float")
     try:
-        numeric = integrate.quad_transform(g, s, integrate.gauss_laguerre(48))
+        rule = integrate.gauss_laguerre(_QUAD_RULE_ORDER)
+        numeric = integrate.quad_transform(g, s, rule)
     except (ArithmeticError, ValueError):
         numeric = math.nan
     if not math.isfinite(numeric):
@@ -114,13 +120,20 @@ def _cmd_transform(args) -> int:
             T = laplace.laguerre_transform(n)
         except ValueError as exc:
             return _usage_error(str(exc))
-        if args.s is not None and args.s <= 0:
-            return _usage_error("s must be positive for the numeric check")
+        if args.s is not None:
+            if args.s <= 0:
+                return _usage_error("s must be positive for the numeric check")
+            if n > _QUAD_CHECK_MAX_N:
+                return _usage_error(
+                    f"the quadrature check needs n <= {_QUAD_CHECK_MAX_N}, got {n}"
+                )
         print(f"Y(s) = (s-1)^{n}/s^{n + 1}")
         print(f"partial fractions: {T}")
         if args.s is None:
             return 0
-        return _transform_at(T, laplace.inverse(T).eval_u, args.s)
+        # The inverse is the classical L_n(u); the recurrence evaluates it
+        # stably, where the monomial Horner of inverse(T) cancels away.
+        return _transform_at(T, lambda u: classical_laguerre(n, 0, u), args.s)
 
     try:
         if kind == "power_p":
@@ -128,9 +141,13 @@ def _cmd_transform(args) -> int:
                 raise ValueError("usage: transform power_p <p>")
             sig = laplace.NamedSignal(kind, p=float(tokens[1]))
         elif kind in ("sin_wu", "cos_wu"):
+            if len(tokens) > 2:
+                raise ValueError(f"usage: transform {kind} [w]")
             omega = float(tokens[1]) if len(tokens) > 1 else 1.0
             sig = laplace.NamedSignal(kind, omega=omega)
         elif kind in ("one", "exp_u"):
+            if len(tokens) != 1:
+                raise ValueError(f"usage: transform {kind}")
             sig = laplace.NamedSignal(kind)
         else:
             raise ValueError(f"unknown expression {kind!r}")

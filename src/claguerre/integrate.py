@@ -54,9 +54,16 @@ def moment_exact(f: ExpPoly) -> Fraction:
     for rate, poly in f.terms:
         if rate >= 0:
             raise DivergenceError(f"rate {rate} >= 0, integral diverges")
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                total += c * Fraction(math.factorial(k)) / (-rate) ** (k + 1)
+        # With -rate = a/b and K = deg, the term sum is
+        # b * sum_k num[k] * k! * b**k * a**(K-k) / (den * a**(K+1)),
+        # accumulated by Horner in a over the integer numerators.
+        a, b = -rate.numerator, rate.denominator
+        acc, weight = 0, 1
+        for k, c in enumerate(poly._num):
+            if k:
+                weight *= k * b
+            acc = acc * a + c * weight
+        total += Fraction(b * acc, poly._den * a ** len(poly._num))
     return total
 
 

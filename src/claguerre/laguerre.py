@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 
 from .alpha_calc import ExpPoly, ReducedPoly, d_alpha_n
 
@@ -61,9 +61,11 @@ def laguerre_closed(n: int) -> ReducedPoly:
     """Degree-n polynomial with coefficient of u**k equal to
     (-1)**k * n! / ((n-k)! * (k!)**2)."""
     _check_index(n)
-    return ReducedPoly(
-        Fraction((-1) ** k * factorial(n), factorial(n - k) * factorial(k) ** 2)
-        for k in range(n + 1)
+    # Over the denominator n!, the numerator of u**k is
+    # (-1)**k * C(n, k) * n!/k!.
+    return ReducedPoly._from_ints(
+        [(-1) ** k * comb(n, k) * perm(n, n - k) for k in range(n + 1)],
+        factorial(n),
     )
 
 
@@ -87,12 +89,11 @@ def assoc_closed(n: int, m: int) -> ReducedPoly:
     (-1)**r * (n+m)! / ((n-r)! * (r+m)! * r!); reduces to
     :func:`laguerre_closed` at m = 0."""
     _check_index(n, m)
-    return ReducedPoly(
-        Fraction(
-            (-1) ** r * factorial(n + m),
-            factorial(n - r) * factorial(r + m) * factorial(r),
-        )
-        for r in range(n + 1)
+    # Over the denominator (n+m)!, the numerator of u**r is
+    # (-1)**r * C(n+m, n-r) * (n+m)!/r!.
+    return ReducedPoly._from_ints(
+        [(-1) ** r * comb(n + m, n - r) * perm(n + m, n + m - r) for r in range(n + 1)],
+        factorial(n + m),
     )
 
 

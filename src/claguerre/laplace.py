@@ -5,7 +5,10 @@ reduced variable, which is the conformable transform with base point 0 after
 the substitution u = x**alpha / alpha (the measure x**(alpha-1) dx turns into
 du exactly).  On the exp-polynomial class the image is a rational function of
 s; it is stored in expanded partial-fraction form, pole terms c/(s-l)**m plus
-an explicit polynomial part, which keeps every manipulation exact.
+an explicit polynomial part, which keeps every manipulation exact.  The poles
+of one rate l are kept together as one integer-content polynomial in
+w = 1/(s-l), so sums, derivatives in s, products by s, shifts, the forward
+transform and its inverse are integer work on a few polynomials.
 
 Two conventions are supported at transform time.  Formal mode (the default)
 treats every pair as formal algebra regardless of convergence, which is how
@@ -26,7 +29,9 @@ from .alpha_calc import (
     ExpPoly,
     ReducedPoly,
     _as_fraction,
+    _collect_rates,
     _join_signed,
+    _merge_rates,
     as_alpha,
 )
 
@@ -65,39 +70,59 @@ class PoleTerm(NamedTuple):
 class TransformExpr:
     """Exact rational function of s in expanded partial-fraction form.
 
-    Pole terms with equal (rate, order) are merged and zero coefficients are
-    dropped, so equality is structural.  ``poly_part`` is a polynomial in s
-    (a :class:`ReducedPoly` read with variable s); it is nonzero only for
+    The poles are stored per rate: a rate-sorted tuple of pairs
+    ``(rate, W)`` where W is a :class:`ReducedPoly` in w = 1/(s - rate)
+    whose coefficient of w**m is the pole coefficient c of c/(s - rate)**m.
+    Each W is nonzero with a zero constant term, so the form is canonical
+    and equality is structural, and the operations below are integer work
+    on a few polynomials.  ``poles`` lists the same terms as ``PoleTerm``s
+    in (rate, order) order.  ``poly_part`` is a polynomial in s (a
+    :class:`ReducedPoly` read with variable s); it is nonzero only for
     distributional images, which have no inverse in the function class.
     """
 
-    __slots__ = ("_poles", "_poly")
+    __slots__ = ("_rates", "_poly")
 
     def __init__(
         self,
         poles: Iterable[tuple] = (),
         poly_part: "ReducedPoly | int | Fraction" = 0,
     ):
-        merged: dict[tuple[Fraction, int], Fraction] = {}
+        pairs = []
         for coeff, rate, order in poles:
             if not (isinstance(order, int) and order >= 1):
                 raise ValueError(f"pole order must be a positive integer, got {order!r}")
-            key = (_as_fraction(rate), order)
-            c = _as_fraction(coeff)
-            merged[key] = merged[key] + c if key in merged else c
-        self._poles = tuple(
-            PoleTerm(merged[key], key[0], key[1])
-            for key in sorted(merged)
-            if merged[key] != 0
-        )
+            pairs.append((_as_fraction(rate), ReducedPoly.monomial(order, coeff)))
         p = ReducedPoly._coerce(poly_part)
         if p is None:
             raise TypeError("poly_part must be exact")
+        self._rates = _collect_rates(pairs)
         self._poly = p
+
+    @classmethod
+    def _make(cls, rates: tuple, poly: ReducedPoly) -> "TransformExpr":
+        """Internal constructor: canonical per-rate pairs, no validation."""
+        T = cls.__new__(cls)
+        T._rates = rates
+        T._poly = poly
+        return T
+
+    @staticmethod
+    def _coerce(value) -> "TransformExpr | None":
+        if isinstance(value, TransformExpr):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return TransformExpr._make((), ReducedPoly._coerce(value))
+        return None
 
     @property
     def poles(self) -> tuple[PoleTerm, ...]:
-        return self._poles
+        return tuple(
+            PoleTerm(Fraction(c, w._den), r, m)
+            for r, w in self._rates
+            for m, c in enumerate(w._num)
+            if c
+        )
 
     @property
     def poly_part(self) -> ReducedPoly:
@@ -105,41 +130,38 @@ class TransformExpr:
 
     @property
     def is_zero(self) -> bool:
-        return not self._poles and self._poly.is_zero
+        return not self._rates and self._poly.is_zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TransformExpr((), other)
-        if not isinstance(other, TransformExpr):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self._poles == other._poles and self._poly == other._poly
+        return self._rates == other._rates and self._poly == other._poly
 
     def __hash__(self):
-        if not self._poles:
+        if not self._rates:
             # A pole-free expression equals (and hashes like) its polynomial.
             return hash(self._poly)
-        return hash(("TransformExpr", self._poles, self._poly))
+        return hash(("TransformExpr", self._rates, self._poly))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TransformExpr((), other)
-        if not isinstance(other, TransformExpr):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return TransformExpr(
-            self._poles + other._poles, self._poly + other._poly
+        return TransformExpr._make(
+            _merge_rates(self._rates, other._rates), self._poly + other._poly
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TransformExpr(
-            tuple((-c, r, m) for c, r, m in self._poles), -self._poly
+        return TransformExpr._make(
+            tuple((r, -w) for r, w in self._rates), -self._poly
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TransformExpr((), other)
-        if not isinstance(other, TransformExpr):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -149,66 +171,77 @@ class TransformExpr:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return TransformExpr(
-            tuple((c * scalar, r, m) for c, r, m in self._poles),
-            self._poly * scalar,
-        )
+        rates = tuple((r, w * scalar) for r, w in self._rates) if scalar else ()
+        return TransformExpr._make(rates, self._poly * scalar)
 
     __rmul__ = __mul__
 
     def d_ds(self, n: int = 1) -> "TransformExpr":
-        """Exact n-th derivative in s."""
+        """Exact n-th derivative in s.
+
+        d/ds sends w**m to m * w**(m+1) with the sign of -1, so n steps send
+        it to (-1)**n * m(m+1)...(m+n-1) * w**(m+n).
+        """
         if not (isinstance(n, int) and n >= 0):
             raise ValueError("derivative order must be a nonnegative integer")
-        poles = []
-        for c, r, m in self._poles:
-            rising = 1
-            for j in range(n):
-                rising *= m + j
-            poles.append((c * (-1) ** n * rising, r, m + n))
-        return TransformExpr(poles, self._poly.deriv(n))
+        if n == 0:
+            return self
+        sign = -1 if n % 2 else 1
+        rates = []
+        for r, w in self._rates:
+            num = [0] * (n + 1) + [
+                sign * math.perm(m + n - 1, n) * c for m, c in enumerate(w._num[1:], 1)
+            ]
+            rates.append((r, ReducedPoly._from_ints(num, w._den)))
+        return TransformExpr._make(tuple(rates), self._poly.deriv(n))
 
     def mul_s(self) -> "TransformExpr":
         """Exact product by s, re-expanded into partial fractions.
 
-        s * c/(s-l)**m = c/(s-l)**(m-1) + c*l/(s-l)**m, with the m = 1 case
-        sending c to the polynomial part.
+        With s = rate + 1/w, s * W(w) = rate*W(w) + W(w)/w: every coefficient
+        moves down one power of w, and the one that lands on w**0 joins the
+        polynomial part.
         """
-        poles = []
-        extra = ReducedPoly()
-        for c, r, m in self._poles:
-            poles.append((c * r, r, m))
-            if m == 1:
-                extra = extra + c
-            else:
-                poles.append((c, r, m - 1))
-        shifted = ReducedPoly((Fraction(0),) + self._poly.coeffs)
-        return TransformExpr(poles, shifted + extra)
+        rates = []
+        extra = Fraction(0)
+        for r, w in self._rates:
+            num, den = w._num, w._den
+            p, q = r.numerator, r.denominator
+            extra += Fraction(num[1], den)
+            out = [p * c for c in num]
+            for k in range(1, len(num) - 1):
+                out[k] += q * num[k + 1]
+            W = ReducedPoly._from_ints(out, den * q)
+            if W:
+                rates.append((r, W))
+        poly = self._poly
+        shifted = ReducedPoly._from_ints([0, *poly._num], poly._den)
+        return TransformExpr._make(tuple(rates), shifted + extra)
 
     def shifted(self, a) -> "TransformExpr":
         """Substitute s -> s + a exactly."""
         a = _as_fraction(a)
-        return TransformExpr(
-            tuple((c, r - a, m) for c, r, m in self._poles),
-            self._poly.taylor_shift(a),
+        return TransformExpr._make(
+            tuple((r - a, w) for r, w in self._rates), self._poly.taylor_shift(a)
         )
 
     def __call__(self, s: float) -> float:
         """Numeric value away from the poles, rounded once.
 
-        The sum is formed exactly at Fraction(s): the pole terms of an image
-        like (s-1)**n / s**(n+1) cancel to many orders of magnitude below
-        their size, so a float sum would keep none of the value's digits.
+        The sum is formed exactly at Fraction(s), each rate's polynomial in
+        w evaluated at w = 1/(s - rate): the pole terms of an image like
+        (s-1)**n / s**(n+1) cancel to many orders of magnitude below their
+        size, so a float sum would keep none of the value's digits.
         """
         s = Fraction(s)
         total = self._poly(s)
-        for c, r, m in self._poles:
-            total += c / (s - r) ** m
+        for r, w in self._rates:
+            total += w(1 / (s - r))
         return float(total)
 
     def __str__(self):
         pieces = []
-        for c, r, m in self._poles:
+        for c, r, m in self.poles:
             if r == 0:
                 den = "s" if m == 1 else f"s^{m}"
             else:
@@ -233,16 +266,21 @@ def transform(f: ExpPoly, strict: bool = False) -> TransformExpr:
     f = ExpPoly._coerce(f)
     if f is None:
         raise TypeError("ExpPoly expected")
-    poles = []
+    rates = []
     for rate, poly in f.terms:
         if strict and rate >= 1:
             raise ConvergenceError(
                 f"rate {rate} is outside the strict convergence region (rate < 1)"
             )
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                poles.append((c * math.factorial(k), rate, k + 1))
-    return TransformExpr(poles)
+        # The coefficient of u**k becomes that of w**(k+1), times k!.
+        num = [0]
+        fact = 1
+        for k, c in enumerate(poly._num):
+            if k:
+                fact *= k
+            num.append(c * fact)
+        rates.append((rate, ReducedPoly._from_ints(num, poly._den)))
+    return TransformExpr._make(tuple(rates), ReducedPoly._from_ints([]))
 
 
 def inverse(T: TransformExpr) -> ExpPoly:
@@ -251,12 +289,19 @@ def inverse(T: TransformExpr) -> ExpPoly:
         raise NonInvertibleError(
             "polynomial part present; no inverse within the function class"
         )
-    by_rate: dict[Fraction, list[Fraction]] = {}
-    for c, r, m in T.poles:
-        coeffs = by_rate.setdefault(r, [])
-        coeffs.extend([Fraction(0)] * (m - len(coeffs)))
-        coeffs[m - 1] = c / math.factorial(m - 1)
-    return ExpPoly((r, ReducedPoly(coeffs)) for r, coeffs in by_rate.items())
+    terms = []
+    for r, w in T._rates:
+        # Over the common denominator den * top!, the coefficient of u**k is
+        # the numerator of w**(k+1) times top!/k!.
+        num = w._num
+        top = len(num) - 2
+        out = [0] * (top + 1)
+        scale = 1
+        for k in range(top, -1, -1):
+            out[k] = num[k + 1] * scale
+            scale *= k
+        terms.append((r, ReducedPoly._from_ints(out, w._den * math.factorial(top))))
+    return ExpPoly._from_sorted(terms)
 
 
 def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
@@ -378,9 +423,8 @@ def laguerre_transform(n: int) -> TransformExpr:
     """(s-1)**n / s**(n+1), expanded exactly into sum_k (-1)**k C(n,k)/s**(k+1)."""
     if not (isinstance(n, int) and n >= 0):
         raise ValueError("n must be a nonnegative integer")
-    return TransformExpr(
-        ((-1) ** k * math.comb(n, k), Fraction(0), k + 1) for k in range(n + 1)
-    )
+    w = ReducedPoly._from_ints([0] + [(-1) ** k * math.comb(n, k) for k in range(n + 1)])
+    return TransformExpr._make(((Fraction(0), w),), ReducedPoly._from_ints([]))
 
 
 def s_domain_residual(Y: TransformExpr, n: int) -> TransformExpr:

@@ -81,7 +81,9 @@ def classical_laguerre(n: int, m: int, x: float) -> float:
     """Classical associated Laguerre value by the three-term recurrence.
 
     (k+1) L_{k+1} = (2k+1+m-x) L_k - (k+m) L_{k-1}, seeded with 1 and
-    1+m-x.  Used purely as an oracle against the alpha = 1 evaluation path.
+    1+m-x.  Used as an oracle against the alpha = 1 evaluation path, and as
+    the integrand of the quadrature check of ``transform laguerre <n> --s``,
+    where the monomial Horner of the exact polynomial cancels away.
     """
     prev, cur = 0.0, 1.0
     for k in range(n):

@@ -150,6 +150,13 @@ class TestConformableDerivative:
         with pytest.raises(ValueError):
             d_alpha_n(U, -1)
 
+    def test_rejects_non_polynomials_at_every_order(self):
+        for n in (0, 1):
+            with pytest.raises(TypeError):
+                d_alpha_n(2.5, n)
+        f = ExpPoly.exp(-1, U)
+        assert d_alpha_n(f, 0) is f
+
     @settings(max_examples=60, deadline=None)
     @given(exppolys, exppolys)
     def test_product_rule(self, p, q):
@@ -447,3 +454,61 @@ class TestHashAgreesWithEquality:
         assert ExpPoly.from_poly(p) == p
         assert len({ExpPoly.from_poly(p), p}) == 1
         assert len({ExpPoly(), ReducedPoly(), 0}) == 1
+
+
+# -- ExpPoly canonical form through the private constructors ------------------
+#
+# The operations build their results without the public constructor's merge;
+# each must still be canonical and equal what the public constructor gives.
+
+wide_rates = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1)])
+wide_exppolys = st.builds(
+    ExpPoly,
+    st.lists(st.tuples(wide_rates, st.builds(ReducedPoly, fraction_lists)), max_size=4),
+)
+
+
+def assert_exppoly_canonical(e):
+    rates = [r for r, _ in e.terms]
+    assert all(type(r) is F for r in rates)
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+    for _, p in e.terms:
+        assert p
+        assert_canonical(p)
+
+
+class TestExpPolyCanonicalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(wide_exppolys, wide_exppolys, scalars)
+    def test_operations_match_the_public_constructor(self, f, g, c):
+        cases = [
+            (f.d_alpha(), ExpPoly((r, p.deriv() + p * r) for r, p in f.terms)),
+            (-f, ExpPoly((r, -p) for r, p in f.terms)),
+            (f * c, ExpPoly((r, p * c) for r, p in f.terms)),
+            (c * f, ExpPoly((r, p * c) for r, p in f.terms)),
+            (f + g, ExpPoly(f.terms + g.terms)),
+            (f - g, ExpPoly(f.terms + tuple((r, -p) for r, p in g.terms))),
+            (f * g, ExpPoly(
+                (ra + rb, pa * pb) for ra, pa in f.terms for rb, pb in g.terms
+            )),
+        ]
+        for got, want in cases:
+            assert_exppoly_canonical(got)
+            assert got.terms == want.terms
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_exppolys, st.integers(0, 6))
+    def test_d_alpha_n_is_iterated_d_alpha(self, f, n):
+        want = f
+        for _ in range(n):
+            want = want.d_alpha()
+        got = d_alpha_n(f, n)
+        assert_exppoly_canonical(got)
+        assert got == want
+
+    def test_cancelling_sum_drops_the_rate(self):
+        f = ExpPoly.exp(F(-1, 2), ReducedPoly((1, 2)))
+        assert (f - f).terms == ()
+        assert (f + ExpPoly.exp(1) - f).terms == ExpPoly.exp(1).terms
+        assert (f * 0).terms == ()
+        assert d_alpha_n(ExpPoly.from_poly(ReducedPoly((1, 2))), 2).terms == ()

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from claguerre.verify import SuiteResult, VerifyReport
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LAGUERRE_S = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0)
 # Child interpreters find the package from a fresh checkout, as pytest does.
 CHILD_ENV = dict(
     os.environ,
@@ -159,6 +162,50 @@ class TestTransform:
     def test_power_requires_parameter(self, capsys):
         assert run_cli(capsys, "transform", "power_p")[0] == 2
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ("one", "7", "--s", "1"),
+            ("exp_u", "junk", "--s", "2"),
+            ("sin_wu", "1", "2", "--s", "1"),
+            ("cos_wu", "1", "2"),
+            ("power_p", "1", "2"),
+            ("laguerre", "3", "4"),
+        ],
+    )
+    def test_extra_tokens_are_usage_errors(self, capsys, tokens):
+        code, out, err = run_cli(capsys, "transform", *tokens)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: usage: transform ")
+        assert len(err.splitlines()) == 1
+
+
+class TestLaguerreQuadratureCheck:
+    @pytest.mark.parametrize("n", [20, 36, 40, 60, 80, 95])
+    def test_check_agrees_with_the_value(self, capsys, n):
+        for s in LAGUERRE_S:
+            code, out, _ = run_cli(
+                capsys, "transform", "laguerre", str(n), "--s", str(s)
+            )
+            assert code == 0
+            value = float(re.search(r"^value at s=\S+: (\S+)$", out, re.M).group(1))
+            diff = float(re.search(r"\(\|diff\| = (\S+)\)$", out, re.M).group(1))
+            assert diff <= 1e-10 * max(1.0, abs(value)), (n, s, value, diff)
+
+    def test_degree_beyond_the_rule_is_a_usage_error(self, capsys):
+        # The 48-point rule is exact only up to degree 95.
+        code, out, err = run_cli(capsys, "transform", "laguerre", "96", "--s", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_degree_beyond_the_rule_prints_without_s(self, capsys):
+        code, out, _ = run_cli(capsys, "transform", "laguerre", "96")
+        assert code == 0
+        assert "partial fractions: 1/s - 96/s^2" in out
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
@@ -195,6 +242,13 @@ class TestSolve:
     def test_trace_shows_x_view(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "--n", "4")
         assert f"x-view: {x_view_str(laguerre_closed(4))}" in out
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_golden_output(self, capsys, n):
+        # Recorded from the Fraction-pole TransformExpr this output must match.
+        code, out, _ = run_cli(capsys, "solve", "--n", str(n))
+        assert code == 0
+        assert out == (GOLDEN / f"solve_n{n}.txt").read_text()
 
 
 class TestVerify:

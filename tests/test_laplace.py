@@ -13,6 +13,7 @@ from claguerre.laplace import (
     ConvergenceError,
     NamedSignal,
     NonInvertibleError,
+    PoleTerm,
     TransformExpr,
     derivative_rule,
     inverse,
@@ -340,3 +341,180 @@ def test_randomized_suite_smoke():
     for _ in range(10):
         p = random_exppoly(rng)
         assert inverse(transform(p)) == p
+
+
+# -- the per-rate representation against the list-of-PoleTerm algorithm ------
+
+
+class RefTransform:
+    """Reference: merged, sorted PoleTerms plus a polynomial part in s."""
+
+    def __init__(self, poles=(), poly=0):
+        merged = {}
+        for c, r, m in poles:
+            merged[(F(r), m)] = merged.get((F(r), m), F(0)) + F(c)
+        self.poles = tuple(
+            PoleTerm(merged[key], *key) for key in sorted(merged) if merged[key]
+        )
+        self.poly = poly if isinstance(poly, ReducedPoly) else ReducedPoly((poly,))
+
+    def __add__(self, other):
+        return RefTransform(self.poles + other.poles, self.poly + other.poly)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, k):
+        return RefTransform([(c * k, r, m) for c, r, m in self.poles], self.poly * k)
+
+    def d_ds(self, n):
+        poles = []
+        for c, r, m in self.poles:
+            rising = math.prod(range(m, m + n))
+            poles.append((c * (-1) ** n * rising, r, m + n))
+        return RefTransform(poles, self.poly.deriv(n))
+
+    def mul_s(self):
+        poles, extra = [], F(0)
+        for c, r, m in self.poles:
+            poles.append((c * r, r, m))
+            if m == 1:
+                extra += c
+            else:
+                poles.append((c, r, m - 1))
+        return RefTransform(poles, ReducedPoly((0,) + self.poly.coeffs) + extra)
+
+    def shifted(self, a):
+        return RefTransform(
+            [(c, r - a, m) for c, r, m in self.poles], self.poly.taylor_shift(a)
+        )
+
+    def value(self, s):
+        s = F(s)
+        total = self.poly(s)
+        for c, r, m in self.poles:
+            total += c / (s - r) ** m
+        return float(total)
+
+    def text(self):
+        pieces = []
+        for c, r, m in self.poles:
+            if r == 0:
+                den = "s" if m == 1 else f"s^{m}"
+            else:
+                base = f"(s{'-' if r > 0 else '+'}{abs(r)})"
+                den = base if m == 1 else f"{base}^{m}"
+            pieces.append(f"{'-' if c < 0 else '+'}{abs(c)}/{den}")
+        for k, c in enumerate(self.poly.coeffs):
+            if c:
+                mag = abs(c)
+                if k == 0:
+                    body = str(mag)
+                else:
+                    head = "" if mag == 1 else f"{mag}*"
+                    body = f"{head}s" if k == 1 else f"{head}s^{k}"
+                pieces.append(f"{'-' if c < 0 else '+'}{body}")
+        if not pieces:
+            return "0"
+        text = pieces[0].lstrip("+")
+        for piece in pieces[1:]:
+            text += f" {piece[0]} {piece[1:]}"
+        return text
+
+
+def assert_per_rate_canonical(T):
+    rates = [r for r, _ in T._rates]
+    assert all(type(r) is F for r in rates)
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+    for _, w in T._rates:
+        assert w and w.coeffs[0] == 0
+    assert list(T.poles) == sorted(T.poles, key=lambda p: (p.rate, p.order))
+    assert all(type(p.coeff) is F and p.coeff for p in T.poles)
+
+
+def assert_matches(got, ref):
+    assert_per_rate_canonical(got)
+    assert got.poles == ref.poles
+    assert got.poly_part == ref.poly
+    assert str(got) == ref.text()
+    rebuilt = TransformExpr(ref.poles, ref.poly)
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+pole_lists = st.lists(st.tuples(fractions, rates, st.integers(1, 6)), max_size=6)
+s_polys = st.builds(ReducedPoly, st.lists(fractions, max_size=4))
+scalars = st.one_of(st.integers(-3, 3), fractions)
+
+
+class TestPerRateModel:
+    @settings(max_examples=150, deadline=None)
+    @given(pole_lists, s_polys, pole_lists, s_polys, scalars)
+    def test_linear_operations(self, pa, qa, pb, qb, k):
+        a, b = TransformExpr(pa, qa), TransformExpr(pb, qb)
+        ra, rb = RefTransform(pa, qa), RefTransform(pb, qb)
+        assert_matches(a, ra)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra + (-rb))
+        assert_matches(-a, -ra)
+        assert_matches(a * k, ra * k)
+        assert_matches(k * a, ra * k)
+        assert_matches(a + k, ra + RefTransform((), k))
+        assert_matches(k - a, RefTransform((), k) + (-ra))
+        assert (a - a).is_zero
+        assert (a == b) == (ra.poles == rb.poles and ra.poly == rb.poly)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pole_lists, s_polys, st.integers(0, 4),
+        st.sampled_from([F(1), F(2), F(1, 2), F(-3, 4)]),
+    )
+    def test_calculus_operations(self, poles, poly, n, a):
+        T, ref = TransformExpr(poles, poly), RefTransform(poles, poly)
+        assert_matches(T.d_ds(n), ref.d_ds(n))
+        assert_matches(T.mul_s(), ref.mul_s())
+        assert_matches(T.mul_s().mul_s(), ref.mul_s().mul_s())
+        assert_matches(T.shifted(a), ref.shifted(a))
+        assert_matches(s_domain_residual(T, n), (
+            -(ref.d_ds(1).mul_s().mul_s() + -ref.d_ds(1).mul_s())
+            + ref * (n + 1) + -ref.mul_s()
+        ))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pole_lists, s_polys, st.sampled_from([F(7, 3), F(5, 2), 3, 0.75, -0.5, 6.25]))
+    def test_value(self, poles, poly, s):
+        T = TransformExpr(poles, poly)
+        assert T(s) == RefTransform(poles, poly).value(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exppolys)
+    def test_transform_and_inverse(self, p):
+        ref = RefTransform(
+            [(c * math.factorial(k), r, k + 1)
+             for r, poly in p.terms for k, c in enumerate(poly.coeffs) if c]
+        )
+        T = transform(p)
+        assert_matches(T, ref)
+        assert inverse(T) == ExpPoly(
+            (t.rate, ReducedPoly.monomial(t.order - 1, t.coeff / math.factorial(t.order - 1)))
+            for t in ref.poles
+        )
+
+    def test_laguerre_transform(self):
+        for n in range(0, 41, 5):
+            ref = RefTransform(
+                ((-1) ** k * math.comb(n, k), 0, k + 1) for k in range(n + 1)
+            )
+            assert_matches(laguerre_transform(n), ref)
+
+    def test_poles_are_not_stored(self):
+        T = laguerre_transform(3)
+        assert T.poles == T.poles and T.poles is not T.poles
+        assert not hasattr(T, "__dict__")
+
+    def test_public_constructor_keeps_its_checks(self):
+        with pytest.raises(ValueError):
+            TransformExpr([(1, 0, 0)])
+        with pytest.raises(ValueError):
+            TransformExpr([(1, 0, 1.0)])
+        with pytest.raises(TypeError):
+            TransformExpr([(F(1), 0.25, 2)])
