@@ -5,7 +5,8 @@ The package is organized around the reduced variable u = x**alpha / alpha:
 * :mod:`claguerre.alpha_calc` holds the exact polynomial and
   exp-polynomial algebra and the conformable derivative,
 * :mod:`claguerre.laguerre` builds the plain and associated polynomials
-  along several independent routes,
+  along several independent routes, and evaluates them in floats by the
+  three-term recurrence,
 * :mod:`claguerre.laplace` is the transform calculus used to solve the
   defining differential equation,
 * :mod:`claguerre.integrate` integrates against the conformable measure,
@@ -46,6 +47,8 @@ from .laguerre import (
     assoc_rodrigues,
     generating_series,
     laguerre_closed,
+    laguerre_column,
+    laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
     values_at_zero,
@@ -97,6 +100,8 @@ __all__ = [
     "generating_series",
     "inverse",
     "laguerre_closed",
+    "laguerre_column",
+    "laguerre_pair",
     "laguerre_rodrigues",
     "laguerre_transform",
     "moment_exact",

@@ -4,8 +4,9 @@ Subcommands: ``eval`` (point values), ``table`` (CSV grids for plotting),
 ``transform`` (exact partial fractions and closed forms, with optional
 numeric cross-check), ``solve`` (replay of the transform-domain derivation)
 and ``verify`` (the self-check suites).  CSV goes to stdout, diagnostics to
-stderr; exit codes are 0 for success, 1 for verification failure and 2 for
-usage errors.
+stderr; exit codes are 0 for success, 1 for verification failure, 2 for
+usage errors (including an input over one of the size caps below) and 3
+for an unexpected internal error, reported in one line.
 """
 
 from __future__ import annotations
@@ -16,11 +17,20 @@ import sys
 
 from . import integrate, laplace
 from .alpha_calc import as_alpha, x_view_str
-from .laguerre import laguerre_closed, assoc_closed
+from .laguerre import assoc_closed, laguerre_closed, laguerre_pair
 from .tables import build_table
-from .verify import classical_laguerre, run_suites, scope_names
+from .verify import run_suites, scope_names
 
 _DEFAULT_ALPHAS = "0.25,0.5,0.75,1.0"
+# Size caps bound the cost of one command; each is a usage error when
+# exceeded.  MAX_N caps the degree of ``eval``, ``table``, ``solve`` and
+# ``transform laguerre <n>``; it stays below 1559, where the coefficient 1/n!
+# of the printed exact forms passes Python's default 4300-digit limit on
+# int-to-str conversion.
+MAX_N = 1500
+MAX_M = 100
+MAX_SAMPLES = 100_000
+_SIZE_LIMITS = (("n", 0, MAX_N), ("m", 0, MAX_M), ("samples", 2, MAX_SAMPLES))
 # The quadrature check of ``transform laguerre <n> --s`` integrates a
 # degree-n polynomial with the 48-point Gauss-Laguerre rule, which is exact
 # up to degree 2*48 - 1.
@@ -35,6 +45,11 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return alphas
 
 
+def _check_size(name: str, value: int, least: int, cap: int) -> None:
+    if not least <= value <= cap:
+        raise ValueError(f"{name} must lie in [{least}, {cap}], got {value}")
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -47,8 +62,7 @@ def _cmd_eval(args) -> int:
             raise ValueError("x must be finite")
         if args.x < 0:
             raise ValueError("x must be nonnegative")
-        poly = assoc_closed(args.n, args.m)
-        values = [poly.eval(args.x, a) for a in alphas]
+        values = [laguerre_pair(args.n, args.m, args.x**a / a)[0] for a in alphas]
         if not all(math.isfinite(v) for v in values):
             raise ValueError(
                 f"L_{args.n}^{args.m} at x={args.x!r} is not a finite float"
@@ -57,7 +71,7 @@ def _cmd_eval(args) -> int:
         return _usage_error(str(exc))
     for a, value in zip(alphas, values):
         print(f"L_{args.n}^{args.m}(alpha={a!r}, x={args.x!r}) = {value:.12g}")
-    print(f"exact form: {x_view_str(poly)}")
+    print(f"exact form: {x_view_str(assoc_closed(args.n, args.m))}")
     return 0
 
 
@@ -117,6 +131,7 @@ def _cmd_transform(args) -> int:
             return _usage_error("usage: transform laguerre <n>")
         try:
             n = int(tokens[1])
+            _check_size("n", n, 0, MAX_N)
             T = laplace.laguerre_transform(n)
         except ValueError as exc:
             return _usage_error(str(exc))
@@ -133,7 +148,7 @@ def _cmd_transform(args) -> int:
             return 0
         # The inverse is the classical L_n(u); the recurrence evaluates it
         # stably, where the monomial Horner of inverse(T) cancels away.
-        return _transform_at(T, lambda u: classical_laguerre(n, 0, u), args.s)
+        return _transform_at(T, lambda u: laguerre_pair(n, 0, u)[0], args.s)
 
     try:
         if kind == "power_p":
@@ -241,13 +256,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("eval", "solve") and args.n < 0:
-            return _usage_error("n must be nonnegative")
-        if getattr(args, "m", 0) < 0:
-            return _usage_error("m must be nonnegative")
-    except AttributeError:
-        pass
-    return args.handler(args)
+        for name, least, cap in _SIZE_LIMITS:
+            if hasattr(args, name):
+                _check_size(name, getattr(args, name), least, cap)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    try:
+        return args.handler(args)
+    except Exception as exc:  # a bug: one line and its own exit code
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

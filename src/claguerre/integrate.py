@@ -6,8 +6,9 @@ choice in the package: the x-space weight is singular at 0 for alpha < 1,
 while the u-space integrand is smooth, so quadrature never sees the branch
 point.  Exact rational moments are the primary oracle; a Gauss-Laguerre rule
 built here from scratch is the independent numeric one.  Its nodes come from
-Newton on the three-term recurrence, started at the classical asymptotic
-guesses, and each finished rule is memoised per order on first use.
+Newton on the three-term recurrence of :func:`claguerre.laguerre.laguerre_pair`,
+started at the classical asymptotic guesses, and each finished rule is
+memoised per order on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .alpha_calc import ExpPoly, as_alpha
-from .laguerre import laguerre_closed
+from .laguerre import laguerre_closed, laguerre_pair
 
 __all__ = [
     "DivergenceError",
@@ -73,14 +74,6 @@ def orthonormality(n: int, m_index: int) -> Fraction:
     return moment_exact(ExpPoly.exp(-1, product))
 
 
-def _laguerre_pair(n: int, x: float) -> tuple[float, float]:
-    """(L_n(x), L_{n-1}(x)) for the classical polynomials, by recurrence."""
-    prev, cur = 0.0, 1.0
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur, prev
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights for integral_0^inf exp(-u) g(u) du.
@@ -116,7 +109,7 @@ def _newton_root(n: int, x: float) -> float:
     the iterate sits on the noise floor and the root is found.
     """
     for _ in range(30):
-        value, prev = _laguerre_pair(n, x)
+        value, prev = laguerre_pair(n, 0, x)
         step = value / (n * (value - prev) / x)
         x -= step
         if abs(step) <= 1e-14 * (1.0 + abs(x)):
@@ -134,8 +127,10 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     two zeros before it.  A zero that does not converge, or zeros that are
     not strictly increasing, raise RootFindingError; N distinct zeros of a
     degree-N polynomial are all of its zeros.  Weights use the standard
-    formula x / ((N+1) * L_{N+1}(x))**2.  The rule is frozen, so every call
-    with the same order returns the same shared object.
+    formula x / ((N+1) * L_{N+1}(x))**2.  Every value of L_N, L_{N-1} and
+    L_{N+1} comes from :func:`claguerre.laguerre.laguerre_pair`, the
+    library's one float evaluator.  The rule is frozen, so every call with
+    the same order returns the same shared object.
     """
     if not (isinstance(order, int) and 1 <= order <= 64):
         raise ValueError("order must be an integer in [1, 64]")
@@ -156,7 +151,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
         raise RootFindingError(f"zeros of order {order} are not strictly increasing")
     weights = []
     for x in roots:
-        value = _laguerre_pair(order + 1, x)[0]
+        value = laguerre_pair(order + 1, 0, x)[0]
         weights.append(x / ((order + 1) * value) ** 2)
     rule = _RULES[order] = QuadratureRule(tuple(roots), tuple(weights), order)
     return rule

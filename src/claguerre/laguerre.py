@@ -12,6 +12,12 @@ separate so they can cross-check one another exactly:
 A fifth route, termwise inversion of the s-domain solution of the defining
 differential equation, lives in :mod:`claguerre.laplace`.
 
+Float values come from one place: the forward three-term recurrence in u
+(``laguerre_pair`` for one point, ``laguerre_column`` for a grid), which is
+stable for this family where Horner over the alternating monomial
+coefficients cancels away.  The conformable polynomial is the classical
+L_n^m at u = x**alpha / alpha, so the same recurrence serves every alpha.
+
 With the normalization used here (constant term 1 for the plain family) the
 polynomials satisfy u*p'' + (1 + m - u)*p' + n*p = 0 and are orthonormal
 against exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
+from typing import Sequence
 
 from .alpha_calc import ExpPoly, ReducedPoly, d_alpha_n
 
@@ -33,6 +40,8 @@ __all__ = [
     "assoc_rodrigues",
     "generating_series",
     "laguerre_closed",
+    "laguerre_column",
+    "laguerre_pair",
     "laguerre_rodrigues",
     "ode_residual",
     "values_at_zero",
@@ -118,6 +127,50 @@ def assoc_rodrigues(n: int, m: int) -> ReducedPoly:
     seed = ExpPoly.exp(-1, ReducedPoly.monomial(n + m))
     flattened = (d_alpha_n(seed, n) * ExpPoly.exp(1)).as_poly()
     return flattened.divide_by_u(m) * Fraction(1, factorial(n))
+
+
+def laguerre_pair(n: int, m, u: float) -> tuple[float, float]:
+    """(L_n^m(u), L_{n-1}^m(u)) in floats, by the three-term recurrence.
+
+    (k+1) L_{k+1} = (2k+1+m-u) L_k - (k+m) L_{k-1}, started from L_0 = 1
+    and L_1 = 1 + m - u (Abramowitz & Stegun 22.7.12); at n = 0 the pair is
+    (1, 0).  The forward recurrence is stable for u >= 0 (Gautschi,
+    *Orthogonal Polynomials: Computation and Approximation*, 2004): the
+    error stays within a few ulps of the A&S 22.14.13 envelope
+    C(n+m, n) exp(u/2), where the monomial Horner of
+    :meth:`ReducedPoly.eval` loses every digit for moderate n.  The value at
+    u = x**alpha / alpha is the conformable polynomial of order alpha.  The
+    second value feeds the derivative u L' = n (L - L_{n-1}) (m = 0) that
+    Newton uses in :func:`claguerre.integrate.gauss_laguerre`.
+    """
+    if n < 0 or m < 0:
+        raise ValueError(f"degree and order must be nonnegative, got ({n}, {m})")
+    if n == 0:
+        return 1.0, 0.0
+    prev, cur = 1.0, 1.0 + m - u
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + m - u) * cur - (k + m) * prev) / (k + 1)
+    return cur, prev
+
+
+def laguerre_column(n: int, m, us: Sequence[float]) -> list[float]:
+    """[L_n^m(u) for u in us], one recurrence step over the whole column
+    per pass.
+
+    Each step is the expression of :func:`laguerre_pair`, term for term, so
+    every entry equals ``laguerre_pair(n, m, u)[0]`` bit for bit.  On a grid
+    this is faster than one scalar call per point; on one point the scalar
+    form is faster, as it builds no lists.
+    """
+    if n < 0 or m < 0:
+        raise ValueError(f"degree and order must be nonnegative, got ({n}, {m})")
+    if n == 0:
+        return [1.0] * len(us)
+    prev, cur = [1.0] * len(us), [1.0 + m - u for u in us]
+    for k in range(1, n):
+        a, c, d = 2 * k + 1 + m, k + m, k + 1
+        prev, cur = cur, [((a - u) * y - c * p) / d for u, y, p in zip(us, cur, prev)]
+    return cur
 
 
 def ode_residual(p: ReducedPoly, n: int, m: int = 0) -> ReducedPoly:

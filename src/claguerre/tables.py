@@ -1,16 +1,22 @@
 """Sample tables for plotting: evaluation grids rendered as CSV.
 
-Output is deterministic byte for byte: floats print in shortest
-round-trip form and rows end with a bare linefeed.
+Values come from the three-term recurrence of
+:func:`claguerre.laguerre.laguerre_column`, run one alpha column at a time:
+the indices and the alphas are validated once per table and
+u = x**alpha / alpha is computed once per (x, alpha), so the per-point cost
+is the recurrence alone.  Output is deterministic byte for byte: floats
+print in shortest round-trip form and rows end with a bare linefeed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import le
 
 from .alpha_calc import as_alpha
-from .laguerre import assoc_closed
+from .laguerre import _check_index, laguerre_column
 
 __all__ = ["SampleTable", "build_table"]
 
@@ -24,18 +30,17 @@ class SampleTable:
 
     def __post_init__(self):
         xs = [row[0] for row in self.rows]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if any(map(le, xs[1:], xs)):
             raise ValueError("x values must be strictly increasing")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width must match the header")
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError("table values must be finite")
+        width = len(self.columns)
+        if any(len(row) != width for row in self.rows):
+            raise ValueError("row width must match the header")
+        if not all(map(math.isfinite, chain.from_iterable(self.rows))):
+            raise ValueError("table values must be finite")
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(repr(v) for v in row))
+        lines.extend([",".join(map(repr, row)) for row in self.rows])
         return "\n".join(lines) + "\n"
 
 
@@ -47,7 +52,12 @@ def build_table(
     x_max: float = 8.0,
     samples: int = 200,
 ) -> SampleTable:
-    """Evaluate the (n, m) polynomial on an even x grid, one column per alpha."""
+    """Evaluate the (n, m) polynomial on an even x grid, one column per alpha.
+
+    Every value equals ``laguerre_pair(n, m, x**alpha / alpha)[0]`` bit for
+    bit; a value that overflows to a non-finite float raises ValueError.
+    """
+    _check_index(n, m)
     if x_min < 0:
         raise ValueError("x_min must be nonnegative")
     if samples < 2:
@@ -57,11 +67,8 @@ def build_table(
     alphas = tuple(as_alpha(a) for a in alphas)
     if not alphas:
         raise ValueError("at least one alpha is required")
-    poly = assoc_closed(n, m)
-    columns = ("x",) + tuple(f"L_{n}^{m}(alpha={a!r})" for a in alphas)
+    header = ("x",) + tuple(f"L_{n}^{m}(alpha={a!r})" for a in alphas)
     step = (x_max - x_min) / (samples - 1)
-    rows = []
-    for i in range(samples):
-        x = x_min + i * step
-        rows.append((x,) + tuple(poly.eval(x, a) for a in alphas))
-    return SampleTable(columns, tuple(rows))
+    xs = [x_min + i * step for i in range(samples)]
+    columns = [laguerre_column(n, m, [x**a / a for x in xs]) for a in alphas]
+    return SampleTable(header, tuple(zip(xs, *columns)))

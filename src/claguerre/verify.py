@@ -29,6 +29,7 @@ from .laguerre import (
     assoc_rodrigues,
     generating_series,
     laguerre_closed,
+    laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
     values_at_zero,
@@ -39,7 +40,6 @@ __all__ = [
     "SUITES",
     "SuiteResult",
     "VerifyReport",
-    "classical_laguerre",
     "random_exppoly",
     "run_suites",
     "scope_names",
@@ -75,20 +75,6 @@ class VerifyReport:
     @property
     def exit_code(self) -> int:
         return 0 if self.all_passed else 1
-
-
-def classical_laguerre(n: int, m: int, x: float) -> float:
-    """Classical associated Laguerre value by the three-term recurrence.
-
-    (k+1) L_{k+1} = (2k+1+m-x) L_k - (k+m) L_{k-1}, seeded with 1 and
-    1+m-x.  Used as an oracle against the alpha = 1 evaluation path, and as
-    the integrand of the quadrature check of ``transform laguerre <n> --s``,
-    where the monomial Horner of the exact polynomial cancels away.
-    """
-    prev, cur = 0.0, 1.0
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 1 + m - x) * cur - (k + m) * prev) / (k + 1)
-    return cur
 
 
 def random_exppoly(
@@ -247,7 +233,7 @@ def _suite_classical_oracle() -> str:
         poly = laguerre_closed(n)
         for x in (0.1, 0.5, 1.0, 2.0, 5.0):
             got = poly.eval(x, 1.0)
-            want = classical_laguerre(n, 0, x)
+            want = laguerre_pair(n, 0, x)[0]
             _ensure(
                 abs(got - want) <= 1e-10,
                 f"alpha=1 value {got} vs recurrence {want} at (n={n}, x={x})",
@@ -482,11 +468,13 @@ def _suite_figure_fixtures() -> str:
                     f"table {row[column]} vs formula {want}",
                 )
                 checks += 1
-            classical = classical_laguerre(fig.n, fig.m, x)
+            # the table runs the recurrence, so its alpha = 1 column is
+            # checked against exact Horner at Fraction(x), rounded once
+            exact = float(assoc_closed(fig.n, fig.m)(Fraction(x)))
             _ensure(
-                abs(row[-1] - classical) <= 1e-10,
+                abs(row[-1] - exact) <= 1e-10,
                 f"figure {fig.number} at x={x}: alpha=1 column {row[-1]} "
-                f"vs classical {classical}",
+                f"vs exact {exact}",
             )
     return f"{checks} fixture points across 11 figures, 1e-12"
 

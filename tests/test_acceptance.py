@@ -27,12 +27,13 @@ from claguerre.laguerre import (
     assoc_rodrigues,
     generating_series,
     laguerre_closed,
+    laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
     values_at_zero,
 )
 from claguerre.tables import build_table
-from claguerre.verify import classical_laguerre, random_exppoly, run_suites
+from claguerre.verify import random_exppoly, run_suites
 
 
 def _report(num, ok, detail):
@@ -250,7 +251,7 @@ def test_c10_classical_oracle():
     for n in range(13):
         poly = laguerre_closed(n)
         for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-            diff = abs(poly.eval(x, 1.0) - classical_laguerre(n, 0, x))
+            diff = abs(poly.eval(x, 1.0) - laguerre_pair(n, 0, x)[0])
             if diff > 1e-10:
                 misses.append((n, x, diff))
     ok = _report(
@@ -300,26 +301,29 @@ def _table_rows(n, m, alphas):
 def test_c12_figure_reproduction():
     start = time.time()
     formula_misses = []
-    classical_misses = []
+    exact_misses = []
     for fig in FIGURES:
+        poly = assoc_closed(fig.n, fig.m)
         for row in _table_rows(fig.n, fig.m, _FIXTURE_ALPHAS):
             x = row[0]
             for column, alpha in enumerate(_FIXTURE_ALPHAS, start=1):
                 diff = abs(row[column] - fig.formula(x, alpha))
                 if diff > 1e-12:
                     formula_misses.append((fig.number, x, alpha, diff))
-            diff = abs(row[-1] - classical_laguerre(fig.n, fig.m, x))
+            # the table runs the recurrence; the alpha=1 oracle is exact
+            # Horner at Fraction(x), rounded once
+            diff = abs(row[-1] - float(poly(F(x))))
             if diff > 1e-10:
-                classical_misses.append((fig.number, x, diff))
+                exact_misses.append((fig.number, x, diff))
     ok = _report(
-        "12a", not formula_misses and not classical_misses,
-        f"table output vs caption formulas (1e-12) and vs classical values "
+        "12a", not formula_misses and not exact_misses,
+        f"table output vs caption formulas (1e-12) and vs exact values "
         f"at alpha=1 (1e-10), 11 figures ({time.time() - start:.2f}s)",
     )
     _budget("12a", start, 2.0)
     assert ok, (
-        f"caption mismatches: {formula_misses}; classical mismatches: "
-        f"{classical_misses}"
+        f"caption mismatches: {formula_misses}; exact mismatches: "
+        f"{exact_misses}"
     )
 
 

@@ -2,13 +2,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from claguerre import cli
 from claguerre.alpha_calc import x_view_str
-from claguerre.laguerre import laguerre_closed
+from claguerre.laguerre import assoc_closed, laguerre_closed
 from claguerre.verify import SuiteResult, VerifyReport
 
 
@@ -67,6 +68,13 @@ class TestEval:
     def test_negative_degree(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--n", "-1", "--alpha", "1", "--x", "0")
         assert code == 2
+
+    def test_high_degree_value_is_exact_to_twelve_digits(self, capsys):
+        # Horner over the monomial coefficients printed 4.73e15 here.
+        code, out, _ = run_cli(capsys, "eval", "--n", "50", "--x", "50", "--alpha", "1")
+        assert code == 0
+        exact = float(assoc_closed(50, 0)(Fraction(50)))
+        assert f"L_50^0(alpha=1.0, x=50.0) = {exact:.12g}\n" in out
 
 
 class TestTable:
@@ -280,6 +288,73 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--scope", "nope"])
         assert exc.value.code == 2
+
+
+def _assert_one_line_usage_error(result):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--x", "1", "--n"),
+            ("table", "--n"),
+            ("solve", "--n"),
+            ("transform", "laguerre"),
+        ],
+    )
+    def test_degree_cap(self, capsys, argv):
+        _assert_one_line_usage_error(run_cli(capsys, *argv, str(cli.MAX_N + 1)))
+
+    @pytest.mark.parametrize("command", [("eval", "--x", "1"), ("table",)])
+    def test_order_cap(self, capsys, command):
+        _assert_one_line_usage_error(
+            run_cli(capsys, *command, "--n", "1", "--m", str(cli.MAX_M + 1))
+        )
+
+    def test_samples_cap(self, capsys):
+        _assert_one_line_usage_error(
+            run_cli(capsys, "table", "--n", "1", "--samples", str(cli.MAX_SAMPLES + 1))
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--alpha", "1", "--x", "0", "--n", str(cli.MAX_N), "--m", str(cli.MAX_M)),
+            ("solve", "--n", str(cli.MAX_N)),
+        ],
+    )
+    def test_exact_forms_at_the_degree_cap_print(self, capsys, argv):
+        # The x**(n*alpha) coefficient is 1/n!, and above n = 1558 its
+        # denominator exceeds the default 4300-digit int-to-str limit.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "\nexact form: " in out or out.endswith("match: exact\n")
+
+    def test_samples_at_the_cap_are_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--n", "1", "--alpha", "1",
+            "--samples", str(cli.MAX_SAMPLES),
+        )
+        assert code == 0
+        assert len(out.splitlines()) == cli.MAX_SAMPLES + 1
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_with_exit_three(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("solver broke\non two lines")
+
+        monkeypatch.setattr(cli, "_cmd_solve", broken)
+        code, out, err = run_cli(capsys, "solve", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: solver broke on two lines\n"
 
 
 class TestProcessContract:

@@ -117,7 +117,7 @@ class TestGaussLaguerre:
     def test_divergent_newton_is_rejected(self, monkeypatch):
         # a slope of the wrong sign pushes every iterate away from the zero
         monkeypatch.setattr(integrate, "_RULES", {})
-        monkeypatch.setattr(integrate, "_laguerre_pair", lambda n, x: (1.0, 2.0))
+        monkeypatch.setattr(integrate, "laguerre_pair", lambda n, m, x: (1.0, 2.0))
         with pytest.raises(RootFindingError):
             gauss_laguerre(3)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +13,13 @@ from claguerre.laguerre import (
     assoc_rodrigues,
     generating_series,
     laguerre_closed,
+    laguerre_column,
+    laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
     values_at_zero,
 )
 from claguerre.laplace import solve_laguerre_ode
-from claguerre.verify import classical_laguerre
 
 U = ReducedPoly((0, 1))
 
@@ -183,14 +185,76 @@ class TestCrossConstruction:
         for n in range(13):
             poly = laguerre_closed(n)
             for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-                assert abs(poly.eval(x, 1.0) - classical_laguerre(n, 0, x)) <= 1e-10
+                assert abs(poly.eval(x, 1.0) - laguerre_pair(n, 0, x)[0]) <= 1e-10
 
     def test_associated_classical_oracle(self):
         for n in range(7):
             for m in range(4):
                 poly = assoc_closed(n, m)
                 for x in (0.5, 2.0):
-                    assert abs(poly.eval(x, 1.0) - classical_laguerre(n, m, x)) <= 1e-10
+                    assert abs(poly.eval(x, 1.0) - laguerre_pair(n, m, x)[0]) <= 1e-10
+
+
+def _exact_value(n, m, u):
+    """L_n^m at the float u by exact Horner over Fraction(u), rounded once."""
+    return float(assoc_closed(n, m)(F(u)))
+
+
+def _recurrence_tolerance(n, m, u, value):
+    """The benchmark oracle's bound: 1e-12 of the A&S 22.14.13 envelope
+    C(n+m, n) exp(u/2), plus 5e-12 of the value."""
+    return 1e-12 * math.comb(n + m, n) * math.exp(u / 2) + 5e-12 * abs(value)
+
+
+class TestFloatRecurrence:
+    ALPHAS = (0.25, 0.5, 0.75, 1.0)
+
+    def test_seeded_grid_against_exact_horner(self):
+        rng = random.Random(0x1A9E)
+        misses = []
+        for _ in range(1500):
+            n, m = rng.randint(0, 100), rng.randint(0, 4)
+            alpha, x = rng.choice(self.ALPHAS), rng.uniform(0.0, 100.0)
+            u = x**alpha / alpha
+            want = _exact_value(n, m, u)
+            got = laguerre_pair(n, m, u)[0]
+            if abs(got - want) > _recurrence_tolerance(n, m, u, want):
+                misses.append((n, m, alpha, x, got, want))
+        assert not misses, misses[:5]
+
+    @pytest.mark.parametrize(
+        "n, m, u", [(30, 0, 10.0), (50, 0, 50.0), (80, 0, 100.0), (100, 3, 100.0),
+                    (100, 4, 0.0), (100, 4, 1e-3)],
+    )
+    def test_points_where_monomial_horner_cancels(self, n, m, u):
+        want = _exact_value(n, m, u)
+        got = laguerre_pair(n, m, u)[0]
+        assert abs(got - want) <= _recurrence_tolerance(n, m, u, want)
+
+    def test_second_value_is_the_previous_degree(self):
+        for n in range(1, 40, 7):
+            for m in range(4):
+                for u in (0.0, 0.5, 7.25, 60.0):
+                    assert laguerre_pair(n, m, u)[1] == laguerre_pair(n - 1, m, u)[0]
+
+    def test_degree_zero_pair(self):
+        assert laguerre_pair(0, 3, 5.0) == (1.0, 0.0)
+
+    def test_column_is_bit_identical_to_the_scalar_form(self):
+        rng = random.Random(7)
+        us = [0.0, 1e-300, 0.5] + [rng.uniform(0.0, 120.0) for _ in range(40)]
+        for n in (0, 1, 2, 9, 48, 100):
+            for m in (0, 1, 4):
+                scalar = [laguerre_pair(n, m, u)[0].hex() for u in us]
+                assert [v.hex() for v in laguerre_column(n, m, us)] == scalar
+                assert laguerre_column(n, m, []) == []
+
+    def test_negative_indices_are_rejected(self):
+        for bad in ((-1, 0), (2, -1)):
+            with pytest.raises(ValueError):
+                laguerre_pair(*bad, 1.0)
+            with pytest.raises(ValueError):
+                laguerre_column(*bad, [1.0])
 
 
 class TestIndexValidation:
