@@ -17,7 +17,6 @@ The package is organized around the reduced variable u = x**alpha / alpha:
 
 from .alpha_calc import (
     AlgebraError,
-    AlphaValue,
     ExpPoly,
     ReducedPoly,
     XViewTerm,
@@ -41,7 +40,6 @@ from .integrate import (
 )
 from .laguerre import (
     GeneratingExpansion,
-    LaguerreIndex,
     assoc_closed,
     assoc_from_derivative,
     assoc_rodrigues,
@@ -72,12 +70,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraError",
-    "AlphaValue",
     "ConvergenceError",
     "DivergenceError",
     "ExpPoly",
     "GeneratingExpansion",
-    "LaguerreIndex",
     "NamedSignal",
     "NonInvertibleError",
     "QuadratureRule",

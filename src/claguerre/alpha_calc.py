@@ -17,13 +17,11 @@ threads that race to fill one compute equal tuples, so sharing stays safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Union
 
 __all__ = [
     "AlgebraError",
-    "AlphaValue",
     "ExpPoly",
     "ReducedPoly",
     "XViewTerm",
@@ -66,27 +64,12 @@ def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
     return text or "0"
 
 
-@dataclass(frozen=True)
-class AlphaValue:
-    """Derivative order, restricted to (0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 < v <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def as_alpha(alpha) -> float:
-    """Validate an order given as a float, Fraction or AlphaValue."""
-    if isinstance(alpha, AlphaValue):
-        return alpha.value
-    return AlphaValue(float(alpha)).value
+    """The derivative order as a float, checked to lie in (0, 1]."""
+    value = float(alpha)
+    if not (0.0 < value <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {value!r}")
+    return value
 
 
 class ReducedPoly:

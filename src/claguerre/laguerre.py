@@ -34,7 +34,6 @@ from .alpha_calc import ExpPoly, ReducedPoly, d_alpha_n
 
 __all__ = [
     "GeneratingExpansion",
-    "LaguerreIndex",
     "assoc_closed",
     "assoc_from_derivative",
     "assoc_rodrigues",
@@ -48,22 +47,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaguerreIndex:
-    """Degree n and association order m (m = 0 for the plain family)."""
-
-    n: int
-    m: int = 0
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise ValueError(f"degree must be a nonnegative integer, got {self.n!r}")
-        if not (isinstance(self.m, int) and self.m >= 0):
-            raise ValueError(f"order must be a nonnegative integer, got {self.m!r}")
-
-
 def _check_index(n: int, m: int = 0) -> None:
-    LaguerreIndex(n, m)
+    """Reject a degree n or an order m that is not a nonnegative integer."""
+    if not (isinstance(n, int) and n >= 0):
+        raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
+    if not (isinstance(m, int) and m >= 0):
+        raise ValueError(f"order must be a nonnegative integer, got {m!r}")
 
 
 def laguerre_closed(n: int) -> ReducedPoly:

@@ -34,6 +34,7 @@ from .alpha_calc import (
     _merge_rates,
     as_alpha,
 )
+from .laguerre import _check_index
 
 __all__ = [
     "ConvergenceError",
@@ -421,8 +422,7 @@ def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
 
 def laguerre_transform(n: int) -> TransformExpr:
     """(s-1)**n / s**(n+1), expanded exactly into sum_k (-1)**k C(n,k)/s**(k+1)."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError("n must be a nonnegative integer")
+    _check_index(n)
     w = ReducedPoly._from_ints([0] + [(-1) ** k * math.comb(n, k) for k in range(n + 1)])
     return TransformExpr._make(((Fraction(0), w),), ReducedPoly._from_ints([]))
 

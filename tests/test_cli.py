@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from claguerre import cli
+from claguerre import cli, verify
 from claguerre.alpha_calc import x_view_str
 from claguerre.laguerre import assoc_closed, laguerre_closed
 from claguerre.verify import SuiteResult, VerifyReport
@@ -279,15 +279,24 @@ class TestVerify:
 
     def test_exit_code_tracks_failures(self, capsys, monkeypatch):
         fake = VerifyReport((SuiteResult("fake/broken", False, "boom"),))
-        monkeypatch.setattr(cli, "run_suites", lambda scope: fake)
+        monkeypatch.setattr(verify, "run_suites", lambda scope: fake)
         code, out, _ = run_cli(capsys, "verify", "--scope", "all")
         assert code == 1
         assert "FAIL fake/broken: boom" in out
 
     def test_unknown_scope_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--scope", "nope"])
-        assert exc.value.code == 2
+        _assert_one_line_usage_error(run_cli(capsys, "verify", "--scope", "nope"))
+
+    def test_other_commands_do_not_import_the_suites(self):
+        code = (
+            "import sys, claguerre.cli; "
+            "print(sorted({'claguerre.verify', 'claguerre.figures'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=CHILD_ENV, check=True,
+        )
+        assert proc.stdout == "[]\n"
 
 
 def _assert_one_line_usage_error(result):

@@ -7,7 +7,6 @@ import pytest
 from claguerre.alpha_calc import ReducedPoly
 from claguerre.laguerre import (
     GeneratingExpansion,
-    LaguerreIndex,
     assoc_closed,
     assoc_from_derivative,
     assoc_rodrigues,
@@ -19,7 +18,7 @@ from claguerre.laguerre import (
     ode_residual,
     values_at_zero,
 )
-from claguerre.laplace import solve_laguerre_ode
+from claguerre.laplace import laguerre_transform, solve_laguerre_ode
 
 U = ReducedPoly((0, 1))
 
@@ -259,11 +258,16 @@ class TestFloatRecurrence:
 
 class TestIndexValidation:
     def test_laguerre_index(self):
-        assert LaguerreIndex(3).m == 0
-        with pytest.raises(ValueError):
-            LaguerreIndex(-1)
-        with pytest.raises(ValueError):
-            LaguerreIndex(2, -3)
+        assert laguerre_closed(3) == assoc_closed(3, 0)
+        for reject in (
+            lambda: laguerre_closed(-1),
+            lambda: laguerre_transform(-1),
+            lambda: laguerre_transform(2.0),
+        ):
+            with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+                reject()
+        with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+            assoc_closed(2, -3)
 
     def test_operations_validate(self):
         with pytest.raises(ValueError):

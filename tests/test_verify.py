@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from claguerre.laguerre import laguerre_pair
@@ -55,3 +58,18 @@ def test_classical_recurrence_small_values():
     # L_2(x) = 1 - 2x + x^2/2 and L_1^1(x) = 2 - x, directly
     assert laguerre_pair(2, 0, 1.0)[0] == pytest.approx(-0.5)
     assert laguerre_pair(1, 1, 0.0)[0] == pytest.approx(2.0)
+
+
+def test_benchmark_suite_metrics_name_registry_suites():
+    # A benchmark metric whose suite is renamed away would read 0 unnoticed.
+    spec = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    prefix = "verify.suite."
+    declared = [
+        m["name"].removeprefix(prefix).removesuffix(".ms")
+        for m in json.loads(spec.read_text())["per_layer"]
+        if m["name"].startswith(prefix)
+    ]
+    registered = {f"{module}.{name}" for module, entries in SUITES.items()
+                  for name, _ in entries}
+    assert declared
+    assert [name for name in declared if name not in registered] == []
