@@ -10,8 +10,8 @@ rendering time.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.  A
-ReducedPoly fills its Fraction and float coefficient views on first use;
-threads that race to fill one compute equal tuples, so sharing stays safe.
+ReducedPoly fills its Fraction coefficient view on first use; threads that
+race to fill it compute equal tuples, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class ReducedPoly:
     constant polynomial compares and hashes equal to its scalar value.
     """
 
-    __slots__ = ("_num", "_den", "_fractions", "_floats")
+    __slots__ = ("_num", "_den", "_fractions")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -107,7 +107,6 @@ class ReducedPoly:
         self._num = tuple(num)
         self._den = den
         self._fractions = None
-        self._floats = None
 
     @classmethod
     def _from_ints(cls, num: list[int], den: int = 1) -> "ReducedPoly":
@@ -285,28 +284,32 @@ class ReducedPoly:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, u):
-        """Horner evaluation: exact for int/Fraction u, else over the float
-        values of the coefficients."""
+        """Horner on integers at the exact value of u.
+
+        An int or Fraction u gives the exact Fraction.  A float u enters as
+        its exact ratio and the sum is rounded once (CPython's int/int
+        division is correctly rounded), so ``p(u) == float(p(Fraction(u)))``
+        bit for bit; float Horner would err by about sum |c_k u**k| (Higham
+        2002, sec. 5.1), far above the value for alternating coefficients.
+        A nan u raises ValueError; an infinite u, or a value beyond the
+        float range, OverflowError.
+        """
+        if isinstance(u, float):
+            p, q = u.as_integer_ratio()
+        else:
+            u = _as_fraction(u)
+            p, q = u.numerator, u.denominator
         num = self._num
         if not num:
             return 0 * u
-        if isinstance(u, (int, Fraction)):
-            # Horner on integers: sum num[k] * p**k * q**(d-k) / (den * q**d).
-            u = _as_fraction(u)
-            p, q = u.numerator, u.denominator
-            acc, scale = num[-1], 1
-            for c in reversed(num[:-1]):
-                scale *= q
-                acc = acc * p + c * scale
-            return Fraction(acc, self._den * scale)
-        floats = self._floats
-        if floats is None:
-            den = self._den
-            floats = self._floats = tuple(c / den for c in num)
-        acc = floats[-1]
-        for c in reversed(floats[:-1]):
-            acc = acc * u + c
-        return acc
+        # Horner on integers: sum num[k] * p**k * q**(d-k) / (den * q**d).
+        acc, scale = num[-1], 1
+        for c in reversed(num[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        if isinstance(u, float):
+            return acc / (self._den * scale)
+        return Fraction(acc, self._den * scale)
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0 for a given order (u = x**alpha / alpha)."""

@@ -21,28 +21,29 @@ from .laguerre import assoc_closed, laguerre_closed, laguerre_pair
 from .tables import build_table
 
 _DEFAULT_ALPHAS = "0.25,0.5,0.75,1.0"
-# Size caps on single inputs, each a usage error when exceeded.  They bound
-# n, m and samples only: a table's work grows with n * samples * the number
-# of alphas, and the --alpha list has no cap.  MAX_N caps the degree of
-# ``eval``, ``table``, ``solve`` and ``transform laguerre <n>``; it stays
-# below 1559, where the coefficient 1/n! of the printed exact forms passes
-# Python's default 4300-digit limit on int-to-str conversion.
+# Size caps on single inputs, each a usage error when exceeded; together
+# they bound a table's work, which grows with n * samples * alphas.  MAX_N
+# caps the degree of ``eval``, ``table``, ``solve`` and ``transform laguerre
+# <n>``; it stays below 1559, where the coefficient 1/n! of the printed exact
+# forms passes Python's default 4300-digit limit on int-to-str conversion.
+# MAX_ALPHAS is twice the default list.
 MAX_N = 1500
 MAX_M = 100
 MAX_SAMPLES = 100_000
+MAX_ALPHAS = 8
 _SIZE_LIMITS = (("n", MAX_N), ("m", MAX_M), ("samples", MAX_SAMPLES))
-# The quadrature check of ``transform laguerre <n> --s`` integrates a
-# degree-n polynomial with the 48-point Gauss-Laguerre rule, which is exact
-# up to degree 2*48 - 1.
-_QUAD_RULE_ORDER = 48
-_QUAD_CHECK_MAX_N = 2 * _QUAD_RULE_ORDER - 1
+# ``transform laguerre <n> --s`` integrates a degree-n polynomial with the
+# fixed check rule, which is exact up to this degree.
+_QUAD_CHECK_MAX_N = 2 * integrate.TRANSFORM_CHECK_ORDER - 1
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
-    alphas = tuple(as_alpha(float(tok)) for tok in text.split(",") if tok.strip())
-    if not alphas:
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
         raise ValueError("at least one alpha is required")
-    return alphas
+    if len(tokens) > MAX_ALPHAS:
+        raise ValueError(f"at most {MAX_ALPHAS} alphas, got {len(tokens)}")
+    return tuple(as_alpha(float(tok)) for tok in tokens)
 
 
 def _check_size(name: str, value: int, cap: int) -> None:
@@ -102,7 +103,7 @@ def _transform_at(F, g, s: float) -> int:
     if not math.isfinite(closed):
         return _usage_error(f"the transform at s={s!r} is not a finite float")
     try:
-        rule = integrate.gauss_laguerre(_QUAD_RULE_ORDER)
+        rule = integrate.gauss_laguerre(integrate.TRANSFORM_CHECK_ORDER)
         numeric = integrate.quad_transform(g, s, rule)
     except (ArithmeticError, ValueError):
         numeric = math.nan
@@ -147,7 +148,7 @@ def _cmd_transform(args) -> int:
         if args.s is None:
             return 0
         # The inverse is the classical L_n(u); the recurrence evaluates it
-        # stably, where the monomial Horner of inverse(T) cancels away.
+        # in n float steps, independently of the partial fractions printed.
         return _transform_at(T, lambda u: laguerre_pair(n, 0, u)[0], args.s)
 
     try:

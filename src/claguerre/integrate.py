@@ -25,6 +25,7 @@ __all__ = [
     "DivergenceError",
     "QuadratureRule",
     "RootFindingError",
+    "TRANSFORM_CHECK_ORDER",
     "gauss_laguerre",
     "moment_exact",
     "orthonormality",
@@ -115,6 +116,11 @@ def _newton_root(n: int, x: float) -> float:
         if abs(step) <= 1e-14 * (1.0 + abs(x)):
             return x
     raise RootFindingError(f"Newton stalled near {x} for order {n}")
+
+
+# The order of the fixed rule that ``claguerre transform ... --s`` prints its
+# quadrature check with; it is exact up to degree 2 * order - 1.
+TRANSFORM_CHECK_ORDER = 48
 
 
 def gauss_laguerre(order: int) -> QuadratureRule:

@@ -12,11 +12,12 @@ separate so they can cross-check one another exactly:
 A fifth route, termwise inversion of the s-domain solution of the defining
 differential equation, lives in :mod:`claguerre.laplace`.
 
-Float values come from one place: the forward three-term recurrence in u
-(``laguerre_pair`` for one point, ``laguerre_column`` for a grid), which is
-stable for this family where Horner over the alternating monomial
-coefficients cancels away.  The conformable polynomial is the classical
-L_n^m at u = x**alpha / alpha, so the same recurrence serves every alpha.
+Fast float values come from the forward three-term recurrence in u
+(``laguerre_pair`` for one point, ``laguerre_column`` for a grid): n float
+steps per point, where :meth:`ReducedPoly.eval` rounds the exact value once
+at big-integer cost, and it never reads the monomial coefficients, so the
+two check each other.  The conformable polynomial is the classical L_n^m at
+u = x**alpha / alpha, so the same recurrence serves every alpha.
 
 With the normalization used here (constant term 1 for the plain family) the
 polynomials satisfy u*p'' + (1 + m - u)*p' + n*p = 0 and are orthonormal
@@ -57,35 +58,19 @@ def _check_index(n: int, m: int = 0) -> None:
 
 def laguerre_closed(n: int) -> ReducedPoly:
     """Degree-n polynomial with coefficient of u**k equal to
-    (-1)**k * n! / ((n-k)! * (k!)**2)."""
-    _check_index(n)
-    # Over the denominator n!, the numerator of u**k is
-    # (-1)**k * C(n, k) * n!/k!.
-    return ReducedPoly._from_ints(
-        [(-1) ** k * comb(n, k) * perm(n, n - k) for k in range(n + 1)],
-        factorial(n),
-    )
+    (-1)**k * n! / ((n-k)! * (k!)**2): :func:`assoc_closed` at m = 0."""
+    return assoc_closed(n, 0)
 
 
 def laguerre_rodrigues(n: int) -> ReducedPoly:
-    """Rodrigues construction: exp(u)/n! times the n-fold conformable
-    derivative of u**n * exp(-u).
-
-    The alpha**n prefactor of the x-space statement cancels exactly against
-    the alpha**(-n) hidden in u**n, so the whole computation stays in the
-    rational core.  Any surviving exponential term signals an algebra bug.
-    """
-    _check_index(n)
-    seed = ExpPoly.exp(-1, ReducedPoly.monomial(n))
-    derived = d_alpha_n(seed, n)
-    flattened = (derived * ExpPoly.exp(1)).as_poly()
-    return flattened * Fraction(1, factorial(n))
+    """Rodrigues construction, exp(u)/n! times the n-fold conformable
+    derivative of u**n * exp(-u): :func:`assoc_rodrigues` at m = 0."""
+    return assoc_rodrigues(n, 0)
 
 
 def assoc_closed(n: int, m: int) -> ReducedPoly:
     """Associated polynomial with coefficient of u**r equal to
-    (-1)**r * (n+m)! / ((n-r)! * (r+m)! * r!); reduces to
-    :func:`laguerre_closed` at m = 0."""
+    (-1)**r * (n+m)! / ((n-r)! * (r+m)! * r!)."""
     _check_index(n, m)
     # Over the denominator (n+m)!, the numerator of u**r is
     # (-1)**r * C(n+m, n-r) * (n+m)!/r!.
@@ -126,8 +111,9 @@ def laguerre_pair(n: int, m: int, u: float) -> tuple[float, float]:
     (1, 0).  The forward recurrence is stable for u >= 0 (Gautschi,
     *Orthogonal Polynomials: Computation and Approximation*, 2004): the
     error stays within a few ulps of the A&S 22.14.13 envelope
-    C(n+m, n) exp(u/2), where the monomial Horner of
-    :meth:`ReducedPoly.eval` loses every digit for moderate n.  The value at
+    C(n+m, n) exp(u/2).  It is chosen for speed (n float steps, where
+    :meth:`ReducedPoly.eval` works on big integers) and for independence
+    from the monomial coefficients, which it never reads.  The value at
     u = x**alpha / alpha is the conformable polynomial of order alpha.  The
     second value feeds the derivative u L' = n (L - L_{n-1}) (m = 0) that
     Newton uses in :func:`claguerre.integrate.gauss_laguerre`.
@@ -228,7 +214,6 @@ def values_at_zero(n: int) -> tuple[Fraction, Fraction, Fraction]:
     These are the conformable values at x = 0 as well, since the conformable
     derivative equals d/du on this class; they equal (1, -n, n*(n-1)/2).
     """
-    _check_index(n)
     p = laguerre_closed(n)
     zero = Fraction(0)
     return p(zero), p.deriv()(zero), p.deriv(2)(zero)

@@ -367,7 +367,7 @@ def _adaptive_transform_quad(g, s: float, tol: float) -> float:
 
 def _suite_named_pairs() -> str:
     # the fixed rule is the one ``transform --s`` prints its check with
-    fixed = integrate.gauss_laguerre(48)
+    fixed = integrate.gauss_laguerre(integrate.TRANSFORM_CHECK_ORDER)
     checks = 0
     for sig, alpha, grid, tol in _named_pair_cases():
         F = laplace.transform_named(sig, alpha)
@@ -386,7 +386,7 @@ def _suite_named_pairs() -> str:
             checks += 1
     return (
         f"{checks} (signal, s) pairs against adaptive quadrature and the "
-        f"48-point rule (1e-6)"
+        f"{fixed.order}-point rule (1e-6)"
     )
 
 

@@ -394,31 +394,58 @@ class TestIntegerContentModel:
 
     @settings(max_examples=100, deadline=None)
     @given(fraction_lists, st.floats(-30, 30))
-    def test_float_call_is_horner_over_float_coefficients(self, a, u):
+    def test_float_call_is_the_exact_value_rounded_once(self, a, u):
         p = ReducedPoly(a)
-        cs = [float(c) for c in p.coeffs]
-        if not cs:
-            assert p(u) == 0
-            return
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * u + c
-        assert p(u) == acc
+        got = p(u)
+        assert type(got) is float
+        assert got == float(p(F(u)))
 
-    def test_float_eval_is_bit_identical_on_laguerre_polynomials(self):
+    def test_laguerre_eval_is_the_exact_value_rounded_once(self):
         from claguerre.laguerre import assoc_closed
 
         for n in range(0, 41, 3):
             for m in range(5):
                 p = assoc_closed(n, m)
-                cs = [float(c) for c in p.coeffs]
                 for alpha in (0.25, 0.5, 0.75, 1.0):
                     for x in (0.0, 0.37, 2.5, 11.0, 40.0):
-                        u = x**alpha / alpha
-                        acc = cs[-1]
-                        for c in reversed(cs[:-1]):
-                            acc = acc * u + c
-                        assert p.eval(x, alpha) == acc
+                        want = float(p(F(x**alpha / alpha)))
+                        assert p.eval(x, alpha) == want
+                        assert ExpPoly.from_poly(p).eval(x, alpha) == want
+
+    def test_float_call_matches_high_precision_values(self):
+        # mpmath never reads the monomial coefficients; at 60 digits its
+        # value rounds to the same float as the exact sum
+        import mpmath
+        from claguerre.laguerre import assoc_closed
+
+        with mpmath.workdps(60):
+            for n, m, u in ((30, 0, 10.0), (50, 0, 50.0), (80, 0, 100.0),
+                            (100, 3, 100.0), (60, 2, 0.731)):
+                want = float(mpmath.laguerre(n, m, mpmath.mpf(u)))
+                assert assoc_closed(n, m)(u) == want
+
+    @pytest.mark.parametrize("p", [ReducedPoly(), ReducedPoly((1, -2, 1))])
+    def test_non_finite_float_arguments_raise(self, p):
+        with pytest.raises(ValueError):
+            p(math.nan)
+        for u in (math.inf, -math.inf):
+            with pytest.raises(OverflowError):
+                p(u)
+        with pytest.raises(ValueError):
+            p.eval(math.nan, 0.5)
+        with pytest.raises(OverflowError):
+            p.eval(math.inf, 0.5)
+
+    def test_non_finite_exppoly_arguments_raise(self):
+        e = ExpPoly.exp(-1, ReducedPoly((1, -2, 1)))
+        with pytest.raises(ValueError):
+            e.eval_u(math.nan)
+        with pytest.raises(OverflowError):
+            e.eval(math.inf, 0.5)
+
+    def test_value_past_the_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            ReducedPoly.monomial(2)(1e200)
 
     def test_canonical_forms(self):
         assert (ReducedPoly()._num, ReducedPoly()._den) == ((), 1)

@@ -331,6 +331,24 @@ class TestSizeCaps:
             run_cli(capsys, "table", "--n", "1", "--samples", str(cli.MAX_SAMPLES + 1))
         )
 
+    @pytest.mark.parametrize("command", [("eval", "--x", "1"), ("table",)])
+    def test_alpha_count_cap(self, capsys, command):
+        alphas = ",".join(["0.5"] * (cli.MAX_ALPHAS + 1))
+        code, out, err = run_cli(capsys, *command, "--n", "1", "--alpha", alphas)
+        _assert_one_line_usage_error((code, out, err))
+        assert f"at most {cli.MAX_ALPHAS} alphas" in err
+
+    def test_alphas_at_the_cap_are_accepted(self, capsys):
+        alphas = [str((k + 1) / cli.MAX_ALPHAS) for k in range(cli.MAX_ALPHAS)]
+        code, out, err = run_cli(capsys, "table", "--n", "2", "--samples", "3",
+                                 "--alpha", ",".join(alphas))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].count(",") == cli.MAX_ALPHAS
+        code, out, err = run_cli(capsys, "eval", "--n", "2", "--x", "1",
+                                 "--alpha", ",".join(alphas))
+        assert (code, err) == (0, "")
+        assert sum(line.startswith("L_") for line in out.splitlines()) == cli.MAX_ALPHAS
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -219,6 +219,8 @@ class TestFloatRecurrence:
             got = laguerre_pair(n, m, u)[0]
             if abs(got - want) > _recurrence_tolerance(n, m, u, want):
                 misses.append((n, m, alpha, x, got, want))
+            if assoc_closed(n, m).eval(x, alpha) != want:
+                misses.append((n, m, alpha, x, "eval", want))
         assert not misses, misses[:5]
 
     @pytest.mark.parametrize(
@@ -229,6 +231,7 @@ class TestFloatRecurrence:
         want = _exact_value(n, m, u)
         got = laguerre_pair(n, m, u)[0]
         assert abs(got - want) <= _recurrence_tolerance(n, m, u, want)
+        assert assoc_closed(n, m).eval(u, 1.0) == want
 
     def test_second_value_is_the_previous_degree(self):
         for n in range(1, 40, 7):
