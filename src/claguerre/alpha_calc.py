@@ -293,6 +293,12 @@ class ReducedPoly:
         2002, sec. 5.1), far above the value for alternating coefficients.
         A nan u raises ValueError; an infinite u, or a value beyond the
         float range, OverflowError.
+
+        A float call costs time in proportion to the degree times the
+        float's binary exponent, since the scale is q**d for the power of two
+        q = 2**e in u's exact ratio: at degree 1500 it takes seconds near
+        u = 1e-300.  For Laguerre values, :func:`claguerre.laguerre.laguerre_pair`
+        takes n float steps.
         """
         if isinstance(u, float):
             p, q = u.as_integer_ratio()
@@ -476,7 +482,14 @@ class ExpPoly:
         raise AlgebraError(f"exponential terms survive in {self}")
 
     def eval_u(self, u: float) -> float:
-        return sum(float(p(float(u))) * math.exp(float(r) * u) for r, p in self._terms)
+        """Numeric value at u.  A nan u raises ValueError and an infinite u
+        OverflowError, also on the zero ExpPoly, which is 0.0 at finite u."""
+        u = float(u)
+        if math.isnan(u):
+            raise ValueError("cannot evaluate at nan")
+        if math.isinf(u):
+            raise OverflowError(f"cannot evaluate at u = {u!r}")
+        return sum((p(u) * math.exp(float(r) * u) for r, p in self._terms), 0.0)
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0; by continuity u = 0 at x = 0."""

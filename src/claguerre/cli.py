@@ -5,14 +5,16 @@ Subcommands: ``eval`` (point values), ``table`` (CSV grids for plotting),
 numeric cross-check), ``solve`` (replay of the transform-domain derivation)
 and ``verify`` (the self-check suites).  CSV goes to stdout, diagnostics to
 stderr; exit codes are 0 for success, 1 for verification failure, 2 for
-usage errors (including an input over one of the size caps below) and 3
-for an unexpected internal error, reported in one line.
+usage errors (including an input over one of the size caps below), 3
+for an unexpected internal error, reported in one line, and 141
+(128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import integrate, laplace
@@ -32,6 +34,11 @@ MAX_M = 100
 MAX_SAMPLES = 100_000
 MAX_ALPHAS = 8
 _SIZE_LIMITS = (("n", MAX_N), ("m", MAX_M), ("samples", MAX_SAMPLES))
+# The shell's status for a process ended by SIGPIPE; Python ignores the
+# signal and raises BrokenPipeError instead.
+_EXIT_BROKEN_PIPE = 141
+# POSIX's least PIPE_BUF: no pipe splits a write of this many bytes or fewer.
+_PIPE_CHUNK = 512
 # ``transform laguerre <n> --s`` integrates a degree-n polynomial with the
 # fixed check rule, which is exact up to this degree.
 _QUAD_CHECK_MAX_N = 2 * integrate.TRANSFORM_CHECK_ORDER - 1
@@ -84,7 +91,12 @@ def _cmd_table(args) -> int:
         )
     except ValueError as exc:
         return _usage_error(str(exc))
-    sys.stdout.write(table.to_csv())
+    # With PYTHONUNBUFFERED set, each text write goes to the file at once and
+    # a short write, as when a pipe's reader leaves mid-write, is dropped
+    # without error.  Pieces of _PIPE_CHUNK ASCII bytes cannot be cut short.
+    csv = table.to_csv()
+    for start in range(0, len(csv), _PIPE_CHUNK):
+        sys.stdout.write(csv[start : start + _PIPE_CHUNK])
     return 0
 
 
@@ -271,6 +283,8 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # the reader went away; ``run`` ends the process quietly
     except Exception as exc:  # a bug: one line and its own exit code
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
@@ -278,7 +292,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        # Flush here, so that a closed pipe raises inside this guard rather
+        # than at interpreter shutdown.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # the shutdown is quiet (Python docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
+from operator import add
 from typing import Sequence
 
-from .alpha_calc import ExpPoly, ReducedPoly, d_alpha_n
+from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, d_alpha_n
 
 __all__ = [
     "GeneratingExpansion",
@@ -181,31 +182,50 @@ class GeneratingExpansion:
 def generating_series(m: int, order: int) -> GeneratingExpansion:
     """Expand exp(-u*t/(1-t)) / (1-t)**(m+1) as a power series in t.
 
-    Both factors are expanded with exact rational arithmetic.  The
-    exponential E = exp(A) of A = -u*(t + t^2 + ...) follows the standard
-    recurrence n*E_n = sum_k k*a_k*E_{n-k} = -u*S_n with
-    S_n = sum_{j<n} (n-j)*E_j, kept up to date by running prefix sums
-    (S_{n+1} = S_n + E_0 + ... + E_n).  Multiplying by the geometric factor
-    1/(1-t)**(m+1) is m+1 prefix sums over the t-coefficients.  The
-    coefficient of t**n equals the associated polynomial of index (n, m);
-    this route never touches the closed-form coefficients, so the two act as
-    independent checks.
+    The exponential E = exp(A) of A = -u*(t + t^2 + ...) follows the
+    standard power-series recurrence (Knuth, *TAOCP* vol. 2, sec. 4.7)
+    n*E_n = sum_k k*a_k*E_{n-k} = -u*S_n with S_n = sum_{j<n} (n-j)*E_j,
+    kept up to date by running prefix sums (S_{n+1} = S_n + E_0 + ... + E_n).
+    Multiplying by the geometric factor 1/(1-t)**(m+1) is m+1 prefix sums
+    over the t-coefficients.
+
+    Every t-coefficient is held as a list of integer numerators over the one
+    denominator D = order!: the u**k coefficient of E_n is
+    (-1)**k * C(n-1, k-1) / k! with k <= n <= order, so k! divides D, and
+    the geometric factor has integer coefficients.  So the sums are plain
+    integer additions, each step divides by n exactly, and each coefficient
+    is normalised once, when its polynomial is built.  A step whose division
+    leaves a remainder raises AlgebraError rather than truncate.
+
+    The coefficient of t**n equals the associated polynomial of index
+    (n, m); this route never touches the closed-form coefficients, so the
+    two act as independent checks.
     """
     _check_index(0, m)
     if order < 1:
         raise ValueError("order must be at least 1")
-    minus_u = ReducedPoly((0, -1))
-    coeffs = [ReducedPoly.one()]
+    den = factorial(order)
+    coeffs = [[den]]
     prefix = s_n = coeffs[0]
     for n in range(1, order + 1):
-        e_n = minus_u * s_n / n
+        # n*E_n = -u*S_n: shift by one place and divide by n exactly.
+        if any(c % n for c in s_n):
+            raise AlgebraError(f"{n} does not divide u*S_{n} over {order}!")
+        e_n = [0] + [-c // n for c in s_n]
         coeffs.append(e_n)
-        prefix = prefix + e_n
-        s_n = s_n + prefix
+        prefix = _add_ints(prefix, e_n)
+        s_n = _add_ints(s_n, prefix)
     for _ in range(m + 1):
         for n in range(1, order + 1):
-            coeffs[n] = coeffs[n - 1] + coeffs[n]
-    return GeneratingExpansion(order, tuple(coeffs))
+            coeffs[n] = _add_ints(coeffs[n - 1], coeffs[n])
+    return GeneratingExpansion(
+        order, tuple(ReducedPoly._from_ints(c, den) for c in coeffs)
+    )
+
+
+def _add_ints(short: list[int], long: list[int]) -> list[int]:
+    """Coefficientwise sum of two integer lists, the first no longer."""
+    return list(map(add, short, long)) + long[len(short):]
 
 
 def values_at_zero(n: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -57,6 +57,10 @@ def build_table(
     Every value equals ``laguerre_pair(n, m, x**alpha / alpha)[0]`` bit for
     bit; a value that overflows to a non-finite float raises ValueError.
     """
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError(
+            f"x_min and x_max must be finite, got {x_min!r} and {x_max!r}"
+        )
     if x_min < 0:
         raise ValueError("x_min must be nonnegative")
     if samples < 2:

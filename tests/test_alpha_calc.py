@@ -437,11 +437,20 @@ class TestIntegerContentModel:
             p.eval(math.inf, 0.5)
 
     def test_non_finite_exppoly_arguments_raise(self):
-        e = ExpPoly.exp(-1, ReducedPoly((1, -2, 1)))
-        with pytest.raises(ValueError):
-            e.eval_u(math.nan)
-        with pytest.raises(OverflowError):
-            e.eval(math.inf, 0.5)
+        for e in (ExpPoly(), ExpPoly.exp(-1, ReducedPoly((1, -2, 1)))):
+            with pytest.raises(ValueError):
+                e.eval_u(math.nan)
+            with pytest.raises(ValueError):
+                e.eval(math.nan, 0.5)
+            for u in (math.inf, -math.inf):
+                with pytest.raises(OverflowError):
+                    e.eval_u(u)
+            with pytest.raises(OverflowError):
+                e.eval(math.inf, 0.5)
+
+    def test_zero_exppoly_evaluates_to_float_zero(self):
+        for value in (ExpPoly().eval_u(1.5), ExpPoly().eval(2.0, 0.5)):
+            assert type(value) is float and value == 0.0
 
     def test_value_past_the_float_range_raises(self):
         with pytest.raises(OverflowError):

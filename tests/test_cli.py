@@ -122,6 +122,17 @@ class TestTable:
         assert run_cli(capsys, "table", "--n", "1", "--xmin", "-1")[0] == 2
         assert run_cli(capsys, "table", "--n", "1", "--xmax", "0.0")[0] == 2
 
+    @pytest.mark.parametrize(
+        "bound", ["--xmax=inf", "--xmax=-inf", "--xmax=nan",
+                  "--xmin=inf", "--xmin=-inf", "--xmin=nan"],
+    )
+    def test_non_finite_bounds_are_named(self, capsys, bound):
+        code, out, err = run_cli(capsys, "table", "--n", "2", bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: x_min and x_max must be finite, got ")
+        assert len(err.splitlines()) == 1
+
 
 class TestTransform:
     def test_unit_pair(self, capsys):
@@ -394,6 +405,24 @@ class TestProcessContract:
         )
         assert proc.returncode == 0
         assert "figure-fixtures" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "argv", [("solve", "--n", "300"), ("table", "--n", "5", "--samples", "100000")]
+    )
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+            [sys.executable, "-m", "claguerre.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from claguerre.alpha_calc import ReducedPoly
+from claguerre import laguerre
+from claguerre.alpha_calc import AlgebraError, ReducedPoly
 from claguerre.laguerre import (
     GeneratingExpansion,
     assoc_closed,
@@ -135,6 +136,37 @@ class TestGeneratingSeries:
             expansion = generating_series(m, 80)
             for n in range(81):
                 assert expansion[n] == assoc_closed(n, m)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_order_one(self, m):
+        expansion = generating_series(m, 1)
+        want = (ReducedPoly.one(), ReducedPoly((m + 1, -1)))
+        assert expansion.coefficient_polys == want
+
+    @pytest.mark.parametrize("m", [0, 4])
+    def test_high_order_storage_equals_closed_forms(self, m):
+        expansion = generating_series(m, 120)
+        for n in range(121):
+            got, want = expansion[n], assoc_closed(n, m)
+            assert (got._num, got._den) == (want._num, want._den)
+
+    def test_route_never_reads_the_closed_form(self, monkeypatch):
+        want = [assoc_closed(n, 3) for n in range(41)]
+
+        def forbidden(*args):
+            raise AssertionError("the generating route read the closed form")
+
+        for name in ("assoc_closed", "comb", "perm"):
+            monkeypatch.setattr(laguerre, name, forbidden)
+        assert list(generating_series(3, 40).coefficient_polys) == want
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda k: math.factorial(k) // 2, lambda k: math.factorial(k) + 1]
+    )
+    def test_wrong_denominator_raises_instead_of_truncating(self, monkeypatch, wrong):
+        monkeypatch.setattr(laguerre, "factorial", wrong)
+        with pytest.raises(AlgebraError):
+            generating_series(2, 30)
 
     def test_partial_sum_against_closed_form(self):
         t = 0.3
