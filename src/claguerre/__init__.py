@@ -13,103 +13,82 @@ The package is organized around the reduced variable u = x**alpha / alpha:
   exactly and by Gauss-Laguerre quadrature,
 * :mod:`claguerre.verify` re-checks every identity and backs the
   ``claguerre verify`` subcommand.
+
+Importing the package loads none of them.  A submodule loads the first time
+it, or one of the names in ``__all__``, is read from the package (PEP 562),
+so a ``claguerre`` command compiles only the modules it runs.
 """
 
-from .alpha_calc import (
-    AlgebraError,
-    ExpPoly,
-    ReducedPoly,
-    XViewTerm,
-    as_alpha,
-    d_alpha,
-    d_alpha_n,
-    d_alpha_numeric,
-    from_x_view,
-    x_view,
-    x_view_str,
-)
-from .integrate import (
-    DivergenceError,
-    QuadratureRule,
-    RootFindingError,
-    gauss_laguerre,
-    moment_exact,
-    orthonormality,
-    quad_dalpha,
-    quad_transform,
-)
-from .laguerre import (
-    GeneratingExpansion,
-    assoc_closed,
-    assoc_from_derivative,
-    assoc_rodrigues,
-    generating_series,
-    laguerre_closed,
-    laguerre_column,
-    laguerre_pair,
-    laguerre_rodrigues,
-    ode_residual,
-    values_at_zero,
-)
-from .laplace import (
-    ConvergenceError,
-    NamedSignal,
-    NonInvertibleError,
-    TransformExpr,
-    derivative_rule,
-    inverse,
-    laguerre_transform,
-    s_domain_residual,
-    solve_laguerre_ode,
-    transform,
-    transform_named,
-)
-from .tables import SampleTable, build_table
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "ConvergenceError",
-    "DivergenceError",
-    "ExpPoly",
-    "GeneratingExpansion",
-    "NamedSignal",
-    "NonInvertibleError",
-    "QuadratureRule",
-    "ReducedPoly",
-    "RootFindingError",
-    "SampleTable",
-    "TransformExpr",
-    "XViewTerm",
-    "as_alpha",
-    "assoc_closed",
-    "assoc_from_derivative",
-    "assoc_rodrigues",
-    "build_table",
-    "d_alpha",
-    "d_alpha_n",
-    "d_alpha_numeric",
-    "derivative_rule",
-    "from_x_view",
-    "gauss_laguerre",
-    "generating_series",
-    "inverse",
-    "laguerre_closed",
-    "laguerre_column",
-    "laguerre_pair",
-    "laguerre_rodrigues",
-    "laguerre_transform",
-    "moment_exact",
-    "ode_residual",
-    "orthonormality",
-    "quad_dalpha",
-    "quad_transform",
-    "s_domain_residual",
-    "solve_laguerre_ode",
-    "transform",
-    "transform_named",
-    "values_at_zero",
-    "x_view",
-    "x_view_str",
-]
+_EXPORTS = {
+    "alpha_calc": (
+        "AlgebraError",
+        "ExpPoly",
+        "ReducedPoly",
+        "XViewTerm",
+        "as_alpha",
+        "d_alpha",
+        "d_alpha_n",
+        "d_alpha_numeric",
+        "from_x_view",
+        "x_view",
+        "x_view_str",
+    ),
+    "integrate": (
+        "DivergenceError",
+        "QuadratureRule",
+        "RootFindingError",
+        "gauss_laguerre",
+        "moment_exact",
+        "orthonormality",
+        "quad_dalpha",
+        "quad_transform",
+    ),
+    "laguerre": (
+        "GeneratingExpansion",
+        "assoc_closed",
+        "assoc_from_derivative",
+        "assoc_rodrigues",
+        "generating_series",
+        "laguerre_closed",
+        "laguerre_column",
+        "laguerre_pair",
+        "laguerre_rodrigues",
+        "ode_residual",
+        "values_at_zero",
+    ),
+    "laplace": (
+        "ConvergenceError",
+        "NamedSignal",
+        "NonInvertibleError",
+        "TransformExpr",
+        "derivative_rule",
+        "inverse",
+        "laguerre_transform",
+        "s_domain_residual",
+        "solve_laguerre_ode",
+        "transform",
+        "transform_named",
+    ),
+    "tables": ("SampleTable", "build_table"),
+}
+_SUBMODULES = ("alpha_calc", "cli", "figures", "integrate", "laguerre", "laplace",
+               "tables", "verify")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -8,6 +8,10 @@ stderr; exit codes are 0 for success, 1 for verification failure, 2 for
 usage errors (including an input over one of the size caps below), 3
 for an unexpected internal error, reported in one line, and 141
 (128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
+
+Each command imports the library modules it runs inside its handler, so
+``eval`` loads only ``alpha_calc`` and ``laguerre`` and only ``verify``
+loads the suites.
 """
 
 from __future__ import annotations
@@ -15,12 +19,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
-
-from . import integrate, laplace
-from .alpha_calc import as_alpha, x_view_str
-from .laguerre import assoc_closed, laguerre_closed, laguerre_pair
-from .tables import build_table
 
 _DEFAULT_ALPHAS = "0.25,0.5,0.75,1.0"
 # Size caps on single inputs, each a usage error when exceeded; together
@@ -39,12 +39,27 @@ _SIZE_LIMITS = (("n", MAX_N), ("m", MAX_M), ("samples", MAX_SAMPLES))
 _EXIT_BROKEN_PIPE = 141
 # POSIX's least PIPE_BUF: no pipe splits a write of this many bytes or fewer.
 _PIPE_CHUNK = 512
-# ``transform laguerre <n> --s`` integrates a degree-n polynomial with the
-# fixed check rule, which is exact up to this degree.
-_QUAD_CHECK_MAX_N = 2 * integrate.TRANSFORM_CHECK_ORDER - 1
+# A token that starts like a negative float: -1, -.5, -1e5, -inf, -nan.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative-looking number as a value.
+
+    argparse takes a token that starts with '-' for an option unless it
+    matches the parser's negative-number pattern, which covers -1 and -0.5
+    but not -1e5, -inf or -nan; no option here looks like a number.
+    Subparsers are built by the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
+    from .alpha_calc import as_alpha
+
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError("at least one alpha is required")
@@ -64,6 +79,9 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .alpha_calc import x_view_str
+    from .laguerre import assoc_closed, laguerre_pair
+
     try:
         alphas = _parse_alphas(args.alpha)
         if not math.isfinite(args.x):
@@ -84,6 +102,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .tables import build_table
+
     try:
         alphas = _parse_alphas(args.alpha)
         table = build_table(
@@ -100,68 +120,79 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _transform_at(F, g, s: float) -> int:
-    """Print the closed value F(s) and its quadrature cross-check of g.
+def _transform_at(F, g, s: float) -> list[str]:
+    """The lines giving the closed value F(s) and its quadrature check of g.
 
-    Both values are computed before either is printed; one that is not a
-    finite float is a usage error, not a printed nan or a traceback.
+    A value that is not a finite float raises ValueError, so that it ends
+    in a usage error, not a printed nan or a traceback.
     """
+    from . import integrate
+
     try:
         closed = F(s)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     except ArithmeticError:
         closed = math.nan
     if not math.isfinite(closed):
-        return _usage_error(f"the transform at s={s!r} is not a finite float")
+        raise ValueError(f"the transform at s={s!r} is not a finite float")
     try:
         rule = integrate.gauss_laguerre(integrate.TRANSFORM_CHECK_ORDER)
         numeric = integrate.quad_transform(g, s, rule)
     except (ArithmeticError, ValueError):
         numeric = math.nan
     if not math.isfinite(numeric):
-        return _usage_error(f"the quadrature check at s={s!r} is not a finite float")
-    print(f"value at s={s!r}: {closed:.12g}")
-    print(f"quadrature check: {numeric:.12g} (|diff| = {abs(numeric - closed):.3e})")
-    return 0
+        raise ValueError(f"the quadrature check at s={s!r} is not a finite float")
+    return [
+        f"value at s={s!r}: {closed:.12g}",
+        f"quadrature check: {numeric:.12g} (|diff| = {abs(numeric - closed):.3e})",
+    ]
 
 
 def _cmd_transform(args) -> int:
-    tokens = args.expr
+    """Build every output line first, so that a usage error prints none."""
     try:
-        alphas = _parse_alphas(args.alpha)
-        if len(alphas) != 1:
-            raise ValueError("transform takes a single alpha")
-        alpha = alphas[0]
-        if args.s is not None and not math.isfinite(args.s):
-            raise ValueError("s must be finite")
+        lines = _transform_lines(args)
     except ValueError as exc:
         return _usage_error(str(exc))
+    print("\n".join(lines))
+    return 0
+
+
+def _transform_lines(args) -> list[str]:
+    from . import laplace
+
+    tokens = args.expr
+    alphas = _parse_alphas(args.alpha)
+    if len(alphas) != 1:
+        raise ValueError("transform takes a single alpha")
+    alpha = alphas[0]
+    if args.s is not None and not math.isfinite(args.s):
+        raise ValueError("s must be finite")
 
     kind = tokens[0]
     if kind == "laguerre":
+        from .laguerre import laguerre_pair
+
         if len(tokens) != 2:
-            return _usage_error("usage: transform laguerre <n>")
-        try:
-            n = int(tokens[1])
-            _check_size("n", n, MAX_N)
-            T = laplace.laguerre_transform(n)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        if args.s is not None:
-            if args.s <= 0:
-                return _usage_error("s must be positive for the numeric check")
-            if n > _QUAD_CHECK_MAX_N:
-                return _usage_error(
-                    f"the quadrature check needs n <= {_QUAD_CHECK_MAX_N}, got {n}"
-                )
-        print(f"Y(s) = (s-1)^{n}/s^{n + 1}")
-        print(f"partial fractions: {T}")
+            raise ValueError("usage: transform laguerre <n>")
+        n = int(tokens[1])
+        _check_size("n", n, MAX_N)
+        T = laplace.laguerre_transform(n)
+        lines = [f"Y(s) = (s-1)^{n}/s^{n + 1}", f"partial fractions: {T}"]
         if args.s is None:
-            return 0
+            return lines
+        from .integrate import TRANSFORM_CHECK_ORDER
+
+        # The fixed check rule integrates polynomials exactly up to this degree.
+        quad_check_max_n = 2 * TRANSFORM_CHECK_ORDER - 1
+        if args.s <= 0:
+            raise ValueError("s must be positive for the numeric check")
+        if n > quad_check_max_n:
+            raise ValueError(
+                f"the quadrature check needs n <= {quad_check_max_n}, got {n}"
+            )
         # The inverse is the classical L_n(u); the recurrence evaluates it
         # in n float steps, independently of the partial fractions printed.
-        return _transform_at(T, lambda u: laguerre_pair(n, 0, u)[0], args.s)
+        return lines + _transform_at(T, lambda u: laguerre_pair(n, 0, u)[0], args.s)
 
     try:
         if kind == "power_p":
@@ -180,18 +211,20 @@ def _cmd_transform(args) -> int:
         else:
             raise ValueError(f"unknown expression {kind!r}")
         F = laplace.transform_named(sig, alpha)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     except ArithmeticError:
-        return _usage_error(f"the transform of {kind} is not a finite float")
+        raise ValueError(f"the transform of {kind} is not a finite float") from None
 
-    print(f"transform: {sig.describe(alpha)}")
+    lines = [f"transform: {sig.describe(alpha)}"]
     if args.s is None:
-        return 0
-    return _transform_at(F, sig.reduced(alpha), args.s)
+        return lines
+    return lines + _transform_at(F, sig.reduced(alpha), args.s)
 
 
 def _cmd_solve(args) -> int:
+    from . import laplace
+    from .alpha_calc import x_view_str
+    from .laguerre import laguerre_closed
+
     n = args.n
     Y = laplace.laguerre_transform(n)
     print(f"n = {n}")
@@ -211,7 +244,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # imported here so that the other commands do not pay for the suites
     from . import verify
 
     try:
@@ -227,7 +259,7 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="claguerre",
         description="Conformable Laguerre polynomials and their transform calculus.",
     )

@@ -8,18 +8,15 @@ they never touch the reduced-variable coefficient path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 __all__ = ["FIGURES", "FigureFixture"]
 
 
-@dataclass(frozen=True)
-class FigureFixture:
-    number: int
-    n: int
-    m: int
-    formula: Callable[[float, float], float]
+class FigureFixture(namedtuple("FigureFixture", "number n m formula")):
+    """Figure ``number`` plots L_n^m; ``formula(x, alpha)`` is its display form."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:

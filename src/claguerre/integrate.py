@@ -14,7 +14,7 @@ memoised per order on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
@@ -75,8 +75,7 @@ def orthonormality(n: int, m_index: int) -> Fraction:
     return moment_exact(ExpPoly.exp(-1, product))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights order")):
     """Nodes and weights for integral_0^inf exp(-u) g(u) du.
 
     Nodes are strictly increasing, weights positive and summing to 1 within
@@ -84,19 +83,20 @@ class QuadratureRule:
     u**k for k <= 2N-1.
     """
 
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.nodes) != self.order or len(self.weights) != self.order:
+    def __new__(
+        cls, nodes: tuple[float, ...], weights: tuple[float, ...], order: int
+    ) -> QuadratureRule:
+        if len(nodes) != order or len(weights) != order:
             raise ValueError("rule must hold exactly `order` nodes and weights")
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be strictly increasing")
-        if any(w <= 0.0 for w in self.weights):
+        if any(w <= 0.0 for w in weights):
             raise ValueError("weights must be positive")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+        if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 (zeroth moment)")
+        return super().__new__(cls, nodes, weights, order)
 
 
 _RULES: dict[int, QuadratureRule] = {}

@@ -20,7 +20,7 @@ verification uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -310,8 +310,7 @@ def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
     return T.mul_s() - _as_fraction(f0)
 
 
-@dataclass(frozen=True)
-class NamedSignal:
+class NamedSignal(namedtuple("NamedSignal", "kind p omega")):
     """A transcendental signal with a closed-form transform.
 
     Kinds: ``one``, ``power_p`` (x**p with p >= 0), ``exp_u``, ``sin_wu``
@@ -319,21 +318,20 @@ class NamedSignal:
     kept out of the exact core on purpose; it would need complex rates.
     """
 
-    kind: str
-    p: float = 0.0
-    omega: float = 1.0
+    __slots__ = ()
 
     _KINDS = ("one", "power_p", "exp_u", "sin_wu", "cos_wu")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
-        if self.p < 0:
+    def __new__(cls, kind: str, p: float = 0.0, omega: float = 1.0) -> NamedSignal:
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown signal kind {kind!r}")
+        if p < 0:
             raise ValueError("power must be nonnegative")
-        if not math.isfinite(self.p):
+        if not math.isfinite(p):
             raise ValueError("power must be finite")
-        if not math.isfinite(self.omega):
+        if not math.isfinite(omega):
             raise ValueError("omega must be finite")
+        return super().__new__(cls, kind, p, omega)
 
     @property
     def s_min(self) -> float:

@@ -11,7 +11,7 @@ print in shortest round-trip form and rows end with a bare linefeed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from operator import le
 
@@ -21,22 +21,23 @@ from .laguerre import laguerre_column
 __all__ = ["SampleTable", "build_table"]
 
 
-@dataclass(frozen=True)
-class SampleTable:
+class SampleTable(namedtuple("SampleTable", "columns rows")):
     """Header plus rows of (x, one value per requested alpha)."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        xs = [row[0] for row in self.rows]
+    def __new__(
+        cls, columns: tuple[str, ...], rows: tuple[tuple[float, ...], ...]
+    ) -> SampleTable:
+        xs = [row[0] for row in rows]
         if any(map(le, xs[1:], xs)):
             raise ValueError("x values must be strictly increasing")
-        width = len(self.columns)
-        if any(len(row) != width for row in self.rows):
+        width = len(columns)
+        if any(len(row) != width for row in rows):
             raise ValueError("row width must match the header")
-        if not all(map(math.isfinite, chain.from_iterable(self.rows))):
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise ValueError("table values must be finite")
+        return super().__new__(cls, columns, rows)
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]

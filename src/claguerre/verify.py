@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import integrate, laplace
@@ -59,16 +59,16 @@ def _ensure(condition: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
+class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
+    """One suite's outcome: ``module/suite`` name, pass flag and a one-line detail."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    entries: tuple[SuiteResult, ...]
+class VerifyReport(namedtuple("VerifyReport", "entries")):
+    """The SuiteResult entries of one run, in registry order."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -240,6 +241,7 @@ class TestNonFiniteInput:
             ("eval", "--n", "2", "--x", "nan"),
             ("eval", "--n", "2", "--x", "inf"),
             ("eval", "--n", "2", "--alpha", "1", "--x", "1e200"),
+            ("transform", "laguerre", "3", "--s", "1e-320"),
         ],
     )
     def test_one_line_usage_error(self, capsys, argv):
@@ -247,7 +249,32 @@ class TestNonFiniteInput:
         assert code == 2
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
-        assert "nan" not in out and "inf" not in out
+        assert out == ""
+
+
+class TestNegativeLookingValues:
+    # argparse's own pattern for negative numbers misses exponents, -inf and
+    # -nan; each of these must reach the command's own check.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("table", "--n", "2", "--xmax", "-inf"),
+             "error: x_min and x_max must be finite, got 0.0 and -inf\n"),
+            (("eval", "--n", "2", "--x", "-1e5"), "error: x must be nonnegative\n"),
+            (("transform", "one", "--s", "-1e-3"),
+             "error: s = -0.001 outside the convergence region s > 0.0 for one\n"),
+            (("table", "--n", "2", "--alpha", "-1e-3"),
+             "error: alpha must lie in (0, 1], got -0.001\n"),
+            (("transform", "power_p", "-1e-3", "--s", "2"),
+             "error: power must be nonnegative\n"),
+        ],
+        ids=["table-xmax", "eval-x", "transform-s", "table-alpha", "power_p"],
+    )
+    def test_one_line_error_as_with_an_equals_sign(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", message)
+        *head, option, value = argv
+        if option.startswith("--"):
+            assert run_cli(capsys, *head, f"{option}={value}") == (2, "", message)
 
 
 class TestSolve:
@@ -298,16 +325,48 @@ class TestVerify:
     def test_unknown_scope_is_usage_error(self, capsys):
         _assert_one_line_usage_error(run_cli(capsys, "verify", "--scope", "nope"))
 
-    def test_other_commands_do_not_import_the_suites(self):
-        code = (
-            "import sys, claguerre.cli; "
-            "print(sorted({'claguerre.verify', 'claguerre.figures'} & set(sys.modules)))"
-        )
+
+# The library modules each command loads, in a fresh interpreter, beyond
+# ``claguerre`` and ``claguerre.cli``.
+_LOADED_BY = [
+    (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre"}),
+    (("table", "--n", "3", "--samples", "5"), {"alpha_calc", "laguerre", "tables"}),
+    (("transform", "laguerre", "5", "--s", "2"),
+     {"alpha_calc", "integrate", "laguerre", "laplace"}),
+    (("transform", "sin_wu", "2", "--s", "1.5"),
+     {"alpha_calc", "integrate", "laguerre", "laplace"}),
+    (("solve", "--n", "4"), {"alpha_calc", "laguerre", "laplace"}),
+    (("verify", "--scope", "all"),
+     {"alpha_calc", "figures", "integrate", "laguerre", "laplace", "tables", "verify"}),
+]
+_IMPORT_PROBE = """\
+import json, sys
+import claguerre.cli
+def ours():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "claguerre")
+before = ours()
+code = claguerre.cli.main(sys.argv[1:])
+print(json.dumps([code, before, ours(),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv, expected", _LOADED_BY,
+        ids=["eval", "table", "transform-laguerre", "transform-named", "solve",
+             "verify-all"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, argv, expected):
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=CHILD_ENV, check=True,
+            [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
+            text=True, env=CHILD_ENV, check=True,
         )
-        assert proc.stdout == "[]\n"
+        code, before, after, heavy = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert before == ["claguerre", "claguerre.cli"]
+        assert after == sorted(before + [f"claguerre.{m}" for m in expected])
+        assert heavy == []
 
 
 def _assert_one_line_usage_error(result):

@@ -1,0 +1,135 @@
+"""The library's record types: immutable, compared and hashed by value, with
+readable reprs and the argument checks of their constructors."""
+
+import copy
+import pickle
+
+import pytest
+
+from claguerre.alpha_calc import ReducedPoly
+from claguerre.figures import FIGURES, FigureFixture
+from claguerre.integrate import QuadratureRule, gauss_laguerre
+from claguerre.laguerre import GeneratingExpansion, generating_series
+from claguerre.laplace import NamedSignal
+from claguerre.tables import SampleTable
+from claguerre.verify import SuiteResult, VerifyReport
+
+U = ReducedPoly.monomial(1)
+_formula = FIGURES[0].formula
+
+
+def _expansion():
+    return GeneratingExpansion(1, (ReducedPoly.one(), ReducedPoly((2, -1))))
+
+
+# (record factory, its field names); each call builds a fresh, equal record.
+RECORDS = [
+    (lambda: SampleTable(("x", "y"), ((0.0, 1.0), (1.0, 2.0))), ("columns", "rows")),
+    (lambda: QuadratureRule((0.5, 1.5), (0.5, 0.5), 2), ("nodes", "weights", "order")),
+    (lambda: NamedSignal("sin_wu", omega=2.0), ("kind", "p", "omega")),
+    (lambda: FigureFixture(1, 1, 0, _formula), ("number", "n", "m", "formula")),
+    (lambda: SuiteResult("a/b", True, "ok"), ("name", "passed", "detail")),
+    (lambda: VerifyReport((SuiteResult("a/b", True, "ok"),)), ("entries",)),
+    (_expansion, ("order", "coefficient_polys")),
+]
+IDS = [
+    "SampleTable", "QuadratureRule", "NamedSignal", "FigureFixture",
+    "SuiteResult", "VerifyReport", "GeneratingExpansion",
+]
+
+
+@pytest.mark.parametrize("make, fields", RECORDS, ids=IDS)
+class TestRecord:
+    def test_fields_cannot_be_assigned(self, make, fields):
+        record = make()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_equal_fields_give_equal_records_and_hashes(self, make, fields):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_copies_and_pickles_equal_the_original(self, make, fields):
+        record = make()
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        if "formula" not in fields:  # a lambda does not pickle
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_repr_names_the_fields(self, make, fields):
+        text = repr(make())
+        assert text.startswith(f"{type(make()).__name__}(")
+        positions = [text.index(f"{name}=") for name in fields]
+        assert positions == sorted(positions)
+
+
+def test_reprs_in_full():
+    assert repr(NamedSignal("one")) == "NamedSignal(kind='one', p=0.0, omega=1.0)"
+    assert repr(SuiteResult("a/b", False, "off")) == (
+        "SuiteResult(name='a/b', passed=False, detail='off')"
+    )
+
+
+def test_records_with_different_fields_differ():
+    assert NamedSignal("one") != NamedSignal("exp_u")
+    assert SuiteResult("a/b", True, "ok") != SuiteResult("a/b", False, "ok")
+    assert _expansion() != generating_series(0, 1)
+
+
+def test_named_signal_defaults():
+    sig = NamedSignal("one")
+    assert (sig.kind, sig.p, sig.omega) == ("one", 0.0, 1.0)
+    assert NamedSignal("power_p", p=1.5).p == 1.5
+
+
+def test_memoised_gauss_rule_is_shared_and_immutable():
+    rule = gauss_laguerre(4)
+    assert gauss_laguerre(4) is rule
+    with pytest.raises(AttributeError):
+        rule.nodes = (1.0, 2.0, 3.0, 4.0)
+    assert rule.order == 4 and len(rule.nodes) == 4
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SampleTable(("x", "y"), ((1.0, 0.0), (1.0, 0.0))),
+         "x values must be strictly increasing"),
+        (lambda: SampleTable(("x", "y"), ((0.0,),)), "row width must match the header"),
+        (lambda: SampleTable(("x", "y"), ((0.0, float("nan")),)),
+         "table values must be finite"),
+        (lambda: QuadratureRule((0.5,), (1.0,), 2),
+         "rule must hold exactly `order` nodes and weights"),
+        (lambda: QuadratureRule((1.0, 0.5), (0.5, 0.5), 2),
+         "nodes must be strictly increasing"),
+        (lambda: QuadratureRule((0.5, 1.0), (1.2, -0.2), 2), "weights must be positive"),
+        (lambda: QuadratureRule((0.5, 1.0), (0.7, 0.2), 2),
+         "weights must sum to 1 (zeroth moment)"),
+        (lambda: NamedSignal("nope"), "unknown signal kind 'nope'"),
+        (lambda: NamedSignal("power_p", p=-1.0), "power must be nonnegative"),
+        (lambda: NamedSignal("power_p", p=float("nan")), "power must be finite"),
+        (lambda: NamedSignal("sin_wu", omega=float("inf")), "omega must be finite"),
+        (lambda: GeneratingExpansion(1, (ReducedPoly.one(),)),
+         "expansion must hold order + 1 coefficients"),
+        (lambda: GeneratingExpansion(1, (ReducedPoly.one(), U * U)),
+         "coefficient of t^1 has degree 2"),
+    ],
+)
+def test_constructor_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_expansion_indexes_and_iterates_its_coefficients():
+    expansion = generating_series(1, 4)
+    polys = expansion.coefficient_polys
+    assert len(polys) == 5
+    assert [expansion[n] for n in range(5)] == list(polys)
+    assert list(expansion) == list(polys)
+    assert expansion[-1] is polys[-1]
