@@ -61,7 +61,6 @@ _EXPORTS = {
         "values_at_zero",
     ),
     "laplace": (
-        "ConvergenceError",
         "NamedSignal",
         "NonInvertibleError",
         "TransformExpr",

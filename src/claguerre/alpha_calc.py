@@ -117,10 +117,6 @@ class ReducedPoly:
         return p
 
     @classmethod
-    def zero(cls) -> "ReducedPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "ReducedPoly":
         return cls((1,))
 

@@ -5,9 +5,14 @@ Subcommands: ``eval`` (point values), ``table`` (CSV grids for plotting),
 numeric cross-check), ``solve`` (replay of the transform-domain derivation)
 and ``verify`` (the self-check suites).  CSV goes to stdout, diagnostics to
 stderr; exit codes are 0 for success, 1 for verification failure, 2 for
-usage errors (including an input over one of the size caps below), 3
-for an unexpected internal error, reported in one line, and 141
-(128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
+usage errors, 3 for an unexpected internal error, reported in one line, and
+141 (128 + SIGPIPE) when the reader closes stdout early, with nothing on
+stderr.
+
+A ``ValueError`` is the signal for a rejected input, wherever it is raised:
+by argparse (through ``_Parser.error``), by a size cap below, or by the
+library inside a handler.  ``main`` turns each one into a single
+``error: <message>`` line on stderr and exit 2; no handler catches it.
 
 Each command imports the library modules it runs inside its handler, so
 ``eval`` loads only ``alpha_calc`` and ``laguerre`` and only ``verify``
@@ -44,7 +49,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every negative-looking number as a value.
+    """An ArgumentParser that reads every negative-looking number as a value
+    and raises ValueError for a rejected command line.
 
     argparse takes a token that starts with '-' for an option unless it
     matches the parser's negative-number pattern, which covers -1 and -0.5
@@ -55,6 +61,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -73,28 +82,18 @@ def _check_size(name: str, value: int, cap: int) -> None:
         raise ValueError(f"{name} must lie in [0, {cap}], got {value}")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_eval(args) -> int:
     from .alpha_calc import x_view_str
     from .laguerre import assoc_closed, laguerre_pair
 
-    try:
-        alphas = _parse_alphas(args.alpha)
-        if not math.isfinite(args.x):
-            raise ValueError("x must be finite")
-        if args.x < 0:
-            raise ValueError("x must be nonnegative")
-        values = [laguerre_pair(args.n, args.m, args.x**a / a)[0] for a in alphas]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(
-                f"L_{args.n}^{args.m} at x={args.x!r} is not a finite float"
-            )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    alphas = _parse_alphas(args.alpha)
+    if not math.isfinite(args.x):
+        raise ValueError("x must be finite")
+    if args.x < 0:
+        raise ValueError("x must be nonnegative")
+    values = [laguerre_pair(args.n, args.m, args.x**a / a)[0] for a in alphas]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"L_{args.n}^{args.m} at x={args.x!r} is not a finite float")
     for a, value in zip(alphas, values):
         print(f"L_{args.n}^{args.m}(alpha={a!r}, x={args.x!r}) = {value:.12g}")
     print(f"exact form: {x_view_str(assoc_closed(args.n, args.m))}")
@@ -104,13 +103,8 @@ def _cmd_eval(args) -> int:
 def _cmd_table(args) -> int:
     from .tables import build_table
 
-    try:
-        alphas = _parse_alphas(args.alpha)
-        table = build_table(
-            args.n, args.m, alphas, args.xmin, args.xmax, args.samples
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    alphas = _parse_alphas(args.alpha)
+    table = build_table(args.n, args.m, alphas, args.xmin, args.xmax, args.samples)
     # With PYTHONUNBUFFERED set, each text write goes to the file at once and
     # a short write, as when a pipe's reader leaves mid-write, is dropped
     # without error.  Pieces of _PIPE_CHUNK ASCII bytes cannot be cut short.
@@ -149,15 +143,6 @@ def _transform_at(F, g, s: float) -> list[str]:
 
 def _cmd_transform(args) -> int:
     """Build every output line first, so that a usage error prints none."""
-    try:
-        lines = _transform_lines(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    print("\n".join(lines))
-    return 0
-
-
-def _transform_lines(args) -> list[str]:
     from . import laplace
 
     tokens = args.expr
@@ -176,48 +161,50 @@ def _transform_lines(args) -> list[str]:
             raise ValueError("usage: transform laguerre <n>")
         n = int(tokens[1])
         _check_size("n", n, MAX_N)
-        T = laplace.laguerre_transform(n)
-        lines = [f"Y(s) = (s-1)^{n}/s^{n + 1}", f"partial fractions: {T}"]
-        if args.s is None:
-            return lines
-        from .integrate import TRANSFORM_CHECK_ORDER
-
-        # The fixed check rule integrates polynomials exactly up to this degree.
-        quad_check_max_n = 2 * TRANSFORM_CHECK_ORDER - 1
-        if args.s <= 0:
-            raise ValueError("s must be positive for the numeric check")
-        if n > quad_check_max_n:
-            raise ValueError(
-                f"the quadrature check needs n <= {quad_check_max_n}, got {n}"
-            )
+        F = laplace.laguerre_transform(n)
+        lines = [f"Y(s) = (s-1)^{n}/s^{n + 1}", f"partial fractions: {F}"]
         # The inverse is the classical L_n(u); the recurrence evaluates it
         # in n float steps, independently of the partial fractions printed.
-        return lines + _transform_at(T, lambda u: laguerre_pair(n, 0, u)[0], args.s)
+        g = lambda u: laguerre_pair(n, 0, u)[0]
+        if args.s is not None:
+            from .integrate import TRANSFORM_CHECK_ORDER
 
-    try:
-        if kind == "power_p":
-            if len(tokens) != 2:
-                raise ValueError("usage: transform power_p <p>")
-            sig = laplace.NamedSignal(kind, p=float(tokens[1]))
-        elif kind in ("sin_wu", "cos_wu"):
-            if len(tokens) > 2:
-                raise ValueError(f"usage: transform {kind} [w]")
-            omega = float(tokens[1]) if len(tokens) > 1 else 1.0
-            sig = laplace.NamedSignal(kind, omega=omega)
-        elif kind in ("one", "exp_u"):
-            if len(tokens) != 1:
-                raise ValueError(f"usage: transform {kind}")
-            sig = laplace.NamedSignal(kind)
-        else:
-            raise ValueError(f"unknown expression {kind!r}")
-        F = laplace.transform_named(sig, alpha)
-    except ArithmeticError:
-        raise ValueError(f"the transform of {kind} is not a finite float") from None
+            # The fixed check rule integrates polynomials exactly up to this
+            # degree.
+            quad_check_max_n = 2 * TRANSFORM_CHECK_ORDER - 1
+            if args.s <= 0:
+                raise ValueError("s must be positive for the numeric check")
+            if n > quad_check_max_n:
+                raise ValueError(
+                    f"the quadrature check needs n <= {quad_check_max_n}, got {n}"
+                )
+    else:
+        try:
+            if kind == "power_p":
+                if len(tokens) != 2:
+                    raise ValueError("usage: transform power_p <p>")
+                sig = laplace.NamedSignal(kind, p=float(tokens[1]))
+            elif kind in ("sin_wu", "cos_wu"):
+                if len(tokens) > 2:
+                    raise ValueError(f"usage: transform {kind} [w]")
+                omega = float(tokens[1]) if len(tokens) > 1 else 1.0
+                sig = laplace.NamedSignal(kind, omega=omega)
+            elif kind in ("one", "exp_u"):
+                if len(tokens) != 1:
+                    raise ValueError(f"usage: transform {kind}")
+                sig = laplace.NamedSignal(kind)
+            else:
+                raise ValueError(f"unknown expression {kind!r}")
+            F = laplace.transform_named(sig, alpha)
+        except ArithmeticError:
+            raise ValueError(f"the transform of {kind} is not a finite float") from None
+        lines = [f"transform: {sig.describe(alpha)}"]
+        g = sig.reduced(alpha)
 
-    lines = [f"transform: {sig.describe(alpha)}"]
-    if args.s is None:
-        return lines
-    return lines + _transform_at(F, sig.reduced(alpha), args.s)
+    if args.s is not None:
+        lines += _transform_at(F, g, args.s)
+    print("\n".join(lines))
+    return 0
 
 
 def _cmd_solve(args) -> int:
@@ -246,10 +233,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    try:
-        report = verify.run_suites(args.scope)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    report = verify.run_suites(args.scope)
     for entry in report.entries:
         status = "PASS" if entry.passed else "FAIL"
         print(f"{status} {entry.name}: {entry.detail}")
@@ -305,16 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         for name, cap in _SIZE_LIMITS:
             if hasattr(args, name):
                 _check_size(name, getattr(args, name), cap)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
         return args.handler(args)
+    except ValueError as exc:  # a rejected input, from argparse or the library
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         raise  # the reader went away; ``run`` ends the process quietly
     except Exception as exc:  # a bug: one line and its own exit code

@@ -10,11 +10,8 @@ of one rate l are kept together as one integer-content polynomial in
 w = 1/(s-l), so sums, derivatives in s, products by s, shifts, the forward
 transform and its inverse are integer work on a few polynomials.
 
-Two conventions are supported at transform time.  Formal mode (the default)
-treats every pair as formal algebra regardless of convergence, which is how
-identities like exp(u) <-> 1/(s-1) are used in practice.  Strict mode rejects
-rates with divergent integrals over the s-range of interest; numeric
-verification uses it.
+The transform is formal: every pair is algebra regardless of convergence,
+which is how identities like exp(u) <-> 1/(s-1) are used in practice.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .alpha_calc import (
 from .laguerre import _check_index
 
 __all__ = [
-    "ConvergenceError",
     "NamedSignal",
     "NonInvertibleError",
     "PoleTerm",
@@ -50,10 +46,6 @@ __all__ = [
     "transform",
     "transform_named",
 ]
-
-
-class ConvergenceError(ValueError):
-    """A rate lies outside the admissible convergence region (strict mode)."""
 
 
 class NonInvertibleError(ValueError):
@@ -256,12 +248,10 @@ class TransformExpr:
         return f"TransformExpr({self})"
 
 
-def transform(f: ExpPoly, strict: bool = False) -> TransformExpr:
+def transform(f: ExpPoly) -> TransformExpr:
     """Forward transform: u**k * exp(r*u) maps to k!/(s-r)**(k+1).
 
-    In strict mode rates r >= 1 are rejected, since exp(r*u) then diverges
-    against exp(-s*u) over part of the unit s-range used for numeric checks.
-    Formal mode admits every rational rate and treats the pair table as
+    Every rational rate is admitted and the pair table is treated as
     algebra, matching how the identities are actually applied.
     """
     f = ExpPoly._coerce(f)
@@ -269,10 +259,6 @@ def transform(f: ExpPoly, strict: bool = False) -> TransformExpr:
         raise TypeError("ExpPoly expected")
     rates = []
     for rate, poly in f.terms:
-        if strict and rate >= 1:
-            raise ConvergenceError(
-                f"rate {rate} is outside the strict convergence region (rate < 1)"
-            )
         # The coefficient of u**k becomes that of w**(k+1), times k!.
         num = [0]
         fact = 1

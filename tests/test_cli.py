@@ -351,6 +351,14 @@ print(json.dumps([code, before, ours(),
 """
 
 
+def _probe_imports(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
+        text=True, env=CHILD_ENV, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImports:
     @pytest.mark.parametrize(
         "argv, expected", _LOADED_BY,
@@ -358,14 +366,16 @@ class TestImports:
              "verify-all"],
     )
     def test_each_command_loads_only_what_it_runs(self, argv, expected):
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
-            text=True, env=CHILD_ENV, check=True,
-        )
-        code, before, after, heavy = json.loads(proc.stdout.splitlines()[-1])
+        code, before, after, heavy = _probe_imports(argv)
         assert code == 0
         assert before == ["claguerre", "claguerre.cli"]
         assert after == sorted(before + [f"claguerre.{m}" for m in expected])
+        assert heavy == []
+
+    def test_a_rejected_command_line_loads_no_library_module(self):
+        code, before, after, heavy = _probe_imports(("eval", "--n", "abc", "--x", "1"))
+        assert code == 2
+        assert before == after == ["claguerre", "claguerre.cli"]
         assert heavy == []
 
 
@@ -375,6 +385,36 @@ def _assert_one_line_usage_error(result):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+class TestArgparseErrors:
+    # What argparse itself rejects ends as any other rejected input does.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--n", "abc", "--x", "1"),
+            ("eval", "--n", "1", "--x", "abc"),
+            ("eval", "--n", "-1e5", "--x", "1"),
+            ("eval", "--x", "1"),
+            ("eval", "--n", "1", "--x", "1", "--bogus"),
+            ("solve", "--n", "3", "--m", "2"),
+            (),
+            ("transform",),
+        ],
+        ids=["invalid-int", "invalid-float", "float-for-int", "missing-option",
+             "unknown-option", "option-of-another-command", "no-subcommand",
+             "transform-without-expression"],
+    )
+    def test_one_line_usage_error(self, capsys, argv):
+        _assert_one_line_usage_error(run_cli(capsys, *argv))
+
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["eval", "-h"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: claguerre eval ")
+        assert captured.err == ""
 
 
 class TestSizeCaps:

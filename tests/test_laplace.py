@@ -10,7 +10,6 @@ from claguerre.alpha_calc import ExpPoly, ReducedPoly
 from claguerre.integrate import gauss_laguerre, quad_transform
 from claguerre.laguerre import laguerre_closed
 from claguerre.laplace import (
-    ConvergenceError,
     NamedSignal,
     NonInvertibleError,
     PoleTerm,
@@ -42,10 +41,6 @@ class TestForwardTransform:
     def test_weighted_monomial(self):
         got = transform(ExpPoly.exp(-1, U))
         assert got == TransformExpr([(1, -1, 2)])
-
-    def test_strict_mode_rejects_unit_rate(self):
-        with pytest.raises(ConvergenceError):
-            transform(ExpPoly.exp(1), strict=True)
 
     def test_formal_mode_admits_unit_rate(self):
         assert transform(ExpPoly.exp(1)) == TransformExpr([(1, 1, 1)])
