@@ -49,7 +49,13 @@ print(f"L[u f]               = {transform(ExpPoly.from_poly(u) * p)}")
 print()
 print("== named pairs against quadrature ==")
 rule = gauss_laguerre(48)
-for sig in (NamedSignal("one"), NamedSignal("exp_u"), NamedSignal("cos_wu")):
+for sig in (
+    NamedSignal("one"),
+    NamedSignal("power_p", p=1.5),
+    NamedSignal("exp_u"),
+    NamedSignal("sin_wu", omega=2.0),
+    NamedSignal("cos_wu"),
+):
     alpha = 0.5
     s = 2.0
     closed = transform_named(sig, alpha)(s)

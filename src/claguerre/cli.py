@@ -141,11 +141,32 @@ def _transform_at(F, g, s: float) -> list[str]:
     ]
 
 
+def _grammar() -> dict:
+    """kind -> (the parameter it reads, how a token spells it, its type) for
+    each transform expression: the pairs ``laplace`` names, then ``laguerre
+    <n>``.  p is required; a missing w takes the NamedSignal default."""
+    from .laplace import _PAIRS
+
+    spelling = {None: "", "p": "<p>", "omega": "[w]"}
+    grammar = {k: (pair.field, spelling[pair.field], float) for k, pair in _PAIRS.items()}
+    grammar["laguerre"] = ("n", "<n>", int)
+    return grammar
+
+
+class _GrammarHelp(str):
+    """A help template whose ``%(grammar)s`` lists the transform expressions;
+    argparse applies ``%`` only when it prints help, so only then is
+    ``laplace`` loaded for it."""
+
+    def __mod__(self, params):
+        text = ", ".join(f"{k} {spelt}".rstrip() for k, (_, spelt, _) in _grammar().items())
+        return str.__mod__(self, dict(params, grammar=text))
+
+
 def _cmd_transform(args) -> int:
     """Build every output line first, so that a usage error prints none."""
     from . import laplace
 
-    tokens = args.expr
     alphas = _parse_alphas(args.alpha)
     if len(alphas) != 1:
         raise ValueError("transform takes a single alpha")
@@ -153,13 +174,23 @@ def _cmd_transform(args) -> int:
     if args.s is not None and not math.isfinite(args.s):
         raise ValueError("s must be finite")
 
-    kind = tokens[0]
+    grammar = _grammar()
+    kind, *values = args.expr
+    if kind not in grammar:
+        raise ValueError(f"unknown expression {kind!r}")
+    field, spelt, convert = grammar[kind]
+    if len(values) > (field is not None) or (spelt.startswith("<") and not values):
+        raise ValueError(f"usage: transform {kind} {spelt}".rstrip())
+    try:
+        params = {field: convert(token) for token in values}
+    except ValueError:
+        raise ValueError(f"transform {kind}: invalid {convert.__name__} "
+                         f"value for {spelt}: {values[0]!r}") from None
+
     if kind == "laguerre":
         from .laguerre import laguerre_pair
 
-        if len(tokens) != 2:
-            raise ValueError("usage: transform laguerre <n>")
-        n = int(tokens[1])
+        n = params["n"]
         _check_size("n", n, MAX_N)
         F = laplace.laguerre_transform(n)
         lines = [f"Y(s) = (s-1)^{n}/s^{n + 1}", f"partial fractions: {F}"]
@@ -179,25 +210,8 @@ def _cmd_transform(args) -> int:
                     f"the quadrature check needs n <= {quad_check_max_n}, got {n}"
                 )
     else:
-        try:
-            if kind == "power_p":
-                if len(tokens) != 2:
-                    raise ValueError("usage: transform power_p <p>")
-                sig = laplace.NamedSignal(kind, p=float(tokens[1]))
-            elif kind in ("sin_wu", "cos_wu"):
-                if len(tokens) > 2:
-                    raise ValueError(f"usage: transform {kind} [w]")
-                omega = float(tokens[1]) if len(tokens) > 1 else 1.0
-                sig = laplace.NamedSignal(kind, omega=omega)
-            elif kind in ("one", "exp_u"):
-                if len(tokens) != 1:
-                    raise ValueError(f"usage: transform {kind}")
-                sig = laplace.NamedSignal(kind)
-            else:
-                raise ValueError(f"unknown expression {kind!r}")
-            F = laplace.transform_named(sig, alpha)
-        except ArithmeticError:
-            raise ValueError(f"the transform of {kind} is not a finite float") from None
+        sig = laplace.NamedSignal(kind, **params)
+        F = laplace.transform_named(sig, alpha)
         lines = [f"transform: {sig.describe(alpha)}"]
         g = sig.reduced(alpha)
 
@@ -266,11 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=_cmd_table)
 
     p_transform = sub.add_parser(
-        "transform",
-        help="print a transform (one, power_p <p>, exp_u, sin_wu [w], "
-        "cos_wu [w], laguerre <n>)",
+        "transform", help=_GrammarHelp("print a transform (%(grammar)s)")
     )
-    p_transform.add_argument("expr", nargs="+")
+    p_transform.add_argument("expr", nargs="+", help=_GrammarHelp("one of: %(grammar)s"))
     p_transform.add_argument("--alpha", default="1.0")
     p_transform.add_argument("--s", type=float, default=None,
                              help="also evaluate and cross-check at this s")

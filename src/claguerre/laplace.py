@@ -12,6 +12,11 @@ transform and its inverse are integer work on a few polynomials.
 
 The transform is formal: every pair is algebra regardless of convergence,
 which is how identities like exp(u) <-> 1/(s-1) are used in practice.
+
+The transcendental pairs (``NamedSignal``) are each written once, in
+``_PAIRS``: the integrand, the closed image, the printed label, the signal
+field the pair reads and its convergence edge.  ``NamedSignal``,
+``transform_named`` and the ``transform`` command only read that table.
 """
 
 from __future__ import annotations
@@ -296,20 +301,51 @@ def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
     return T.mul_s() - _as_fraction(f0)
 
 
+# A named pair, read with a = alpha and v = the value of its NamedSignal
+# ``field``: integrand(a, v) is g(u), image(a, v, s) is F(s) with no region
+# check, label(a, v) prints F, and s_min is the edge of the region s > s_min.
+# Gamma comes from math.gamma, below 1e-12 relative error on [1, 30].  The
+# sine image w/(w^2 + s^2) is what the defining integral gives; at w = 1 it
+# is the tabulated 1/(w^2 + s^2).
+_Pair = namedtuple("_Pair", "integrand image label field s_min", defaults=(None, 0.0))
+_PAIRS = {
+    "one": _Pair(lambda a, v: lambda u: 1.0, lambda a, v, s: 1.0 / s, lambda a, v: "1/s"),
+    "power_p": _Pair(
+        lambda a, p: lambda u: (a * u) ** (p / a),
+        lambda a, p, s: a ** (p / a) * math.gamma(1.0 + p / a) / s ** (1.0 + p / a),
+        lambda a, p: f"a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = {p}, a = {a}]",
+        field="p",
+    ),
+    "exp_u": _Pair(lambda a, v: math.exp, lambda a, v, s: 1.0 / (s - 1.0),
+                   lambda a, v: "1/(s - 1)", s_min=1.0),
+    "sin_wu": _Pair(
+        lambda a, w: lambda u: math.sin(w * u),
+        lambda a, w, s: w / (w * w + s * s),
+        lambda a, w: f"w/(w^2 + s^2)  [w = {w}]",
+        field="omega",
+    ),
+    "cos_wu": _Pair(
+        lambda a, w: lambda u: math.cos(w * u),
+        lambda a, w, s: s / (w * w + s * s),
+        lambda a, w: f"s/(w^2 + s^2)  [w = {w}]",
+        field="omega",
+    ),
+}
+
+
 class NamedSignal(namedtuple("NamedSignal", "kind p omega")):
     """A transcendental signal with a closed-form transform.
 
     Kinds: ``one``, ``power_p`` (x**p with p >= 0), ``exp_u``, ``sin_wu``
-    and ``cos_wu`` (sine and cosine of omega*u).  The trigonometric pair is
-    kept out of the exact core on purpose; it would need complex rates.
+    and ``cos_wu`` (sine and cosine of omega*u), each defined once in
+    ``_PAIRS``.  The trigonometric pair is kept out of the exact core on
+    purpose; it would need complex rates.
     """
 
     __slots__ = ()
 
-    _KINDS = ("one", "power_p", "exp_u", "sin_wu", "cos_wu")
-
     def __new__(cls, kind: str, p: float = 0.0, omega: float = 1.0) -> NamedSignal:
-        if kind not in cls._KINDS:
+        if kind not in _PAIRS:
             raise ValueError(f"unknown signal kind {kind!r}")
         if p < 0:
             raise ValueError("power must be nonnegative")
@@ -322,84 +358,34 @@ class NamedSignal(namedtuple("NamedSignal", "kind p omega")):
     @property
     def s_min(self) -> float:
         """Lower edge of the convergence region."""
-        return 1.0 if self.kind == "exp_u" else 0.0
+        return _PAIRS[self.kind].s_min
+
+    def _args(self, alpha) -> tuple:
+        """(a, v) for the kind's pair: alpha, checked, and its field's value."""
+        field = _PAIRS[self.kind].field
+        return as_alpha(alpha), getattr(self, field) if field else None
 
     def reduced(self, alpha) -> Callable[[float], float]:
         """The signal as a function of u (the defining integrand ingredient)."""
-        a = as_alpha(alpha)
-        if self.kind == "one":
-            return lambda u: 1.0
-        if self.kind == "power_p":
-            exponent = self.p / a
-            return lambda u: (a * u) ** exponent
-        if self.kind == "exp_u":
-            return math.exp
-        if self.kind == "sin_wu":
-            w = self.omega
-            return lambda u: math.sin(w * u)
-        w = self.omega
-        return lambda u: math.cos(w * u)
+        return _PAIRS[self.kind].integrand(*self._args(alpha))
 
     def describe(self, alpha) -> str:
-        a = as_alpha(alpha)
-        if self.kind == "one":
-            return "1/s"
-        if self.kind == "power_p":
-            return (
-                f"a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = {self.p}, a = {a}]"
-            )
-        if self.kind == "exp_u":
-            return "1/(s - 1)"
-        if self.kind == "sin_wu":
-            return f"w/(w^2 + s^2)  [w = {self.omega}]"
-        return f"s/(w^2 + s^2)  [w = {self.omega}]"
+        return _PAIRS[self.kind].label(*self._args(alpha))
 
 
 def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
     """Closed-form transform of a named signal, as a numeric function of s.
 
-    The power pair is a**(p/a) * Gamma(1 + p/a) / s**(1 + p/a).  The sine
-    pair evaluates to w/(w^2 + s^2), which is what the defining integral
-    gives (and what the cosine pair's s/(w^2 + s^2) pairs with); at w = 1 it
-    agrees with the tabulated 1/(w^2 + s^2) form.  Gamma comes from
-    math.gamma, comfortably below 1e-12 relative error on [1, 30].
-    """
-    a = as_alpha(alpha)
-    s_min = sig.s_min
+    Nothing is evaluated before a call, so an image too large for a float
+    raises at the s it is called with."""
+    image, args, s_min = _PAIRS[sig.kind].image, sig._args(alpha), sig.s_min
 
-    def check(s: float) -> None:
+    def F(s: float) -> float:
         if s <= s_min:
             raise ValueError(
                 f"s = {s} outside the convergence region s > {s_min} for {sig.kind}"
             )
-
-    if sig.kind == "one":
-        def F(s: float) -> float:
-            check(s)
-            return 1.0 / s
-    elif sig.kind == "power_p":
-        ratio = sig.p / a
-        scale = a ** ratio * math.gamma(1.0 + ratio)
-
-        def F(s: float) -> float:
-            check(s)
-            return scale / s ** (1.0 + ratio)
-    elif sig.kind == "exp_u":
-        def F(s: float) -> float:
-            check(s)
-            return 1.0 / (s - 1.0)
-    elif sig.kind == "sin_wu":
-        w = sig.omega
-
-        def F(s: float) -> float:
-            check(s)
-            return w / (w * w + s * s)
-    else:
-        w = sig.omega
-
-        def F(s: float) -> float:
-            check(s)
-            return s / (w * w + s * s)
+        return image(*args, s)
 
     return F
 

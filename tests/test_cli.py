@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from claguerre import cli, verify
+from claguerre import cli, laplace, verify
 from claguerre.alpha_calc import x_view_str
 from claguerre.laguerre import assoc_closed, laguerre_closed
 from claguerre.verify import SuiteResult, VerifyReport
@@ -199,6 +199,107 @@ class TestTransform:
         assert out == ""
         assert err.startswith("error: usage: transform ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (("laguerre", "x"), "transform laguerre: invalid int value for <n>: 'x'"),
+            (("laguerre", "1.5"), "transform laguerre: invalid int value for <n>: '1.5'"),
+            (("power_p", "x"), "transform power_p: invalid float value for <p>: 'x'"),
+            (("sin_wu", "x", "--s", "1"),
+             "transform sin_wu: invalid float value for [w]: 'x'"),
+            (("cos_wu", "1e"), "transform cos_wu: invalid float value for [w]: '1e'"),
+        ],
+    )
+    def test_malformed_token_is_named(self, capsys, tokens, message):
+        assert run_cli(capsys, "transform", *tokens) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "tokens, values",
+        [(("power_p", "3", "--alpha", "0.01"), "p = 3.0, a = 0.01"),
+         (("power_p", "1e308"), "p = 1e+308, a = 1.0")],
+    )
+    def test_label_prints_although_the_image_overflows(self, capsys, tokens, values):
+        label = f"transform: a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [{values}]\n"
+        assert run_cli(capsys, "transform", *tokens) == (0, label, "")
+
+    def test_image_that_overflows_at_s_is_one_error_line(self, capsys):
+        assert run_cli(capsys, "transform", "power_p", "3", "--alpha", "0.01", "--s", "2") == (
+            2, "", "error: the transform at s=2.0 is not a finite float\n"
+        )
+
+
+_POWER_LABEL = "transform: a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = 1.5, a = {}]\n"
+# Full stdout of each named kind, with and without --s, at two alphas, and
+# of one Laguerre image, as recorded before the pair table was written once.
+_PINNED_TRANSFORMS = [
+    (("one", "--alpha", "0.5"), "transform: 1/s\n"),
+    (("one", "--alpha", "0.5", "--s", "2"),
+     "transform: 1/s\nvalue at s=2.0: 0.5\n"
+     "quadrature check: 0.5 (|diff| = 5.190e-14)\n"),
+    (("one", "--alpha", "1.0"), "transform: 1/s\n"),
+    (("one", "--alpha", "1.0", "--s", "2"),
+     "transform: 1/s\nvalue at s=2.0: 0.5\n"
+     "quadrature check: 0.5 (|diff| = 5.190e-14)\n"),
+    (("power_p", "1.5", "--alpha", "0.5"), _POWER_LABEL.format("0.5")),
+    (("power_p", "1.5", "--alpha", "0.5", "--s", "2"),
+     _POWER_LABEL.format("0.5") + "value at s=2.0: 0.046875\n"
+     "quadrature check: 0.046875 (|diff| = 4.927e-16)\n"),
+    (("power_p", "1.5", "--alpha", "1.0"), _POWER_LABEL.format("1.0")),
+    (("power_p", "1.5", "--alpha", "1.0", "--s", "2"),
+     _POWER_LABEL.format("1.0") + "value at s=2.0: 0.234996400747\n"
+     "quadrature check: 0.234995475131 (|diff| = 9.256e-07)\n"),
+    (("exp_u", "--alpha", "0.5"), "transform: 1/(s - 1)\n"),
+    (("exp_u", "--alpha", "0.5", "--s", "2"),
+     "transform: 1/(s - 1)\nvalue at s=2.0: 1\n"
+     "quadrature check: 1 (|diff| = 5.063e-14)\n"),
+    (("exp_u", "--alpha", "1.0"), "transform: 1/(s - 1)\n"),
+    (("exp_u", "--alpha", "1.0", "--s", "2"),
+     "transform: 1/(s - 1)\nvalue at s=2.0: 1\n"
+     "quadrature check: 1 (|diff| = 5.063e-14)\n"),
+    (("sin_wu", "2", "--alpha", "0.5"), "transform: w/(w^2 + s^2)  [w = 2.0]\n"),
+    (("sin_wu", "2", "--alpha", "0.5", "--s", "2"),
+     "transform: w/(w^2 + s^2)  [w = 2.0]\nvalue at s=2.0: 0.25\n"
+     "quadrature check: 0.25 (|diff| = 6.661e-15)\n"),
+    (("sin_wu", "2", "--alpha", "1.0"), "transform: w/(w^2 + s^2)  [w = 2.0]\n"),
+    (("sin_wu", "2", "--alpha", "1.0", "--s", "2"),
+     "transform: w/(w^2 + s^2)  [w = 2.0]\nvalue at s=2.0: 0.25\n"
+     "quadrature check: 0.25 (|diff| = 6.661e-15)\n"),
+    (("cos_wu", "--alpha", "0.5"), "transform: s/(w^2 + s^2)  [w = 1.0]\n"),
+    (("cos_wu", "--alpha", "0.5", "--s", "2"),
+     "transform: s/(w^2 + s^2)  [w = 1.0]\nvalue at s=2.0: 0.4\n"
+     "quadrature check: 0.4 (|diff| = 5.346e-14)\n"),
+    (("cos_wu", "--alpha", "1.0"), "transform: s/(w^2 + s^2)  [w = 1.0]\n"),
+    (("cos_wu", "--alpha", "1.0", "--s", "2"),
+     "transform: s/(w^2 + s^2)  [w = 1.0]\nvalue at s=2.0: 0.4\n"
+     "quadrature check: 0.4 (|diff| = 5.346e-14)\n"),
+    (("laguerre", "3", "--s", "2"),
+     "Y(s) = (s-1)^3/s^4\npartial fractions: 1/s - 3/s^2 + 3/s^3 - 1/s^4\n"
+     "value at s=2.0: 0.0625\nquadrature check: 0.0625 (|diff| = 4.301e-14)\n"),
+]
+
+
+class TestPinnedTransformOutput:
+    @pytest.mark.parametrize(
+        "tokens, stdout", _PINNED_TRANSFORMS, ids=[" ".join(t) for t, _ in _PINNED_TRANSFORMS]
+    )
+    def test_stdout_and_exit_code(self, capsys, tokens, stdout):
+        assert run_cli(capsys, "transform", *tokens) == (0, stdout, "")
+
+    @pytest.mark.parametrize(
+        "sig, label",
+        [
+            (laplace.NamedSignal("one"), "1/s"),
+            (laplace.NamedSignal("power_p", p=1.5),
+             "a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = 1.5, a = 0.5]"),
+            (laplace.NamedSignal("exp_u"), "1/(s - 1)"),
+            (laplace.NamedSignal("sin_wu", omega=2.0), "w/(w^2 + s^2)  [w = 2.0]"),
+            (laplace.NamedSignal("cos_wu"), "s/(w^2 + s^2)  [w = 1.0]"),
+        ],
+        ids=["one", "power_p", "exp_u", "sin_wu", "cos_wu"],
+    )
+    def test_describe(self, sig, label):
+        assert sig.describe(0.5) == label
 
 
 class TestLaguerreQuadratureCheck:
@@ -407,6 +508,17 @@ class TestArgparseErrors:
     )
     def test_one_line_usage_error(self, capsys, argv):
         _assert_one_line_usage_error(run_cli(capsys, *argv))
+
+    @pytest.mark.parametrize("command", [(), ("transform",)], ids=["claguerre", "transform"])
+    def test_help_lists_every_transform_expression(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "-h"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        grammar = "one, power_p <p>, exp_u, sin_wu [w], cos_wu [w], laguerre <n>"
+        assert grammar in text
+        if not command:
+            assert f"transform print a transform ({grammar})" in text
 
     def test_help_exits_zero_with_usage_on_stdout(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

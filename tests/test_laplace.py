@@ -181,6 +181,12 @@ class TestNamedSignals:
             F_s = transform_named(NamedSignal("power_p", p=a), a)
             assert F_s(2.0) == pytest.approx(a / 4.0, rel=1e-12)
 
+    def test_image_is_evaluated_only_when_called(self):
+        # Gamma(301) overflows; building the function must not evaluate it.
+        F_s = transform_named(NamedSignal("power_p", p=3.0), 0.01)
+        with pytest.raises(OverflowError):
+            F_s(2.0)
+
     def test_region_enforced(self):
         F_s = transform_named(NamedSignal("exp_u"), 0.5)
         with pytest.raises(ValueError):
