@@ -72,6 +72,42 @@ def as_alpha(alpha) -> float:
     return value
 
 
+def _finite_u(u) -> float:
+    """u as a float; a nan u raises ValueError and an infinite u
+    OverflowError."""
+    u = float(u)
+    if math.isnan(u):
+        raise ValueError("cannot evaluate at nan")
+    if math.isinf(u):
+        raise OverflowError(f"cannot evaluate at u = {u!r}")
+    return u
+
+
+def _reduced_u(x, alpha) -> float:
+    """u = x**alpha / alpha at x >= 0, checked by :func:`as_alpha` and
+    :func:`_finite_u`."""
+    a = as_alpha(alpha)
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    return _finite_u(float(x) ** a / a)
+
+
+# The one subtraction of the exact types (ReducedPoly, ExpPoly and
+# laplace.TransformExpr): coerce the other operand, then add its negation.
+def _sub(self, other):
+    q = self._coerce(other)
+    if q is None:
+        return NotImplemented
+    return self + (-q)
+
+
+def _rsub(self, other):
+    q = self._coerce(other)
+    if q is None:
+        return NotImplemented
+    return q + (-self)
+
+
 class ReducedPoly:
     """Polynomial in u = x**alpha / alpha with exact rational coefficients.
 
@@ -183,17 +219,7 @@ class ReducedPoly:
     def __neg__(self):
         return ReducedPoly._from_ints([-c for c in self._num], self._den)
 
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
+    __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -314,12 +340,10 @@ class ReducedPoly:
         return Fraction(acc, self._den * scale)
 
     def eval(self, x: float, alpha) -> float:
-        """Numeric value at x >= 0 for a given order (u = x**alpha / alpha)."""
-        a = as_alpha(alpha)
-        if x < 0:
-            raise ValueError("x must be nonnegative")
-        u = float(x) ** a / a
-        return float(self(u))
+        """Numeric value at x >= 0 for a given order (u = x**alpha / alpha).
+        A nan x raises ValueError and an infinite u OverflowError, as in
+        :meth:`ExpPoly.eval`."""
+        return float(self(_reduced_u(x, alpha)))
 
     # -- structure -----------------------------------------------------------
 
@@ -434,17 +458,7 @@ class ExpPoly:
     def __neg__(self):
         return ExpPoly._from_sorted((r, -p) for r, p in self._terms)
 
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return q + (-self)
+    __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -460,10 +474,9 @@ class ExpPoly:
     __rmul__ = __mul__
 
     def d_alpha(self) -> "ExpPoly":
-        """Conformable derivative: on a rate-r term it is (p' + r*p)*exp(r*u)."""
-        return ExpPoly._from_sorted(
-            (r, _rate_derivative(r, p, 1)) for r, p in self._terms
-        )
+        """Conformable derivative, :func:`d_alpha_n` with n = 1: on a rate-r
+        term it is (p' + r*p)*exp(r*u)."""
+        return d_alpha_n(self, 1)
 
     def value_at_zero(self) -> Fraction:
         """Exact value at u = 0 (exponentials all equal 1 there)."""
@@ -480,19 +493,12 @@ class ExpPoly:
     def eval_u(self, u: float) -> float:
         """Numeric value at u.  A nan u raises ValueError and an infinite u
         OverflowError, also on the zero ExpPoly, which is 0.0 at finite u."""
-        u = float(u)
-        if math.isnan(u):
-            raise ValueError("cannot evaluate at nan")
-        if math.isinf(u):
-            raise OverflowError(f"cannot evaluate at u = {u!r}")
+        u = _finite_u(u)
         return sum((p(u) * math.exp(float(r) * u) for r, p in self._terms), 0.0)
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0; by continuity u = 0 at x = 0."""
-        a = as_alpha(alpha)
-        if x < 0:
-            raise ValueError("x must be nonnegative")
-        return self.eval_u(float(x) ** a / a)
+        return self.eval_u(_reduced_u(x, alpha))
 
     def __eq__(self, other):
         q = self._coerce(other)
@@ -581,16 +587,13 @@ def _rate_derivative(rate: Fraction, p: ReducedPoly, n: int) -> ReducedPoly:
 
 
 def d_alpha(f):
-    """Exact conformable derivative of a ReducedPoly or ExpPoly.
+    """Exact conformable derivative of a ReducedPoly or ExpPoly:
+    :func:`d_alpha_n` with n = 1.
 
     On functions of u the conformable derivative reduces to d/du, because
     applying x**(1-alpha) * d/dx to u = x**alpha / alpha gives exactly 1.
     """
-    if isinstance(f, ReducedPoly):
-        return f.deriv()
-    if isinstance(f, ExpPoly):
-        return f.d_alpha()
-    raise TypeError(f"ReducedPoly or ExpPoly expected, got {type(f).__name__}")
+    return d_alpha_n(f, 1)
 
 
 def d_alpha_n(f, n: int):

@@ -160,49 +160,34 @@ def ode_residual(p: ReducedPoly, n: int, m: int = 0) -> ReducedPoly:
     return u * p.deriv(2) + ReducedPoly((1 + m, -1)) * p.deriv() + n * p
 
 
-class GeneratingExpansion:
-    """Truncated expansion in t; entry n is the coefficient polynomial of t**n.
+class GeneratingExpansion(tuple):
+    """Truncated expansion in t: a tuple whose entry n is the coefficient
+    polynomial of t**n, built and shown as (order, coefficient_polys)."""
 
-    Immutable and compared by value.  Not a tuple: indexing and iteration
-    give the coefficient polynomials, not the two fields.
-    """
+    __slots__ = ()
 
-    __slots__ = ("order", "coefficient_polys")
-
-    def __init__(self, order: int, coefficient_polys: tuple[ReducedPoly, ...]):
+    def __new__(cls, order: int, coefficient_polys: tuple[ReducedPoly, ...]):
         if len(coefficient_polys) != order + 1:
             raise ValueError("expansion must hold order + 1 coefficients")
         for k, p in enumerate(coefficient_polys):
             if p.degree > k:
                 raise ValueError(f"coefficient of t^{k} has degree {p.degree}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficient_polys", coefficient_polys)
+        return super().__new__(cls, coefficient_polys)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self.order, self.coefficient_polys
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    @property
+    def order(self) -> int:
+        return len(self) - 1
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return self.__class__, (self.order, self.coefficient_polys)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.coefficient_polys) == (
-            other.order, other.coefficient_polys
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coefficient_polys))
+    @property
+    def coefficient_polys(self) -> tuple[ReducedPoly, ...]:
+        return tuple(self)
 
     def __repr__(self):
         return (f"GeneratingExpansion(order={self.order!r}, "
                 f"coefficient_polys={self.coefficient_polys!r})")
-
-    def __getitem__(self, n: int) -> ReducedPoly:
-        return self.coefficient_polys[n]
 
 
 def generating_series(m: int, order: int) -> GeneratingExpansion:

@@ -34,6 +34,8 @@ from .alpha_calc import (
     _collect_rates,
     _join_signed,
     _merge_rates,
+    _rsub,
+    _sub,
     as_alpha,
 )
 from .laguerre import _check_index
@@ -157,14 +159,7 @@ class TransformExpr:
             tuple((r, -w) for r, w in self._rates), -self._poly
         )
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
@@ -301,6 +296,18 @@ def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
     return T.mul_s() - _as_fraction(f0)
 
 
+def _over_squares(top: float, w: float, s: float) -> float:
+    """top / (w^2 + s^2).  Where the sum of squares overflows, w and s are
+    first scaled by max(|w|, |s|), so an image in the float range survives;
+    elsewhere the expression is the plain one."""
+    d = w * w + s * s
+    if math.isfinite(d):
+        return top / d
+    c = max(abs(w), abs(s))
+    w, s = w / c, s / c
+    return top / c / (w * w + s * s) / c
+
+
 # A named pair, read with a = alpha and v = the value of its NamedSignal
 # ``field``: integrand(a, v) is g(u), image(a, v, s) is F(s) with no region
 # check, label(a, v) prints F, and s_min is the edge of the region s > s_min.
@@ -320,13 +327,13 @@ _PAIRS = {
                    lambda a, v: "1/(s - 1)", s_min=1.0),
     "sin_wu": _Pair(
         lambda a, w: lambda u: math.sin(w * u),
-        lambda a, w, s: w / (w * w + s * s),
+        lambda a, w, s: _over_squares(w, w, s),
         lambda a, w: f"w/(w^2 + s^2)  [w = {w}]",
         field="omega",
     ),
     "cos_wu": _Pair(
         lambda a, w: lambda u: math.cos(w * u),
-        lambda a, w, s: s / (w * w + s * s),
+        lambda a, w, s: _over_squares(s, w, s),
         lambda a, w: f"s/(w^2 + s^2)  [w = {w}]",
         field="omega",
     ),

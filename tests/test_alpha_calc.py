@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from claguerre.alpha_calc import (
     x_view,
     x_view_str,
 )
+from claguerre.verify import random_exppoly
 
 U = ReducedPoly((0, 1))
 
@@ -120,9 +122,52 @@ class TestExpPolyArithmetic:
         assert e.rates == (F(-1), F(1))
 
 
+class TestSubtraction:
+    """Each type's `-` equals adding the negation, from either side and
+    against every operand the type coerces; a float operand is rejected."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, polys, fractions, st.integers(-5, 5))
+    def test_reduced_poly(self, a, b, c, k):
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (a, k), (k, a)):
+            got = x - y
+            assert type(got) is ReducedPoly
+            assert got == x + (-y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exppolys, exppolys, polys, fractions, st.integers(-5, 5))
+    def test_exppoly(self, e, f, p, c, k):
+        for x, y in ((e, f), (f, e), (e, p), (p, e), (e, c), (c, e), (e, k), (k, e)):
+            got = x - y
+            assert type(got) is ExpPoly
+            assert got.terms == (x + (-y)).terms
+
+    @pytest.mark.parametrize("value", [ReducedPoly((1, 2)), ExpPoly.exp(-1, U)])
+    def test_float_operand_is_rejected(self, value):
+        with pytest.raises(TypeError):
+            value - 0.5
+        with pytest.raises(TypeError):
+            0.5 - value
+
+
 class TestConformableDerivative:
     def test_monomial_power_rule(self):
         assert d_alpha(ReducedPoly.monomial(3)) == 3 * ReducedPoly.monomial(2)
+
+    def test_entry_points_agree(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            f = random_exppoly(rng)
+            one, method, n_fold = d_alpha(f), f.d_alpha(), d_alpha_n(f, 1)
+            assert one.terms == method.terms == n_fold.terms
+            for _, p in f.terms:
+                assert d_alpha(p) == d_alpha_n(p, 1) == p.deriv()
+
+    @pytest.mark.parametrize("derivative", [d_alpha, lambda f: d_alpha_n(f, 1)])
+    def test_non_exact_argument_is_rejected(self, derivative):
+        with pytest.raises(TypeError) as info:
+            derivative(3.0)
+        assert str(info.value) == "ReducedPoly or ExpPoly expected, got float"
 
     def test_exponential_eigenfunction(self):
         w = ExpPoly.exp(-1)
@@ -447,6 +492,22 @@ class TestIntegerContentModel:
                     e.eval_u(u)
             with pytest.raises(OverflowError):
                 e.eval(math.inf, 0.5)
+
+    @pytest.mark.parametrize(
+        "x, alpha, error, message",
+        [
+            (math.nan, 0.5, ValueError, "cannot evaluate at nan"),
+            (math.inf, 0.5, OverflowError, "cannot evaluate at u = inf"),
+            (-1.0, 0.5, ValueError, "x must be nonnegative"),
+            (2.0, 5e-324, OverflowError, "cannot evaluate at u = inf"),
+        ],
+    )
+    def test_both_evals_reject_a_bad_x_alike(self, x, alpha, error, message):
+        p = ReducedPoly((1, -2, 1))
+        for value in (p, ExpPoly.from_poly(p), ExpPoly.exp(-1, p)):
+            with pytest.raises(error) as info:
+                value.eval(x, alpha)
+            assert str(info.value) == message
 
     def test_zero_exppoly_evaluates_to_float_zero(self):
         for value in (ExpPoly().eval_u(1.5), ExpPoly().eval(2.0, 0.5)):

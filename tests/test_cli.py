@@ -170,6 +170,20 @@ class TestTransform:
         assert code == 0
         assert "value at s=1.0: 0.5" in out
 
+    @pytest.mark.parametrize("kind", ["sin_wu", "cos_wu"])
+    def test_trig_value_past_the_square_range(self, capsys, kind):
+        # w^2 + s^2 overflows, but the image 1/(2s) is a normal float
+        code, out, _ = run_cli(capsys, "transform", kind, "1e160", "--s", "1e160")
+        assert code == 0
+        assert "value at s=1e+160: 5e-161\n" in out
+        check = float(re.search(r"quadrature check: (\S+)", out).group(1))
+        assert check == pytest.approx(5e-161, rel=1e-6)
+
+    def test_sine_value_with_a_huge_frequency(self, capsys):
+        code, out, _ = run_cli(capsys, "transform", "sin_wu", "1e200", "--s", "1")
+        assert code == 0
+        assert "value at s=1.0: 1e-200\n" in out
+
     def test_unknown_expression(self, capsys):
         code, _, err = run_cli(capsys, "transform", "sinh_u")
         assert code == 2

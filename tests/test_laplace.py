@@ -32,6 +32,11 @@ rates = st.sampled_from([F(-3), F(-2), F(-1), F(0), F(1, 2)])
 exppolys = st.builds(
     ExpPoly, st.lists(st.tuples(rates, polys), min_size=1, max_size=3)
 )
+images = st.builds(
+    TransformExpr,
+    st.lists(st.tuples(fractions, rates, st.integers(1, 4)), max_size=4),
+    polys,
+)
 
 
 class TestForwardTransform:
@@ -166,6 +171,27 @@ class TestProperties:
         assert lhs == rhs
 
 
+class TestSubtraction:
+    """`-` equals adding the negation, from either side and against every
+    operand TransformExpr coerces; a float operand is rejected."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(images, images, fractions, st.integers(-5, 5))
+    def test_against_each_coerced_operand(self, a, b, c, k):
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (a, k), (k, a)):
+            got = x - y
+            assert type(got) is TransformExpr
+            assert got == x + (-y)
+            assert got.poles == (x + (-y)).poles
+
+    def test_float_operand_is_rejected(self):
+        T = TransformExpr([(1, 0, 1)], poly_part=2)
+        with pytest.raises(TypeError):
+            T - 0.5
+        with pytest.raises(TypeError):
+            0.5 - T
+
+
 class TestNamedSignals:
     def test_unit_value(self):
         F_s = transform_named(NamedSignal("one"), 1.0)
@@ -174,6 +200,16 @@ class TestNamedSignals:
     def test_sine_value(self):
         F_s = transform_named(NamedSignal("sin_wu", omega=1.0), 0.5)
         assert F_s(1.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("kind", ["sin_wu", "cos_wu"])
+    def test_trig_image_past_the_square_range(self, kind):
+        # w^2 + s^2 overflows; the image is still the normal float 1/(2s)
+        F_s = transform_named(NamedSignal(kind, omega=1e160), 1.0)
+        assert F_s(1e160) == pytest.approx(5e-161, rel=1e-15)
+
+    def test_sine_image_with_a_huge_frequency(self):
+        F_s = transform_named(NamedSignal("sin_wu", omega=1e200), 1.0)
+        assert F_s(1.0) == pytest.approx(1e-200, rel=1e-15)
 
     def test_power_at_order_alpha(self):
         # p = alpha gives a*Gamma(2)/s^2 = a/4 at s = 2

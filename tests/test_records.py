@@ -133,3 +133,16 @@ def test_expansion_indexes_and_iterates_its_coefficients():
     assert [expansion[n] for n in range(5)] == list(polys)
     assert list(expansion) == list(polys)
     assert expansion[-1] is polys[-1]
+
+
+def test_expansion_is_a_tuple_of_its_coefficients():
+    expansion = generating_series(2, 5)
+    assert type(expansion) is GeneratingExpansion
+    assert isinstance(expansion, tuple)
+    assert len(expansion) == expansion.order + 1 == 6
+    assert type(expansion.coefficient_polys) is tuple
+    assert expansion.coefficient_polys == tuple(expansion)
+    for twin in (copy.copy(expansion), copy.deepcopy(expansion),
+                 pickle.loads(pickle.dumps(expansion))):
+        assert type(twin) is GeneratingExpansion
+        assert (twin.order, twin.coefficient_polys) == (5, expansion.coefficient_polys)
