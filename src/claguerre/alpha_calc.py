@@ -161,7 +161,8 @@ class ReducedPoly:
         """coeff * u**k."""
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        return cls((0,) * k + (coeff,))
+        c = _as_fraction(coeff)
+        return cls._from_ints([0] * k + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -222,12 +223,8 @@ class ReducedPoly:
     __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            p = c.numerator
-            return ReducedPoly._from_ints(
-                [p * a for a in self._num], self._den * c.denominator
-            )
+        # The cheap type tests come first: a Fraction test goes through the
+        # ABC machinery, so it would tax every polynomial product.
         if isinstance(other, ReducedPoly):
             a, b = self._num, other._num
             if not a or not b:
@@ -238,6 +235,13 @@ class ReducedPoly:
                     for j, y in enumerate(b, i):
                         out[j] += x * y
             return ReducedPoly._from_ints(out, self._den * other._den)
+        if isinstance(other, int):
+            return ReducedPoly._from_ints([other * a for a in self._num], self._den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return ReducedPoly._from_ints(
+                [p * a for a in self._num], self._den * other.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -406,7 +410,7 @@ class ExpPoly:
             p = ReducedPoly._coerce(poly)
             if p is None:
                 raise TypeError(f"polynomial part expected, got {type(poly).__name__}")
-            checked.append((r, p))
+            checked.append(((r.numerator, r.denominator), p))
         self._terms = _collect_rates(checked)
 
     @classmethod
@@ -456,20 +460,34 @@ class ExpPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly._from_sorted((r, -p) for r, p in self._terms)
+        return ExpPoly._from_sorted([(r, -p) for r, p in self._terms])
 
     __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExpPoly._from_sorted((r, p * other) for r, p in self._terms)
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        # Rates add pairwise: exp(a*u) * exp(b*u) = exp((a+b)*u).
-        return ExpPoly._from_sorted(_collect_rates(
-            (ra + rb, pa * pb) for ra, pa in self._terms for rb, pb in q._terms
-        ))
+        if isinstance(other, ExpPoly):
+            q = other
+        elif isinstance(other, (int, Fraction)):
+            return ExpPoly._from_sorted([(r, p * other) for r, p in self._terms])
+        else:
+            q = self._coerce(other)
+            if q is None:
+                return NotImplemented
+        # Rates add pairwise, exp(a*u) * exp(b*u) = exp((a+b)*u), as reduced
+        # (numerator, denominator) ints; _collect_rates builds one Fraction
+        # per distinct sum.
+        right = [(r.numerator, r.denominator, p) for r, p in q._terms]
+        pairs = []
+        for r, pa in self._terms:
+            a, b = r.numerator, r.denominator
+            for c, d, pb in right:
+                if b == d:
+                    num, den = a + c, b
+                else:
+                    num, den = a * d + c * b, b * d
+                g = math.gcd(num, den)
+                pairs.append(((num // g, den // g), pa * pb))
+        return ExpPoly._from_sorted(_collect_rates(pairs))
 
     __rmul__ = __mul__
 
@@ -559,29 +577,44 @@ def _merge_rates(a, b) -> tuple:
 
 
 def _collect_rates(pairs) -> tuple:
-    """Merge validated (rate, ReducedPoly) pairs in any order into a
-    rate-sorted tuple without zero polynomials."""
-    # Key on the canonical (numerator, denominator) ints: hashing a tuple of
-    # ints is far cheaper than Fraction.__hash__.
-    merged: dict[tuple[int, int], tuple[Fraction, ReducedPoly]] = {}
-    for r, p in pairs:
-        key = (r.numerator, r.denominator)
+    """Merge validated ((numerator, denominator), ReducedPoly) pairs in any
+    order, each key a rate in lowest terms with a positive denominator, into
+    a rate-sorted tuple of (Fraction rate, ReducedPoly) without zero
+    polynomials.
+
+    Keys are hashed as tuples of ints, far cheaper than Fraction.__hash__,
+    and one Fraction is built per distinct rate, after the merge.
+    """
+    merged: dict[tuple[int, int], ReducedPoly] = {}
+    for key, p in pairs:
         old = merged.get(key)
-        merged[key] = (r, p) if old is None else (r, old[1] + p)
-    return tuple(sorted((t for t in merged.values() if t[1]), key=lambda t: t[0]))
+        merged[key] = p if old is None else old + p
+    return tuple(sorted(
+        ((Fraction(*key), p) for key, p in merged.items() if p),
+        key=lambda t: t[0],
+    ))
 
 
 def _rate_derivative(rate: Fraction, p: ReducedPoly, n: int) -> ReducedPoly:
     """(d/du + rate)**n applied to p: the polynomial factor of the n-th
-    derivative of p(u) * exp(rate*u), on integer numerators."""
+    derivative of p(u) * exp(rate*u), on integer numerators.
+
+    At rate 0 this is ``p.deriv(n)``.  Otherwise each of the n steps is one
+    comprehension over the numerators, so the route stays the iterated
+    derivative and never expands (d/du + rate)**n binomially (that
+    expansion on u**N * exp(-u) would recompute the closed-form Laguerre
+    coefficients, and the Rodrigues check would lose its independence).
+    """
     a, b = rate.numerator, rate.denominator
-    num = list(p._num)
+    num = p._num
+    if not a or not num:
+        return p.deriv(n)
+    # With rate = a/b, p' + rate*p has numerators a*c[k] + b*(k+1)*c[k+1],
+    # and a*c[d] on top, over one more factor b of the denominator.
+    bk = range(b, b * len(num), b)
     for _ in range(n):
-        # With rate = a/b, p' + rate*p has numerators b*(k+1)*c[k+1] + a*c[k]
-        # over one more factor b of the denominator.
-        nxt = [a * c for c in num]
-        for k in range(1, len(num)):
-            nxt[k - 1] += b * k * num[k]
+        nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
+        nxt.append(a * num[-1])
         num = nxt
     return ReducedPoly._from_ints(num, p._den * b**n)
 

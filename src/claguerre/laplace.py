@@ -92,7 +92,9 @@ class TransformExpr:
         for coeff, rate, order in poles:
             if not (isinstance(order, int) and order >= 1):
                 raise ValueError(f"pole order must be a positive integer, got {order!r}")
-            pairs.append((_as_fraction(rate), ReducedPoly.monomial(order, coeff)))
+            r = _as_fraction(rate)
+            w = ReducedPoly.monomial(order, coeff)
+            pairs.append(((r.numerator, r.denominator), w))
         p = ReducedPoly._coerce(poly_part)
         if p is None:
             raise TypeError("poly_part must be exact")

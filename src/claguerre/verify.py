@@ -54,9 +54,13 @@ class CheckFailure(AssertionError):
     pass
 
 
-def _ensure(condition: bool, message: str) -> None:
+def _ensure(condition: bool, message) -> None:
+    """Raise CheckFailure unless ``condition`` holds.  ``message`` is the
+    failure text, or a callable that builds it: a message that formats
+    values (an ExpPoly's str costs tens of microseconds) is only built for
+    a failing check."""
     if not condition:
-        raise CheckFailure(message)
+        raise CheckFailure(message() if callable(message) else message)
 
 
 class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
@@ -111,7 +115,7 @@ def _suite_product_rule() -> str:
         p, q = random_exppoly(rng), random_exppoly(rng)
         lhs = (p * q).d_alpha()
         rhs = p.d_alpha() * q + p * q.d_alpha()
-        _ensure(lhs == rhs, f"product rule broken for {p} and {q}")
+        _ensure(lhs == rhs, lambda: f"product rule broken for {p} and {q}")
     return "40 random pairs, exact"
 
 
@@ -128,7 +132,7 @@ def _suite_leibniz() -> str:
                 rhs = rhs + math.comb(n, k) * (
                     d_alpha_n(f, n - k) * d_alpha_n(g, k)
                 )
-            _ensure(lhs == rhs, f"binomial expansion broken at n={n}")
+            _ensure(lhs == rhs, lambda: f"binomial expansion broken at n={n}")
             checks += 1
     return f"{checks} expansions up to order 5, exact"
 
@@ -149,7 +153,7 @@ def _suite_numeric_derivative() -> str:
                     continue
                 _ensure(
                     math.log2(e1 / e2) >= 1.9,
-                    f"halving h only cut the error {e1:.3e} -> {e2:.3e} "
+                    lambda: f"halving h only cut the error {e1:.3e} -> {e2:.3e} "
                     f"(n={n}, alpha={alpha}, x={x})",
                 )
                 checks += 1
@@ -170,7 +174,7 @@ def _suite_x_view_round_trip() -> str:
     rng = random.Random(_SEED + 3)
     for _ in range(60):
         p = _random_poly(rng, max_degree=8)
-        _ensure(from_x_view(x_view(p)) == p, f"x-view round trip broke on {p}")
+        _ensure(from_x_view(x_view(p)) == p, lambda: f"x-view round trip broke on {p}")
     return "60 random polynomials, exact round trip"
 
 
@@ -180,10 +184,13 @@ def _suite_x_view_round_trip() -> str:
 def _suite_triple_construction() -> str:
     for n in range(13):
         closed = laguerre_closed(n)
-        _ensure(laguerre_rodrigues(n) == closed, f"Rodrigues route differs at n={n}")
+        _ensure(
+            laguerre_rodrigues(n) == closed,
+            lambda: f"Rodrigues route differs at n={n}",
+        )
         _ensure(
             laplace.solve_laguerre_ode(n) == closed,
-            f"transform route differs at n={n}",
+            lambda: f"transform route differs at n={n}",
         )
     return "n <= 12, three construction routes identical"
 
@@ -194,11 +201,11 @@ def _suite_assoc_triple() -> str:
             closed = assoc_closed(n, m)
             _ensure(
                 assoc_from_derivative(n, m) == closed,
-                f"derivative route differs at (n={n}, m={m})",
+                lambda: f"derivative route differs at (n={n}, m={m})",
             )
             _ensure(
                 assoc_rodrigues(n, m) == closed,
-                f"Rodrigues route differs at (n={n}, m={m})",
+                lambda: f"Rodrigues route differs at (n={n}, m={m})",
             )
     return "n <= 8, m <= 4, three construction routes identical"
 
@@ -207,7 +214,7 @@ def _suite_ode_annihilation() -> str:
     for n in range(11):
         for m in range(5):
             residual = ode_residual(assoc_closed(n, m), n, m)
-            _ensure(residual.is_zero, f"residual {residual} at (n={n}, m={m})")
+            _ensure(residual.is_zero, lambda: f"residual {residual} at (n={n}, m={m})")
     return "n <= 10, m <= 4, residual identically zero"
 
 
@@ -217,7 +224,7 @@ def _suite_generating_coefficients() -> str:
         for n in range(11):
             _ensure(
                 expansion[n] == assoc_closed(n, m),
-                f"series coefficient differs at (n={n}, m={m})",
+                lambda: f"series coefficient differs at (n={n}, m={m})",
             )
     return "orders m <= 3 to t^10, coefficients exact"
 
@@ -226,7 +233,7 @@ def _suite_zero_values() -> str:
     for n in range(13):
         got = values_at_zero(n)
         want = (Fraction(1), Fraction(-n), Fraction(n * (n - 1), 2))
-        _ensure(got == want, f"values at zero {got} != {want} for n={n}")
+        _ensure(got == want, lambda: f"values at zero {got} != {want} for n={n}")
     return "n <= 12, (1, -n, n(n-1)/2) exact"
 
 
@@ -238,7 +245,7 @@ def _suite_classical_oracle() -> str:
             want = laguerre_pair(n, 0, x)[0]
             _ensure(
                 abs(got - want) <= 1e-10,
-                f"alpha=1 value {got} vs recurrence {want} at (n={n}, x={x})",
+                lambda: f"alpha=1 value {got} vs recurrence {want} at (n={n}, x={x})",
             )
     return "n <= 12 against the three-term recurrence, 1e-10"
 
@@ -256,7 +263,7 @@ def _suite_generating_numeric() -> str:
                 closed = math.exp(-u * t / (1 - t)) / (1 - t) ** (m + 1)
                 _ensure(
                     abs(total - closed) <= 1e-8,
-                    f"partial sum {total} vs closed form {closed} at "
+                    lambda: f"partial sum {total} vs closed form {closed} at "
                     f"(m={m}, alpha={alpha}, x={x})",
                 )
     return "orders m <= 3, partial sums to t^25 at t=0.3 within 1e-8"
@@ -279,7 +286,7 @@ def _suite_round_trip() -> str:
         p = random_exppoly(rng, rates=_ROUND_TRIP_RATES, max_degree=8)
         _ensure(
             laplace.inverse(laplace.transform(p)) == p,
-            f"round trip moved {p}",
+            lambda: f"round trip moved {p}",
         )
     return "40 random exp-polynomials, inverse(transform) exact"
 
@@ -313,7 +320,7 @@ def _suite_shift() -> str:
         a, p = shifts[i % 3], _property_draw(rng)
         lhs = laplace.transform(ExpPoly.exp(-a) * p)
         rhs = laplace.transform(p).shifted(a)
-        _ensure(lhs == rhs, f"shift by {a} broken for {p}")
+        _ensure(lhs == rhs, lambda: f"shift by {a} broken for {p}")
     return f"{_PROPERTY_DRAWS} draws, a in {{1, 2, 1/2}}, exact partial-fraction identity"
 
 
@@ -323,7 +330,7 @@ def _suite_u_multiplication() -> str:
         n, p = i % 5, _property_draw(rng)
         lhs = laplace.transform(ExpPoly.from_poly(ReducedPoly.monomial(n)) * p)
         rhs = (-1) ** n * laplace.transform(p).d_ds(n)
-        _ensure(lhs == rhs, f"u^{n} multiplication rule broken")
+        _ensure(lhs == rhs, lambda: f"u^{n} multiplication rule broken")
     return f"{_PROPERTY_DRAWS} draws, orders n <= 4, (-1)^n d^n/ds^n exact"
 
 
@@ -333,7 +340,7 @@ def _suite_derivative_rule() -> str:
         p = _property_draw(rng)
         lhs = laplace.transform(p.d_alpha())
         rhs = laplace.derivative_rule(laplace.transform(p), p.value_at_zero())
-        _ensure(lhs == rhs, f"derivative rule broken for {p}")
+        _ensure(lhs == rhs, lambda: f"derivative rule broken for {p}")
     return f"{_PROPERTY_DRAWS} random exp-polynomials, s*F - f(0) exact"
 
 
@@ -366,7 +373,7 @@ def _suite_named_pairs() -> str:
             numeric = integrate.quad_transform(g, s, fixed)
             _ensure(
                 abs(numeric - closed) <= tol,
-                f"{sig.kind} p={sig.p} at s={s}: quadrature {numeric} "
+                lambda: f"{sig.kind} p={sig.p} at s={s}: quadrature {numeric} "
                 f"vs closed {closed}",
             )
             checks += 1
@@ -376,7 +383,7 @@ def _suite_named_pairs() -> str:
 def _suite_s_domain_residual() -> str:
     for n in range(13):
         residual = laplace.s_domain_residual(laplace.laguerre_transform(n), n)
-        _ensure(residual.is_zero, f"nonzero residual {residual} at n={n}")
+        _ensure(residual.is_zero, lambda: f"nonzero residual {residual} at n={n}")
     return "n <= 12, expanded (s-1)^n/s^(n+1) annihilates the operator"
 
 
@@ -400,7 +407,7 @@ def _suite_exact_vs_quadrature() -> str:
             got = integrate.quad_dalpha(f, alpha, rule)
             _ensure(
                 abs(got - float(want)) <= 1e-8 * (1 + abs(float(want))),
-                f"quadrature {got} vs exact {want} at alpha={alpha} for {p}",
+                lambda: f"quadrature {got} vs exact {want} at alpha={alpha} for {p}",
             )
     return "10 random integrands x 4 orders, 1e-8 relative"
 
@@ -420,7 +427,7 @@ def _suite_alpha_independence() -> str:
         spread = max(values) - min(values)
         _ensure(
             spread <= 1e-8 * (1 + max(abs(v) for v in values)),
-            f"alpha dependence {spread} for {p}",
+            lambda: f"alpha dependence {spread} for {p}",
         )
     return "3 integrands x 4 orders, spread below 1e-8"
 
@@ -430,7 +437,7 @@ def _suite_orthogonality_matrix() -> str:
         for j in range(11):
             value = integrate.orthonormality(i, j)
             want = Fraction(1 if i == j else 0)
-            _ensure(value == want, f"entry ({i},{j}) = {value}")
+            _ensure(value == want, lambda: f"entry ({i},{j}) = {value}")
     return "11x11 weighted product matrix is exactly the identity"
 
 
@@ -444,7 +451,8 @@ def _suite_gauss_exactness() -> str:
             want = float(math.factorial(k))
             _ensure(
                 abs(got - want) <= 1e-10 * want,
-                f"moment u^{k} off by {abs(got - want) / want:.2e} at order {order}",
+                lambda: f"moment u^{k} off by {abs(got - want) / want:.2e} "
+                f"at order {order}",
             )
     return "orders 5, 10, 20 reproduce k! for k <= 2N-1 at 1e-10 relative"
 
@@ -472,7 +480,7 @@ def _suite_figure_fixtures() -> str:
                 want = fig.formula(x, alpha)
                 _ensure(
                     abs(row[column] - want) <= 1e-12,
-                    f"figure {fig.number} at (x={x}, alpha={alpha}): "
+                    lambda: f"figure {fig.number} at (x={x}, alpha={alpha}): "
                     f"table {row[column]} vs formula {want}",
                 )
                 checks += 1
@@ -481,7 +489,7 @@ def _suite_figure_fixtures() -> str:
             exact = float(assoc_closed(fig.n, fig.m)(Fraction(x)))
             _ensure(
                 abs(row[-1] - exact) <= 1e-10,
-                f"figure {fig.number} at x={x}: alpha=1 column {row[-1]} "
+                lambda: f"figure {fig.number} at x={x}: alpha=1 column {row[-1]} "
                 f"vs exact {exact}",
             )
     return f"{checks} fixture points across 11 figures, 1e-12"
@@ -505,7 +513,7 @@ def _suite_alpha_approach() -> str:
         deviations = (row[1] - row[3], row[2] - row[3])
         _ensure(
             abs(deviations[1]) < abs(deviations[0]),
-            f"figure {fig.number}: deviation at x=1 does not shrink as alpha -> 1",
+            lambda: f"figure {fig.number}: deviation at x=1 does not shrink as alpha -> 1",
         )
         for alpha, deviation in zip((0.9, 0.99), deviations):
             h = (1 - Fraction(alpha)) / Fraction(alpha)
@@ -516,7 +524,7 @@ def _suite_alpha_approach() -> str:
             ))
             _ensure(
                 abs(remainder) <= tail + 1e-12,
-                f"figure {fig.number} at alpha={alpha}: deviation {deviation} "
+                lambda: f"figure {fig.number} at alpha={alpha}: deviation {deviation} "
                 f"leaves {remainder:.3e} beyond L'(1)*h, over the Taylor tail "
                 f"{tail:.3e} + 1e-12",
             )

@@ -607,3 +607,133 @@ class TestExpPolyCanonicalForm:
         assert (f + ExpPoly.exp(1) - f).terms == ExpPoly.exp(1).terms
         assert (f * 0).terms == ()
         assert d_alpha_n(ExpPoly.from_poly(ReducedPoly((1, 2))), 2).terms == ()
+
+
+# -- integer rate sums, derivative steps and scalar products -----------------
+#
+# ExpPoly products add rates as reduced (numerator, denominator) ints and
+# build one Fraction per distinct rate; these tests hold them against sums
+# of Fractions, with rates whose denominators differ.
+
+mixed_rates = st.sampled_from(
+    [F(-2), F(-1), F(-5, 6), F(-2, 3), F(-1, 2), F(-1, 3), F(0),
+     F(1, 3), F(1, 2), F(2, 3), F(5, 6), F(1)]
+)
+mixed_exppolys = st.builds(
+    ExpPoly,
+    st.lists(st.tuples(mixed_rates, st.builds(ReducedPoly, fraction_lists)), max_size=4),
+)
+
+
+def product_oracle(f, g):
+    """f * g as {Fraction rate: coefficient tuple}, from Fraction rate sums
+    and the `conv` oracle, without zero polynomials."""
+    out = {}
+    for ra, pa in f.terms:
+        for rb, pb in g.terms:
+            r = ra + rb
+            out[r] = model_add(out.get(r, ()), model_mul(pa.coeffs, pb.coeffs))
+    return {r: cs for r, cs in out.items() if cs}
+
+
+class TestIntegerRateSums:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_exppolys, mixed_exppolys)
+    def test_product_against_the_fraction_oracle(self, f, g):
+        want = product_oracle(f, g)
+        for got in (f * g, g * f):
+            assert_exppoly_canonical(got)
+            assert {r: p.coeffs for r, p in got.terms} == want
+            assert got.rates == tuple(sorted(want))
+
+    def test_pairs_with_the_same_sum_merge(self):
+        a, b = ExpPoly.exp(F(1, 2)), ExpPoly.exp(F(1, 3))
+        assert (a * b).terms == (b * a).terms == ExpPoly.exp(F(5, 6)).terms
+        got = (a + b) * (b + a)
+        assert got.terms == ExpPoly(
+            ((F(2, 3), 1), (F(5, 6), 2), (F(1), 1))
+        ).terms
+        assert all(type(r) is F for r in got.rates)
+
+    def test_cancelling_products_drop_their_rate(self):
+        a, b = ExpPoly.exp(F(1, 2)), ExpPoly.exp(F(1, 3))
+        # (a + b)(b - a) = b^2 - a^2: the two exp(5/6 u) terms cancel
+        assert ((a + b) * (b - a)).rates == (F(2, 3), F(1))
+        assert ((a + b) * (b - a)).terms == (b * b - a * a).terms
+        one = ExpPoly.exp(F(-1, 2)) * a
+        assert one.terms == ((F(0), ReducedPoly.one()),)
+        assert type(one.rates[0]) is F
+        assert (ExpPoly.exp(F(-2, 3), U) * ExpPoly.exp(F(5, 6), 0)).is_zero
+
+    def test_equal_denominators_reduce(self):
+        # 1/6 + 1/6 = 1/3 and 1/4 + 3/4 = 1: the sum is put in lowest terms
+        assert (ExpPoly.exp(F(1, 6)) * ExpPoly.exp(F(1, 6))).rates == (F(1, 3),)
+        got = ExpPoly.exp(F(1, 4)) * ExpPoly.exp(F(3, 4))
+        assert got.rates == (F(1),) and got.rates[0].denominator == 1
+        # 1/2 + 1/2 and 0 + 1 must land on one rate 1, and -1/2 + 1/2 on 0
+        f = ExpPoly.exp(F(1, 2)) + 1
+        g = ExpPoly.exp(F(1, 2)) + ExpPoly.exp(1)
+        assert (f * g).terms == ExpPoly(((F(1, 2), 1), (F(1), 2), (F(3, 2), 1))).terms
+        h = ExpPoly.exp(F(-1, 2)) + ExpPoly.exp(-1)
+        assert (g * h).terms[1] == (F(0), ReducedPoly((2,)))
+
+
+class TestRateDerivative:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_rates, st.builds(ReducedPoly, fraction_lists), st.integers(0, 6))
+    def test_d_alpha_n_is_iterated_p_prime_plus_rp(self, r, p, n):
+        want = p
+        for _ in range(n):
+            want = want.deriv() + want * r
+        got = d_alpha_n(ExpPoly.exp(r, p), n)
+        assert_exppoly_canonical(got)
+        assert got.terms == ExpPoly.exp(r, want).terms
+
+    @pytest.mark.parametrize("r", [F(0), F(-1), F(2), F(-2, 3), F(5, 6)])
+    def test_weighted_monomial(self, r):
+        # (d/du + r)^3 u^3 = 6 + 18 r u + 9 r^2 u^2 + r^3 u^3
+        got = d_alpha_n(ExpPoly.exp(r, ReducedPoly.monomial(3)), 3)
+        want = ReducedPoly((6, 18 * r, 9 * r**2, r**3))
+        assert got.terms == ExpPoly.exp(r, want).terms
+
+    def test_zero_polynomial_stays_zero(self):
+        from claguerre.alpha_calc import _rate_derivative
+
+        for r in (F(0), F(1, 2), F(-3)):
+            for n in (0, 1, 4):
+                assert _rate_derivative(r, ReducedPoly(), n).is_zero
+
+
+class TestScalarProducts:
+    """`*` with an int, a bool or a Fraction, on either side, scales every
+    coefficient; a float operand is rejected."""
+
+    values = [
+        ReducedPoly((1, F(-2, 3), 0, 5)),
+        ExpPoly(((F(-1, 2), ReducedPoly((1, F(-2, 3)))), (F(0), U), (F(1, 3), 4))),
+    ]
+
+    @pytest.mark.parametrize("value", values)
+    @pytest.mark.parametrize("c", [0, 1, -3, True, False, F(2, 3), F(-5), F(0)])
+    def test_exact_scalars_on_both_sides(self, value, c):
+        if isinstance(value, ReducedPoly):
+            want = ReducedPoly([x * F(c) for x in value.coeffs])
+        else:
+            want = ExpPoly(
+                (r, ReducedPoly([x * F(c) for x in p.coeffs])) for r, p in value.terms
+            )
+        for got in (value * c, c * value):
+            assert type(got) is type(value)
+            assert got == want
+            if isinstance(got, ReducedPoly):
+                assert_canonical(got)
+            else:
+                assert_exppoly_canonical(got)
+                assert got.terms == want.terms
+
+    @pytest.mark.parametrize("value", values)
+    def test_float_operand_is_rejected(self, value):
+        with pytest.raises(TypeError):
+            value * 0.5
+        with pytest.raises(TypeError):
+            0.5 * value

@@ -168,6 +168,12 @@ class TestGeneratingSeries:
         with pytest.raises(AlgebraError):
             generating_series(2, 30)
 
+    def test_remainder_guard_fires_at_the_first_inexact_step(self, monkeypatch):
+        # over D = 1, S_2 = 2 - u and 2 does not divide its u coefficient
+        monkeypatch.setattr(laguerre, "factorial", lambda k: 1)
+        with pytest.raises(AlgebraError, match="2 does not divide"):
+            generating_series(0, 2)
+
     def test_partial_sum_against_closed_form(self):
         t = 0.3
         for alpha in (0.5, 1.0):

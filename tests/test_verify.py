@@ -1,8 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from claguerre import verify
+from claguerre.alpha_calc import ExpPoly, ReducedPoly
 from claguerre.laguerre import laguerre_pair
 from claguerre.verify import (
     SUITES,
@@ -73,3 +76,23 @@ def test_benchmark_suite_metrics_name_registry_suites():
                   for name, _ in entries}
     assert declared
     assert [name for name in declared if name not in registered] == []
+
+
+def test_passing_checks_build_no_failure_message(monkeypatch):
+    # a message that shows a polynomial costs its str on every draw
+    def forbidden(self):
+        raise AssertionError("a passing check rendered a polynomial")
+
+    for cls in (ExpPoly, ReducedPoly):
+        monkeypatch.setattr(cls, "__str__", forbidden)
+    report = run_suites("all")
+    assert report.all_passed, [e.detail for e in report.entries if not e.passed]
+
+
+def test_failing_check_reports_its_formatted_message(monkeypatch):
+    monkeypatch.setattr(verify.laplace, "inverse", lambda T: ExpPoly())
+    first = verify.random_exppoly(
+        random.Random(verify._SEED + 4), rates=verify._ROUND_TRIP_RATES, max_degree=8
+    )
+    entry = run_suites("laplace").entries[0]
+    assert entry == SuiteResult("laplace/round-trip", False, f"round trip moved {first}")
