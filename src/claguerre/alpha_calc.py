@@ -235,9 +235,7 @@ class ReducedPoly:
                     for j, y in enumerate(b, i):
                         out[j] += x * y
             return ReducedPoly._from_ints(out, self._den * other._den)
-        if isinstance(other, int):
-            return ReducedPoly._from_ints([other * a for a in self._num], self._den)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             p = other.numerator
             return ReducedPoly._from_ints(
                 [p * a for a in self._num], self._den * other.denominator
@@ -481,10 +479,7 @@ class ExpPoly:
         for r, pa in self._terms:
             a, b = r.numerator, r.denominator
             for c, d, pb in right:
-                if b == d:
-                    num, den = a + c, b
-                else:
-                    num, den = a * d + c * b, b * d
+                num, den = a * d + c * b, b * d
                 g = math.gcd(num, den)
                 pairs.append(((num // g, den // g), pa * pb))
         return ExpPoly._from_sorted(_collect_rates(pairs))
