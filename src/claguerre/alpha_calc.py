@@ -9,15 +9,17 @@ with exact rational arithmetic, with alpha entering only at evaluation or
 rendering time.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.  A
-ReducedPoly fills its Fraction coefficient view on first use; threads that
-race to fill it compute equal tuples, so sharing stays safe.
+function, so everything here is safe to share across threads.  Both exact
+types store integers only and fill their Fraction views on first use:
+``ReducedPoly.coeffs`` and ``ExpPoly.terms``.  Threads that race to fill a
+view compute equal tuples, so sharing stays safe.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Union
 
 __all__ = [
@@ -90,6 +92,13 @@ def _reduced_u(x, alpha) -> float:
     if x < 0:
         raise ValueError("x must be nonnegative")
     return _finite_u(float(x) ** a / a)
+
+
+def _add_ints(a, b) -> list[int]:
+    """Coefficientwise sum of two integer sequences of any lengths."""
+    if len(a) > len(b):
+        a, b = b, a
+    return [*map(add, a, b), *b[len(a):]]
 
 
 # The one subtraction of the exact types (ReducedPoly, ExpPoly and
@@ -208,12 +217,7 @@ class ReducedPoly:
             a = [c * fa for c in a]
             b = [c * fb for c in b]
             da *= fa
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ReducedPoly._from_ints(out, da)
+        return ReducedPoly._from_ints(_add_ints(a, b), da)
 
     __radd__ = __add__
 
@@ -391,54 +395,87 @@ class ReducedPoly:
 class ExpPoly:
     """Finite sum of poly(u) * exp(rate * u) terms with rational rates.
 
-    Terms are merged on construction so rates are pairwise distinct, terms
-    with a zero polynomial part are dropped, and the remaining terms are kept
-    sorted by rate.  The rate-0 term is the plain polynomial part.  The
-    public constructor validates every term; results of the operations go
-    through private constructors that skip that check, and the derivatives,
-    negation and scalar products, which keep the rates, skip the merge too.
+    The :class:`ReducedPoly` form one level up: the distinct rates as
+    reduced ``(numerator, denominator)`` int keys in increasing order, one
+    tuple of integer numerators per rate, ending in a nonzero entry, and one
+    positive denominator shared by every term and coprime to the numerators
+    together.  The form is canonical, so equality and hashing are
+    structural, and each operation normalises its result once.  ``terms``
+    builds the ``(Fraction, ReducedPoly)`` view on first use.  A plain
+    polynomial (rate 0 only) compares and hashes equal to its ReducedPoly.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_keys", "_nums", "_den", "_terms")
 
     def __init__(self, terms: Iterable[tuple[Rational, "ReducedPoly | Rational"]] = ()):
-        checked = []
+        # The sum of the terms, through the one merge of two blocks.
+        total = ExpPoly._from_block((), (), 1)
         for rate, poly in terms:
-            r = _as_fraction(rate)
-            p = ReducedPoly._coerce(poly)
-            if p is None:
-                raise TypeError(f"polynomial part expected, got {type(poly).__name__}")
-            checked.append(((r.numerator, r.denominator), p))
-        self._terms = _collect_rates(checked)
+            total = total + ExpPoly.exp(rate, poly)
+        self._set(total._keys, total._nums, total._den)
+
+    def _set(self, keys, nums, den: int) -> None:
+        """Store increasing rate keys, one integer list each, over the
+        positive ``den``, after dropping trailing zeros, empty rates and the
+        common factor."""
+        ks, ns, g = [], [], den
+        for key, num in zip(keys, nums):
+            while num and not num[-1]:
+                num = num[:-1]
+            if num:
+                ks.append(key)
+                ns.append(num)
+                if g != 1:
+                    g = math.gcd(g, *num)
+        if not ns:
+            den = 1
+        elif g != 1:
+            ns = [[c // g for c in num] for num in ns]
+            den //= g
+        self._keys = tuple(ks)
+        self._nums = tuple(map(tuple, ns))
+        self._den = den
+        self._terms = None
 
     @classmethod
-    def _from_sorted(cls, terms: Iterable[tuple[Fraction, ReducedPoly]]) -> "ExpPoly":
-        """Internal constructor: validated terms with distinct, increasing
-        rates; only zero polynomials are dropped."""
+    def _from_block(cls, keys, nums, den: int) -> "ExpPoly":
+        """Internal constructor: the arguments of :meth:`_set`, normalised
+        there; skips the public per-term check and merge."""
         e = cls.__new__(cls)
-        e._terms = tuple((r, p) for r, p in terms if p)
+        e._set(keys, nums, den)
         return e
 
     @classmethod
     def from_poly(cls, poly) -> "ExpPoly":
-        return cls(((Fraction(0), poly),))
+        return cls.exp(0, poly)
 
     @classmethod
     def exp(cls, rate: Rational, poly: "ReducedPoly | Rational" = 1) -> "ExpPoly":
         """poly(u) * exp(rate * u)."""
-        return cls(((rate, poly),))
+        r = rate if isinstance(rate, int) else _as_fraction(rate)
+        p = ReducedPoly._coerce(poly)
+        if p is None:
+            raise TypeError(f"polynomial part expected, got {type(poly).__name__}")
+        return cls._from_block(((r.numerator, r.denominator),), (p._num,), p._den)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, ReducedPoly], ...]:
+        """The ``(rate, polynomial)`` pairs in rate order, built on first use."""
+        if self._terms is None:
+            den = self._den
+            self._terms = tuple(
+                (Fraction(*key), ReducedPoly._from_ints(list(num), den))
+                for key, num in zip(self._keys, self._nums)
+            )
         return self._terms
 
     @property
     def rates(self) -> tuple[Fraction, ...]:
-        return tuple(r for r, _ in self._terms)
+        return tuple(r for r, _ in self.terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys
 
     @staticmethod
     def _coerce(value) -> "ExpPoly | None":
@@ -453,12 +490,42 @@ class ExpPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return ExpPoly._from_sorted(_merge_rates(self._terms, q._terms))
+        ka, na, kb, nb, den = self._keys, self._nums, q._keys, q._nums, self._den
+        if den != q._den:
+            g = math.gcd(den, q._den)
+            fa, fb = q._den // g, den // g
+            na = [[c * fa for c in num] for num in na]
+            nb = [[c * fb for c in num] for num in nb]
+            den *= fa
+        # One merge of the two rate-sorted blocks, comparing a/b < c/d as
+        # a*d < c*b.
+        keys, nums = [], []
+        i = j = 0
+        while i < len(ka) and j < len(kb):
+            (a, b), (c, d) = ka[i], kb[j]
+            if a == c and b == d:
+                keys.append(ka[i])
+                nums.append(_add_ints(na[i], nb[j]))
+                i += 1
+                j += 1
+            elif a * d < c * b:
+                keys.append(ka[i])
+                nums.append(na[i])
+                i += 1
+            else:
+                keys.append(kb[j])
+                nums.append(nb[j])
+                j += 1
+        keys += ka[i:] + kb[j:]
+        nums += na[i:] + nb[j:]
+        return ExpPoly._from_block(keys, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly._from_sorted([(r, -p) for r, p in self._terms])
+        return ExpPoly._from_block(
+            self._keys, [[-c for c in num] for num in self._nums], self._den
+        )
 
     __sub__, __rsub__ = _sub, _rsub
 
@@ -466,25 +533,45 @@ class ExpPoly:
         if isinstance(other, ExpPoly):
             q = other
         elif isinstance(other, (int, Fraction)):
-            return ExpPoly._from_sorted([(r, p * other) for r, p in self._terms])
+            p = other.numerator
+            return ExpPoly._from_block(
+                self._keys,
+                [[p * c for c in num] for num in self._nums],
+                self._den * other.denominator,
+            )
         else:
             q = self._coerce(other)
             if q is None:
                 return NotImplemented
-        # Rates add pairwise, exp(a*u) * exp(b*u) = exp((a+b)*u), as reduced
-        # (numerator, denominator) ints; _collect_rates builds one Fraction
-        # per distinct sum.
-        right = [(r.numerator, r.denominator, p) for r, p in q._terms]
-        pairs = []
-        for r, pa in self._terms:
-            a, b = r.numerator, r.denominator
-            for c, d, pb in right:
-                num, den = a * d + c * b, b * d
-                g = math.gcd(num, den)
-                pairs.append(((num // g, den // g), pa * pb))
-        return ExpPoly._from_sorted(_collect_rates(pairs))
+        # exp(a*u) * exp(b*u) = exp((a+b)*u): each pair of terms convolves
+        # straight into the integer accumulator of its rate sum, over the
+        # product of the two denominators.
+        merged: dict[tuple[int, int], list[int]] = {}
+        right = tuple(zip(q._keys, q._nums))
+        for ka, x in zip(self._keys, self._nums):
+            for kb, y in right:
+                out = merged.setdefault(_rate_sum(ka, kb), [])
+                size = len(x) + len(y) - 1
+                if len(out) < size:
+                    out.extend([0] * (size - len(out)))
+                for i, c in enumerate(x):
+                    if c:
+                        for k, v in enumerate(y, i):
+                            out[k] += c * v
+        keys = _rate_order(merged)
+        return ExpPoly._from_block(keys, [merged[k] for k in keys], self._den * q._den)
 
     __rmul__ = __mul__
+
+    def shift_rate(self, a: Rational) -> "ExpPoly":
+        """The product by exp(a*u): every rate moves by a, so the rate order
+        and the integer block carry over unchanged."""
+        a = _as_fraction(a)
+        step = (a.numerator, a.denominator)
+        e = ExpPoly.__new__(ExpPoly)
+        e._keys = tuple(_rate_sum(key, step) for key in self._keys)
+        e._nums, e._den, e._terms = self._nums, self._den, None
+        return e
 
     def d_alpha(self) -> "ExpPoly":
         """Conformable derivative, :func:`d_alpha_n` with n = 1: on a rate-r
@@ -493,21 +580,24 @@ class ExpPoly:
 
     def value_at_zero(self) -> Fraction:
         """Exact value at u = 0 (exponentials all equal 1 there)."""
-        return sum((p(Fraction(0)) for _, p in self._terms), start=Fraction(0))
+        return Fraction(sum(num[0] for num in self._nums), self._den)
 
     def as_poly(self) -> ReducedPoly:
         """The rate-0 polynomial, provided no exponential term survives."""
-        if not self._terms:
+        if not self._keys:
             return ReducedPoly()
-        if len(self._terms) == 1 and self._terms[0][0] == 0:
-            return self._terms[0][1]
+        if self._keys == ((0, 1),):
+            # One rate-0 term in block form is already a canonical ReducedPoly.
+            p = ReducedPoly.__new__(ReducedPoly)
+            p._num, p._den, p._fractions = self._nums[0], self._den, None
+            return p
         raise AlgebraError(f"exponential terms survive in {self}")
 
     def eval_u(self, u: float) -> float:
         """Numeric value at u.  A nan u raises ValueError and an infinite u
         OverflowError, also on the zero ExpPoly, which is 0.0 at finite u."""
         u = _finite_u(u)
-        return sum((p(u) * math.exp(float(r) * u) for r, p in self._terms), 0.0)
+        return sum((p(u) * math.exp(float(r) * u) for r, p in self.terms), 0.0)
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0; by continuity u = 0 at x = 0."""
@@ -517,24 +607,24 @@ class ExpPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._terms == q._terms
+        return self._keys == q._keys and self._nums == q._nums and self._den == q._den
 
     def __hash__(self):
-        if not self._terms:
+        if not self._keys:
             return 0
-        if len(self._terms) == 1 and self._terms[0][0] == 0:
+        if self._keys == ((0, 1),):
             # A plain polynomial equals (and hashes like) its ReducedPoly.
-            return hash(self._terms[0][1])
-        return hash(("ExpPoly", self._terms))
+            return hash(self.as_poly())
+        return hash(("ExpPoly", self._keys, self._nums, self._den))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._keys)
 
     def __str__(self):
-        if not self._terms:
+        if not self._keys:
             return "0"
         pieces = []
-        for r, p in self._terms:
+        for r, p in self.terms:
             body = p.to_str("u")
             if r != 0:
                 body = f"({body})" if (" " in body or body.startswith("-")) else body
@@ -544,74 +634,33 @@ class ExpPoly:
         return " + ".join(pieces)
 
     def __repr__(self):
-        return f"ExpPoly({[(str(r), str(p)) for r, p in self._terms]})"
+        return f"ExpPoly({[(str(r), str(p)) for r, p in self.terms]})"
 
 
-def _merge_rates(a, b) -> tuple:
-    """Sum two rate-sorted tuples of (rate, ReducedPoly) pairs in one pass,
-    dropping rates whose polynomials cancel."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ra, rb = a[i][0], b[j][0]
-        if ra == rb:
-            p = a[i][1] + b[j][1]
-            if p:
-                out.append((ra, p))
-            i += 1
-            j += 1
-        elif ra < rb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _rate_sum(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int]:
+    """The reduced key of the sum of two reduced rate keys."""
+    (a, b), (c, d) = ka, kb
+    if b == d == 1:
+        return (a + c, 1)
+    num, den = a * d + c * b, b * d
+    g = math.gcd(num, den)
+    return (num // g, den // g)
 
 
-def _collect_rates(pairs) -> tuple:
-    """Merge validated ((numerator, denominator), ReducedPoly) pairs in any
-    order, each key a rate in lowest terms with a positive denominator, into
-    a rate-sorted tuple of (Fraction rate, ReducedPoly) without zero
-    polynomials.
+def _rate_order(keys) -> list[tuple[int, int]]:
+    """Distinct reduced rate keys in increasing order.
 
-    Keys are hashed as tuples of ints, far cheaper than Fraction.__hash__,
-    and one Fraction is built per distinct rate, after the merge.
+    Sorting on the correctly rounded float of each rate is exact unless two
+    rates round to one float or overflow; a cross-multiplied check of
+    neighbours catches that, and the keys are then sorted as Fractions.
     """
-    merged: dict[tuple[int, int], ReducedPoly] = {}
-    for key, p in pairs:
-        old = merged.get(key)
-        merged[key] = p if old is None else old + p
-    return tuple(sorted(
-        ((Fraction(*key), p) for key, p in merged.items() if p),
-        key=lambda t: t[0],
-    ))
-
-
-def _rate_derivative(rate: Fraction, p: ReducedPoly, n: int) -> ReducedPoly:
-    """(d/du + rate)**n applied to p: the polynomial factor of the n-th
-    derivative of p(u) * exp(rate*u), on integer numerators.
-
-    At rate 0 this is ``p.deriv(n)``.  Otherwise each of the n steps is one
-    comprehension over the numerators, so the route stays the iterated
-    derivative and never expands (d/du + rate)**n binomially (that
-    expansion on u**N * exp(-u) would recompute the closed-form Laguerre
-    coefficients, and the Rodrigues check would lose its independence).
-    """
-    a, b = rate.numerator, rate.denominator
-    num = p._num
-    if not a or not num:
-        return p.deriv(n)
-    # With rate = a/b, p' + rate*p has numerators a*c[k] + b*(k+1)*c[k+1],
-    # and a*c[d] on top, over one more factor b of the denominator.
-    bk = range(b, b * len(num), b)
-    for _ in range(n):
-        nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
-        nxt.append(a * num[-1])
-        num = nxt
-    return ReducedPoly._from_ints(num, p._den * b**n)
+    try:
+        keys = sorted(keys, key=lambda key: key[0] / key[1])
+        if all(a * d < c * b for (a, b), (c, d) in zip(keys, keys[1:])):
+            return keys
+    except OverflowError:
+        pass
+    return sorted(keys, key=lambda key: Fraction(*key))
 
 
 def d_alpha(f):
@@ -627,20 +676,40 @@ def d_alpha(f):
 def d_alpha_n(f, n: int):
     """n-fold conformable derivative.
 
-    On an ExpPoly each term's polynomial is stepped n times through
-    p <- p' + rate*p and one ExpPoly is built at the end.
+    On an ExpPoly the factor of a rate-r term is stepped n times through
+    p <- p' + r*p, on the integer numerators of the whole block, and the
+    result is normalised once.  The route stays the iterated derivative and
+    never expands (d/du + r)**n binomially: that expansion on
+    u**N * exp(-u) would recompute the closed-form Laguerre coefficients,
+    and the Rodrigues check would lose its independence.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if isinstance(f, ReducedPoly):
         return f.deriv(n)
-    if isinstance(f, ExpPoly):
-        if n == 0:
-            return f
-        return ExpPoly._from_sorted(
-            (r, _rate_derivative(r, p, n)) for r, p in f._terms
-        )
-    raise TypeError(f"ReducedPoly or ExpPoly expected, got {type(f).__name__}")
+    if not isinstance(f, ExpPoly):
+        raise TypeError(f"ReducedPoly or ExpPoly expected, got {type(f).__name__}")
+    if n == 0 or not f._keys:
+        return f
+    # Each rate is written a/B over the common B of the rate denominators.
+    # A step then sends numerators c[k] to a*c[k] + B*(k+1)*c[k+1], with
+    # a*c[d] on top, over one more factor B of the denominator; at rate 0
+    # the n steps are the plain n-th derivative times B**n.
+    B = math.lcm(*(b for _, b in f._keys))
+    nums = []
+    for (a, b), num in zip(f._keys, f._nums):
+        if a:
+            a *= B // b
+            bk = range(B, B * len(num), B)
+            for _ in range(n):
+                nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
+                nxt.append(a * num[-1])
+                num = nxt
+        else:
+            scale = B**n
+            num = [scale * math.perm(k, n) * num[k] for k in range(n, len(num))]
+        nums.append(num)
+    return ExpPoly._from_block(f._keys, nums, f._den * B**n)
 
 
 def d_alpha_numeric(

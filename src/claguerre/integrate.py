@@ -52,21 +52,22 @@ def moment_exact(f: ExpPoly) -> Fraction:
     f = ExpPoly._coerce(f)
     if f is None:
         raise TypeError("ExpPoly expected")
-    total = Fraction(0)
-    for rate, poly in f.terms:
-        if rate >= 0:
-            raise DivergenceError(f"rate {rate} >= 0, integral diverges")
+    top, bottom = 0, 1
+    for (a, b), num in zip(f._keys, f._nums):
+        if a >= 0:
+            raise DivergenceError(f"rate {Fraction(a, b)} >= 0, integral diverges")
         # With -rate = a/b and K = deg, the term sum is
         # b * sum_k num[k] * k! * b**k * a**(K-k) / (den * a**(K+1)),
         # accumulated by Horner in a over the integer numerators.
-        a, b = -rate.numerator, rate.denominator
+        a = -a
         acc, weight = 0, 1
-        for k, c in enumerate(poly._num):
+        for k, c in enumerate(num):
             if k:
                 weight *= k * b
             acc = acc * a + c * weight
-        total += Fraction(b * acc, poly._den * a ** len(poly._num))
-    return total
+        d = a ** len(num)
+        top, bottom = top * d + b * acc * bottom, bottom * d
+    return Fraction(top, bottom * f._den)
 
 
 def orthonormality(n: int, m_index: int) -> Fraction:

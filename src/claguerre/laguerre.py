@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, perm
-from operator import add
 from typing import Sequence
 
-from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, d_alpha_n
+from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
 
 __all__ = [
     "GeneratingExpansion",
@@ -99,7 +98,7 @@ def assoc_rodrigues(n: int, m: int) -> ReducedPoly:
     """
     _check_index(n, m)
     seed = ExpPoly.exp(-1, ReducedPoly.monomial(n + m))
-    flattened = (d_alpha_n(seed, n) * ExpPoly.exp(1)).as_poly()
+    flattened = d_alpha_n(seed, n).shift_rate(1).as_poly()
     return flattened.divide_by_u(m) * Fraction(1, factorial(n))
 
 
@@ -232,11 +231,6 @@ def generating_series(m: int, order: int) -> GeneratingExpansion:
     return GeneratingExpansion(
         order, tuple(ReducedPoly._from_ints(c, den) for c in coeffs)
     )
-
-
-def _add_ints(short: list[int], long: list[int]) -> list[int]:
-    """Coefficientwise sum of two integer lists, the first no longer."""
-    return list(map(add, short, long)) + long[len(short):]
 
 
 def values_at_zero(n: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -31,9 +31,7 @@ from .alpha_calc import (
     ExpPoly,
     ReducedPoly,
     _as_fraction,
-    _collect_rates,
     _join_signed,
-    _merge_rates,
     _rsub,
     _sub,
     as_alpha,
@@ -65,6 +63,49 @@ class PoleTerm(NamedTuple):
     coeff: Fraction
     rate: Fraction
     order: int
+
+
+def _merge_rates(a, b) -> tuple:
+    """Sum two rate-sorted tuples of (rate, ReducedPoly) pairs in one pass,
+    dropping rates whose polynomials cancel."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ra, rb = a[i][0], b[j][0]
+        if ra == rb:
+            p = a[i][1] + b[j][1]
+            if p:
+                out.append((ra, p))
+            i += 1
+            j += 1
+        elif ra < rb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _collect_rates(pairs) -> tuple:
+    """Merge validated ((numerator, denominator), ReducedPoly) pairs in any
+    order, each key a rate in lowest terms with a positive denominator, into
+    a rate-sorted tuple of (Fraction rate, ReducedPoly) without zero
+    polynomials.
+
+    Keys are hashed as tuples of ints, far cheaper than Fraction.__hash__,
+    and one Fraction is built per distinct rate, after the merge.
+    """
+    merged: dict[tuple[int, int], ReducedPoly] = {}
+    for key, p in pairs:
+        old = merged.get(key)
+        merged[key] = p if old is None else old + p
+    return tuple(sorted(
+        ((Fraction(*key), p) for key, p in merged.items() if p),
+        key=lambda t: t[0],
+    ))
 
 
 class TransformExpr:
@@ -260,15 +301,15 @@ def transform(f: ExpPoly) -> TransformExpr:
     if f is None:
         raise TypeError("ExpPoly expected")
     rates = []
-    for rate, poly in f.terms:
+    for key, num in zip(f._keys, f._nums):
         # The coefficient of u**k becomes that of w**(k+1), times k!.
-        num = [0]
+        w = [0]
         fact = 1
-        for k, c in enumerate(poly._num):
+        for k, c in enumerate(num):
             if k:
                 fact *= k
-            num.append(c * fact)
-        rates.append((rate, ReducedPoly._from_ints(num, poly._den)))
+            w.append(c * fact)
+        rates.append((Fraction(*key), ReducedPoly._from_ints(w, f._den)))
     return TransformExpr._make(tuple(rates), ReducedPoly._from_ints([]))
 
 
@@ -278,10 +319,10 @@ def inverse(T: TransformExpr) -> ExpPoly:
         raise NonInvertibleError(
             "polynomial part present; no inverse within the function class"
         )
-    terms = []
+    keys, nums, dens = [], [], []
     for r, w in T._rates:
-        # Over the common denominator den * top!, the coefficient of u**k is
-        # the numerator of w**(k+1) times top!/k!.
+        # Over the denominator den * top!, the coefficient of u**k is the
+        # numerator of w**(k+1) times top!/k!.
         num = w._num
         top = len(num) - 2
         out = [0] * (top + 1)
@@ -289,8 +330,13 @@ def inverse(T: TransformExpr) -> ExpPoly:
         for k in range(top, -1, -1):
             out[k] = num[k + 1] * scale
             scale *= k
-        terms.append((r, ReducedPoly._from_ints(out, w._den * math.factorial(top))))
-    return ExpPoly._from_sorted(terms)
+        keys.append((r.numerator, r.denominator))
+        nums.append(out)
+        dens.append(w._den * math.factorial(top))
+    # One block over the common denominator of the rates.
+    den = math.lcm(*dens)
+    nums = [out if d == den else [c * (den // d) for c in out] for out, d in zip(nums, dens)]
+    return ExpPoly._from_block(keys, nums, den)
 
 
 def derivative_rule(T: TransformExpr, f0) -> TransformExpr:

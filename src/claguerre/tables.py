@@ -56,7 +56,8 @@ def build_table(
     """Evaluate the (n, m) polynomial on an even x grid, one column per alpha.
 
     Every value equals ``laguerre_pair(n, m, x**alpha / alpha)[0]`` bit for
-    bit; a value that overflows to a non-finite float raises ValueError.
+    bit; a value that overflows to a non-finite float raises ValueError, and
+    so does a grid whose points round to repeated floats.
     """
     if not (math.isfinite(x_min) and math.isfinite(x_max)):
         raise ValueError(
@@ -74,5 +75,10 @@ def build_table(
     header = ("x",) + tuple(f"L_{n}^{m}(alpha={a!r})" for a in alphas)
     step = (x_max - x_min) / (samples - 1)
     xs = [x_min + i * step for i in range(samples)]
+    if any(map(le, xs[1:], xs)):
+        raise ValueError(
+            f"{samples} samples on [{x_min!r}, {x_max!r}] round to repeated "
+            "x values; use fewer samples or a wider range"
+        )
     columns = [laguerre_column(n, m, [x**a / a for x in xs]) for a in alphas]
     return SampleTable(header, tuple(zip(xs, *columns)))

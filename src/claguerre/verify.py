@@ -89,21 +89,31 @@ def random_exppoly(
     max_degree: int = 6,
     max_terms: int = 3,
 ) -> ExpPoly:
-    terms = []
+    """Up to ``max_terms`` of the distinct exact ``rates``, each times a
+    polynomial of degree at most ``max_degree`` with coefficients p/q,
+    p in [-4, 4] and q in [1, 3], built on integers over the lcm of the
+    drawn q."""
+    drawn = []
     for rate in rng.sample(list(rates), k=rng.randint(1, min(max_terms, len(rates)))):
-        degree = rng.randint(0, max_degree)
-        coeffs = [
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)
-        ]
-        terms.append((Fraction(rate), ReducedPoly(coeffs)))
-    return ExpPoly(terms)
+        drawn.append((rate, _draw_coeffs(rng, rng.randint(0, max_degree))))
+    den = math.lcm(*(q for _, cs in drawn for _, q in cs))
+    drawn.sort(key=lambda t: t[0])
+    return ExpPoly._from_block(
+        [(r.numerator, r.denominator) for r, _ in drawn],
+        [[p * (den // q) for p, q in cs] for _, cs in drawn],
+        den,
+    )
 
 
 def _random_poly(rng: random.Random, max_degree: int = 6) -> ReducedPoly:
-    degree = rng.randint(0, max_degree)
-    return ReducedPoly(
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)
-    )
+    cs = _draw_coeffs(rng, rng.randint(0, max_degree))
+    den = math.lcm(*(q for _, q in cs))
+    return ReducedPoly._from_ints([p * (den // q) for p, q in cs], den)
+
+
+def _draw_coeffs(rng: random.Random, degree: int) -> list[tuple[int, int]]:
+    """degree + 1 coefficients as (p, q) pairs, p drawn before q."""
+    return [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
 
 
 # -- alpha_calc ---------------------------------------------------------------

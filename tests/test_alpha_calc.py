@@ -697,11 +697,9 @@ class TestRateDerivative:
         assert got.terms == ExpPoly.exp(r, want).terms
 
     def test_zero_polynomial_stays_zero(self):
-        from claguerre.alpha_calc import _rate_derivative
-
         for r in (F(0), F(1, 2), F(-3)):
             for n in (0, 1, 4):
-                assert _rate_derivative(r, ReducedPoly(), n).is_zero
+                assert d_alpha_n(ExpPoly.exp(r, ReducedPoly()), n).is_zero
 
 
 class TestScalarProducts:
@@ -737,3 +735,116 @@ class TestScalarProducts:
             value * 0.5
         with pytest.raises(TypeError):
             0.5 * value
+
+
+# -- the integer block behind ExpPoly -----------------------------------------
+#
+# An ExpPoly stores rate keys, one numerator tuple per rate and one shared
+# denominator; equal values must have equal storage, however they were built.
+
+
+def block(e):
+    return e._keys, e._nums, e._den
+
+
+def assert_block_canonical(e):
+    keys, nums, den = block(e)
+    assert den > 0 and len(keys) == len(nums)
+    assert all(b > 0 and math.gcd(a, b) == 1 for a, b in keys)
+    assert all(F(*k) < F(*k2) for k, k2 in zip(keys, keys[1:]))
+    assert all(type(num) is tuple and num and num[-1] for num in nums)
+    assert math.gcd(den, *(c for num in nums for c in num)) == 1 or not nums
+    assert nums or den == 1
+
+
+class TestExpPolyBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_exppolys, mixed_exppolys, scalars, st.integers(0, 4))
+    def test_every_route_gives_the_canonical_block(self, f, g, c, n):
+        for e in (f, f + g, f - g, -f, f * g, f * c, c * f, d_alpha_n(f, n),
+                  f.shift_rate(c)):
+            assert_block_canonical(e)
+        assert block((f + g) - g) == block(f)
+        assert block(f * g) == block(g * f)
+        assert hash(f * g) == hash(g * f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_exppolys, st.randoms(use_true_random=False))
+    def test_constructor_ignores_term_order(self, f, rnd):
+        # Split each term in two and shuffle the pieces.
+        pieces = [piece for r, p in f.terms for piece in ((r, p * F(1, 3)), (r, p * F(2, 3)))]
+        rnd.shuffle(pieces)
+        e = ExpPoly(pieces)
+        assert block(e) == block(f) and hash(e) == hash(f)
+
+    def test_constants_and_plain_polynomials_agree(self):
+        for value in (F(-5, 4), 3, ReducedPoly((1, F(-1, 2), 3))):
+            e = ExpPoly.from_poly(value)
+            assert e == value and hash(e) == hash(value)
+            assert e == ReducedPoly._coerce(value)
+            assert hash(e) == hash(ReducedPoly._coerce(value))
+        e = ExpPoly.exp(-1, F(1, 2)) * ExpPoly.exp(1, 6)
+        assert e == 3 and hash(e) == hash(3) == hash(ReducedPoly((3,)))
+
+    def test_terms_are_a_cached_view(self):
+        e = ExpPoly(((F(-1, 2), ReducedPoly((1, F(2, 3)))), (1, F(3, 4))))
+        assert e.terms is e.terms
+        for r, p in e.terms:
+            assert type(r) is F and type(p) is ReducedPoly
+            assert_canonical(p)
+        assert e.terms == ((F(-1, 2), ReducedPoly((1, F(2, 3)))), (F(1), ReducedPoly((F(3, 4),))))
+        assert e.rates == (F(-1, 2), F(1))
+
+    def test_cancellation_across_the_shared_denominator(self):
+        half, third = ExpPoly.exp(-1, F(1, 2)), ExpPoly.exp(-1, F(1, 3))
+        zero = 6 * (half + third) - 5 * ExpPoly.exp(-1)
+        assert zero == 0 and zero.is_zero and block(zero) == ((), (), 1)
+        # the shared factor 1/6 leaves with the cancelled term
+        e = ExpPoly.exp(-1, F(1, 6)) + ExpPoly.exp(2, F(1, 3)) - ExpPoly.exp(-1, F(1, 6))
+        assert block(e) == (((2, 1),), ((1,),), 3)
+
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_copy_and_pickle_round_trips(self, fill):
+        import copy
+        import pickle
+
+        e = ExpPoly(((F(-2, 3), ReducedPoly((1, 0, F(5, 7)))), (0, 2), (F(3, 2), U)))
+        if fill:
+            e.terms
+        for got in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert block(got) == block(e)
+            assert got == e and hash(got) == hash(e)
+            assert got.terms == e.terms and str(got) == str(e)
+
+    def test_rates_that_round_alike_or_overflow_stay_ordered(self):
+        huge = 10**400
+        rates = [F(huge + 1), F(huge), F(-10 * huge), F(10**20 + 1, 10**20), F(1), F(0)]
+        e = ExpPoly((r, 1) for r in rates)
+        assert e.rates == tuple(sorted(rates))
+        prod = e * e
+        assert_block_canonical(prod)
+        assert prod.rates == tuple(sorted({a + b for a in rates for b in rates}))
+        # Rate sums all near 1 that round to one float, first met out of order.
+        tiny = F(1, 10**20)
+        a = ExpPoly.exp(0) + ExpPoly.exp(tiny)
+        b = ExpPoly.exp(1) + ExpPoly.exp(1 + 2 * tiny)
+        assert (a * b).rates == (1, 1 + tiny, 1 + 2 * tiny, 1 + 3 * tiny)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rate_zero_beside_fractional_rates(self, n):
+        # The block's common denominator scales the rate-0 term as well.
+        terms = ((F(0), ReducedPoly((1, 2, F(3, 5), 4, 1))), (F(-1, 2), ReducedPoly((F(1, 3), 1))),
+                 (F(2, 3), ReducedPoly((5,))))
+        want = []
+        for r, p in terms:
+            for _ in range(n):
+                p = p.deriv() + p * r
+            want.append((r, p))
+        got = d_alpha_n(ExpPoly(terms), n)
+        assert_block_canonical(got)
+        assert got.terms == ExpPoly(want).terms
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_exppolys, scalars)
+    def test_shift_rate_is_the_product_by_an_exponential(self, f, a):
+        assert block(f.shift_rate(a)) == block(f * ExpPoly.exp(a))

@@ -79,6 +79,19 @@ class TestEval:
 
 
 class TestTable:
+    @pytest.mark.parametrize(
+        "xmin, xmax, samples",
+        [("1e16", "1.0000000000000004e16", "10"), ("0", "5e-324", "100000")],
+    )
+    def test_grid_that_collapses_names_its_cause(self, capsys, xmin, xmax, samples):
+        # The bounds increase, but the samples round to repeated floats.
+        result = run_cli(capsys, "table", "--n", "0", "--xmin", xmin,
+                         "--xmax", xmax, "--samples", samples)
+        _assert_one_line_usage_error(result)
+        err = result[2]
+        assert repr(float(xmin)) in err and repr(float(xmax)) in err
+        assert f"{samples} samples" in err and "repeated x values" in err
+
     def test_two_sample_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--n", "1", "--alpha", "1",

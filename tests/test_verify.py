@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,3 +97,51 @@ def test_failing_check_reports_its_formatted_message(monkeypatch):
     )
     entry = run_suites("laplace").entries[0]
     assert entry == SuiteResult("laplace/round-trip", False, f"round trip moved {first}")
+
+
+# -- the random builders ------------------------------------------------------
+#
+# References built through Fractions and the public constructors: the
+# integer builders must make the same rng calls in the same order and
+# return the same values.
+
+
+def reference_exppoly(rng, rates=(Fraction(-2), Fraction(-1), Fraction(0), Fraction(1)),
+                      max_degree=6, max_terms=3):
+    terms = []
+    for rate in rng.sample(list(rates), k=rng.randint(1, min(max_terms, len(rates)))):
+        degree = rng.randint(0, max_degree)
+        coeffs = [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)
+        ]
+        terms.append((Fraction(rate), ReducedPoly(coeffs)))
+    return ExpPoly(terms)
+
+
+def reference_poly(rng, max_degree=6):
+    degree = rng.randint(0, max_degree)
+    return ReducedPoly(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)
+    )
+
+
+BUILDER_CASES = [
+    (verify.random_exppoly, reference_exppoly, {}),
+    (verify.random_exppoly, reference_exppoly, {"max_degree": 3, "max_terms": 2}),
+    (verify.random_exppoly, reference_exppoly,
+     {"rates": (Fraction(-1, 2), Fraction(-3), Fraction(2, 3), Fraction(0), Fraction(1)),
+      "max_degree": 8}),
+    (verify._random_poly, reference_poly, {}),
+    (verify._random_poly, reference_poly, {"max_degree": 8}),
+]
+
+
+@pytest.mark.parametrize("build, reference, kwargs", BUILDER_CASES)
+def test_integer_builders_match_the_fraction_reference(build, reference, kwargs):
+    for seed in range(200):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got, want = build(got_rng, **kwargs), reference(want_rng, **kwargs)
+            assert got == want
+            assert repr(got) == repr(want)
+        assert got_rng.getstate() == want_rng.getstate()
