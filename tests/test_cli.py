@@ -92,6 +92,15 @@ class TestTable:
         assert repr(float(xmin)) in err and repr(float(xmax)) in err
         assert f"{samples} samples" in err and "repeated x values" in err
 
+    def test_fine_grid_whose_points_stay_apart(self, capsys):
+        # Floats near 1e16 are 2 apart: a step of one spacing is kept.
+        code, out, _ = run_cli(capsys, "table", "--n", "0", "--alpha", "1", "--xmin", "1e16",
+                               "--xmax", "1.0000000000000006e16", "--samples", "4")
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == [
+            "1e+16", "1.0000000000000002e+16", "1.0000000000000004e+16",
+            "1.0000000000000006e+16"]
+
     def test_two_sample_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--n", "1", "--alpha", "1",
