@@ -408,11 +408,20 @@ class ExpPoly:
     __slots__ = ("_keys", "_nums", "_den", "_terms")
 
     def __init__(self, terms: Iterable[tuple[Rational, "ReducedPoly | Rational"]] = ()):
-        # The sum of the terms, through the one merge of two blocks.
-        total = ExpPoly._from_block((), (), 1)
-        for rate, poly in terms:
-            total = total + ExpPoly.exp(rate, poly)
-        self._set(total._keys, total._nums, total._den)
+        # exp() checks each term; the terms of one rate are summed on
+        # integers over the lcm of the term denominators.
+        blocks = [ExpPoly.exp(rate, poly) for rate, poly in terms]
+        den = math.lcm(*(b._den for b in blocks))
+        merged: dict[tuple[int, int], list[int]] = {}
+        for b in blocks:
+            scale = den // b._den
+            for key, num in zip(b._keys, b._nums):
+                out = merged.setdefault(key, [])
+                out.extend([0] * (len(num) - len(out)))
+                for k, c in enumerate(num):
+                    out[k] += c * scale
+        keys = _rate_order(merged)
+        self._set(keys, [merged[k] for k in keys], den)
 
     def _set(self, keys, nums, den: int) -> None:
         """Store increasing rate keys, one integer list each, over the
@@ -702,7 +711,10 @@ def d_alpha_n(f, n: int):
             a *= B // b
             bk = range(B, B * len(num), B)
             for _ in range(n):
-                nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
+                if a == -1:  # the Rodrigues weight exp(-u): subtract, skip a*c
+                    nxt = [e * d - c for c, d, e in zip(num, num[1:], bk)]
+                else:
+                    nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
                 nxt.append(a * num[-1])
                 num = nxt
         else:
