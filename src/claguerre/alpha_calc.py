@@ -408,25 +408,15 @@ class ExpPoly:
     __slots__ = ("_keys", "_nums", "_den", "_terms")
 
     def __init__(self, terms: Iterable[tuple[Rational, "ReducedPoly | Rational"]] = ()):
-        # exp() checks each term; the terms of one rate are summed on
-        # integers over the lcm of the term denominators.
-        blocks = [ExpPoly.exp(rate, poly) for rate, poly in terms]
-        den = math.lcm(*(b._den for b in blocks))
-        merged: dict[tuple[int, int], list[int]] = {}
-        for b in blocks:
-            scale = den // b._den
-            for key, num in zip(b._keys, b._nums):
-                out = merged.setdefault(key, [])
-                out.extend([0] * (len(num) - len(out)))
-                for k, c in enumerate(num):
-                    out[k] += c * scale
-        keys = _rate_order(merged)
-        self._set(keys, [merged[k] for k in keys], den)
+        # exp() checks each term.
+        e = _merged([ExpPoly.exp(rate, poly) for rate, poly in terms])
+        self._keys, self._nums, self._den, self._terms = e._keys, e._nums, e._den, None
 
-    def _set(self, keys, nums, den: int) -> None:
-        """Store increasing rate keys, one integer list each, over the
-        positive ``den``, after dropping trailing zeros, empty rates and the
-        common factor."""
+    @classmethod
+    def _from_block(cls, keys, nums, den: int) -> "ExpPoly":
+        """Internal constructor: increasing rate keys, one integer list
+        each, over the positive ``den``; trailing zeros, empty rates and the
+        common factor are removed here."""
         ks, ns, g = [], [], den
         for key, num in zip(keys, nums):
             while num and not num[-1]:
@@ -441,17 +431,8 @@ class ExpPoly:
         elif g != 1:
             ns = [[c // g for c in num] for num in ns]
             den //= g
-        self._keys = tuple(ks)
-        self._nums = tuple(map(tuple, ns))
-        self._den = den
-        self._terms = None
-
-    @classmethod
-    def _from_block(cls, keys, nums, den: int) -> "ExpPoly":
-        """Internal constructor: the arguments of :meth:`_set`, normalised
-        there; skips the public per-term check and merge."""
         e = cls.__new__(cls)
-        e._set(keys, nums, den)
+        e._keys, e._nums, e._den, e._terms = tuple(ks), tuple(map(tuple, ns)), den, None
         return e
 
     @classmethod
@@ -499,35 +480,7 @@ class ExpPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        ka, na, kb, nb, den = self._keys, self._nums, q._keys, q._nums, self._den
-        if den != q._den:
-            g = math.gcd(den, q._den)
-            fa, fb = q._den // g, den // g
-            na = [[c * fa for c in num] for num in na]
-            nb = [[c * fb for c in num] for num in nb]
-            den *= fa
-        # One merge of the two rate-sorted blocks, comparing a/b < c/d as
-        # a*d < c*b.
-        keys, nums = [], []
-        i = j = 0
-        while i < len(ka) and j < len(kb):
-            (a, b), (c, d) = ka[i], kb[j]
-            if a == c and b == d:
-                keys.append(ka[i])
-                nums.append(_add_ints(na[i], nb[j]))
-                i += 1
-                j += 1
-            elif a * d < c * b:
-                keys.append(ka[i])
-                nums.append(na[i])
-                i += 1
-            else:
-                keys.append(kb[j])
-                nums.append(nb[j])
-                j += 1
-        keys += ka[i:] + kb[j:]
-        nums += na[i:] + nb[j:]
-        return ExpPoly._from_block(keys, nums, den)
+        return _merged((self, q))
 
     __radd__ = __add__
 
@@ -577,10 +530,8 @@ class ExpPoly:
         and the integer block carry over unchanged."""
         a = _as_fraction(a)
         step = (a.numerator, a.denominator)
-        e = ExpPoly.__new__(ExpPoly)
-        e._keys = tuple(_rate_sum(key, step) for key in self._keys)
-        e._nums, e._den, e._terms = self._nums, self._den, None
-        return e
+        keys = [_rate_sum(key, step) for key in self._keys]
+        return ExpPoly._from_block(keys, self._nums, self._den)
 
     def d_alpha(self) -> "ExpPoly":
         """Conformable derivative, :func:`d_alpha_n` with n = 1: on a rate-r
@@ -644,6 +595,22 @@ class ExpPoly:
 
     def __repr__(self):
         return f"ExpPoly({[(str(r), str(p)) for r, p in self.terms]})"
+
+
+def _merged(blocks) -> ExpPoly:
+    """The sum of ExpPolys: each block is rescaled once to the lcm of the
+    denominators, and like rates are added on their integer lists."""
+    den = math.lcm(*(e._den for e in blocks))
+    merged: dict[tuple[int, int], list[int]] = {}
+    for e in blocks:
+        scale = den // e._den
+        for key, num in zip(e._keys, e._nums):
+            if scale != 1:
+                num = [c * scale for c in num]
+            old = merged.get(key)
+            merged[key] = num if old is None else _add_ints(old, num)
+    keys = _rate_order(merged)
+    return ExpPoly._from_block(keys, [merged[k] for k in keys], den)
 
 
 def _rate_sum(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int]:
