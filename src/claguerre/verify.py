@@ -98,6 +98,8 @@ def random_exppoly(
         drawn.append((rate, _draw_coeffs(rng, rng.randint(0, max_degree))))
     den = math.lcm(*(q for _, cs in drawn for _, q in cs))
     drawn.sort(key=lambda t: t[0])
+    if any(r == s for (r, _), (s, _) in zip(drawn, drawn[1:])):
+        raise ValueError("rates must be distinct")
     return ExpPoly._from_block(
         [(r.numerator, r.denominator) for r, _ in drawn],
         [[p * (den // q) for p, q in cs] for _, cs in drawn],

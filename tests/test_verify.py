@@ -145,3 +145,9 @@ def test_integer_builders_match_the_fraction_reference(build, reference, kwargs)
             assert got == want
             assert repr(got) == repr(want)
         assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_repeated_rates_are_rejected():
+    with pytest.raises(ValueError, match="distinct"):
+        for seed in range(20):
+            verify.random_exppoly(random.Random(seed), rates=(Fraction(1), Fraction(1)))
