@@ -1,7 +1,7 @@
 """Exact-result regression guard.
 
-Two recorded fingerprints of the exact core, taken before the exp-polynomial
-storage moved to one common denominator, must keep matching:
+Two recorded fingerprints of the exact core must keep matching, so that a
+change of representation cannot move an exact result:
 
 * ``golden/verify_all.txt`` is the stdout of ``claguerre verify --scope all``;
 * ``golden/exact_results.sha256`` is a SHA-256 over the ``str``, ``repr``,
