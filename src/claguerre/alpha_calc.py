@@ -9,10 +9,10 @@ with exact rational arithmetic, with alpha entering only at evaluation or
 rendering time.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.  Both exact
-types store integers only and fill their Fraction views on first use:
-``ReducedPoly.coeffs`` and ``ExpPoly.terms``.  Threads that race to fill a
-view compute equal tuples, so sharing stays safe.
+function, so everything here is safe to share across threads.  All three
+exact types, these two and ``laplace.TransformExpr``, store integers only.
+``ReducedPoly.coeffs`` and ``ExpPoly.terms`` fill their Fraction views on
+first use; threads that race to fill one compute equal tuples.
 """
 
 from __future__ import annotations
@@ -419,8 +419,9 @@ class ExpPoly:
         common factor are removed here."""
         ks, ns, g = [], [], den
         for key, num in zip(keys, nums):
+            num = list(num)
             while num and not num[-1]:
-                num = num[:-1]
+                num.pop()
             if num:
                 ks.append(key)
                 ns.append(num)
@@ -600,6 +601,10 @@ class ExpPoly:
 def _merged(blocks) -> ExpPoly:
     """The sum of ExpPolys: each block is rescaled once to the lcm of the
     denominators, and like rates are added on their integer lists."""
+    # Every ExpPoly is canonical: zero blocks drop out, a lone block is the sum.
+    blocks = [e for e in blocks if e._keys]
+    if len(blocks) == 1:
+        return blocks[0]
     den = math.lcm(*(e._den for e in blocks))
     merged: dict[tuple[int, int], list[int]] = {}
     for e in blocks:

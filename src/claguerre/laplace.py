@@ -6,9 +6,9 @@ the substitution u = x**alpha / alpha (the measure x**(alpha-1) dx turns into
 du exactly).  On the exp-polynomial class the image is a rational function of
 s; it is stored in expanded partial-fraction form, pole terms c/(s-l)**m plus
 an explicit polynomial part, which keeps every manipulation exact.  The poles
-of one rate l are kept together as one integer-content polynomial in
-w = 1/(s-l), so sums, derivatives in s, products by s, shifts, the forward
-transform and its inverse are integer work on a few polynomials.
+are one ExpPoly integer block read in w = 1/(s-l), the same rate-keyed form
+as the functions, so sums, derivatives in s, products by s, shifts, the
+forward transform and its inverse are integer work on one block.
 
 The transform is formal: every pair is algebra regardless of convergence,
 which is how identities like exp(u) <-> 1/(s-1) are used in practice.
@@ -32,6 +32,7 @@ from .alpha_calc import (
     ReducedPoly,
     _as_fraction,
     _join_signed,
+    _merged,
     _rsub,
     _sub,
     as_alpha,
@@ -65,88 +66,44 @@ class PoleTerm(NamedTuple):
     order: int
 
 
-def _merge_rates(a, b) -> tuple:
-    """Sum two rate-sorted tuples of (rate, ReducedPoly) pairs in one pass,
-    dropping rates whose polynomials cancel."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ra, rb = a[i][0], b[j][0]
-        if ra == rb:
-            p = a[i][1] + b[j][1]
-            if p:
-                out.append((ra, p))
-            i += 1
-            j += 1
-        elif ra < rb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def _collect_rates(pairs) -> tuple:
-    """Merge validated ((numerator, denominator), ReducedPoly) pairs in any
-    order, each key a rate in lowest terms with a positive denominator, into
-    a rate-sorted tuple of (Fraction rate, ReducedPoly) without zero
-    polynomials.
-
-    Keys are hashed as tuples of ints, far cheaper than Fraction.__hash__,
-    and one Fraction is built per distinct rate, after the merge.
-    """
-    merged: dict[tuple[int, int], ReducedPoly] = {}
-    for key, p in pairs:
-        old = merged.get(key)
-        merged[key] = p if old is None else old + p
-    return tuple(sorted(
-        ((Fraction(*key), p) for key, p in merged.items() if p),
-        key=lambda t: t[0],
-    ))
-
-
 class TransformExpr:
     """Exact rational function of s in expanded partial-fraction form.
 
-    The poles are stored per rate: a rate-sorted tuple of pairs
-    ``(rate, W)`` where W is a :class:`ReducedPoly` in w = 1/(s - rate)
-    whose coefficient of w**m is the pole coefficient c of c/(s - rate)**m.
-    Each W is nonzero with a zero constant term, so the form is canonical
-    and equality is structural, and the operations below are integer work
-    on a few polynomials.  ``poles`` lists the same terms as ``PoleTerm``s
-    in (rate, order) order.  ``poly_part`` is a polynomial in s (a
-    :class:`ReducedPoly` read with variable s); it is nonzero only for
-    distributional images, which have no inverse in the function class.
+    The poles are one :class:`ExpPoly` integer block read in
+    w = 1/(s - rate): per rate, entry k of its integer list is the numerator
+    of the pole c/(s - rate)**(k+1), all over the block's one denominator.
+    The block is canonical, so equality is structural, and sums, negation,
+    scalar products and shifts are the block's own operations.  ``poles``
+    lists the same terms as ``PoleTerm``s in (rate, order) order, built on
+    each call.  ``poly_part`` is a polynomial in s (a :class:`ReducedPoly`
+    read with variable s); it is nonzero only for distributional images,
+    which have no inverse in the function class.
     """
 
-    __slots__ = ("_rates", "_poly")
+    __slots__ = ("_block", "_poly")
 
     def __init__(
         self,
         poles: Iterable[tuple] = (),
         poly_part: "ReducedPoly | int | Fraction" = 0,
     ):
-        pairs = []
+        terms = []
         for coeff, rate, order in poles:
             if not (isinstance(order, int) and order >= 1):
                 raise ValueError(f"pole order must be a positive integer, got {order!r}")
-            r = _as_fraction(rate)
-            w = ReducedPoly.monomial(order, coeff)
-            pairs.append(((r.numerator, r.denominator), w))
+            terms.append((rate, ReducedPoly.monomial(order - 1, coeff)))
         p = ReducedPoly._coerce(poly_part)
         if p is None:
             raise TypeError("poly_part must be exact")
-        self._rates = _collect_rates(pairs)
+        # ExpPoly checks each rate and merges like rates.
+        self._block = ExpPoly(terms)
         self._poly = p
 
     @classmethod
-    def _make(cls, rates: tuple, poly: ReducedPoly) -> "TransformExpr":
-        """Internal constructor: canonical per-rate pairs, no validation."""
+    def _make(cls, block: ExpPoly, poly: ReducedPoly) -> "TransformExpr":
+        """Internal constructor: a canonical block and polynomial, no validation."""
         T = cls.__new__(cls)
-        T._rates = rates
+        T._block = block
         T._poly = poly
         return T
 
@@ -155,15 +112,15 @@ class TransformExpr:
         if isinstance(value, TransformExpr):
             return value
         if isinstance(value, (int, Fraction)):
-            return TransformExpr._make((), ReducedPoly._coerce(value))
+            return TransformExpr._make(_NO_POLES, ReducedPoly._coerce(value))
         return None
 
     @property
     def poles(self) -> tuple[PoleTerm, ...]:
         return tuple(
-            PoleTerm(Fraction(c, w._den), r, m)
-            for r, w in self._rates
-            for m, c in enumerate(w._num)
+            PoleTerm(c, r, k + 1)
+            for r, p in self._block.terms
+            for k, c in enumerate(p.coeffs)
             if c
         )
 
@@ -173,42 +130,39 @@ class TransformExpr:
 
     @property
     def is_zero(self) -> bool:
-        return not self._rates and self._poly.is_zero
+        return self._block.is_zero and self._poly.is_zero
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._rates == other._rates and self._poly == other._poly
+        return self._block == other._block and self._poly == other._poly
 
     def __hash__(self):
-        if not self._rates:
+        if self._block.is_zero:
             # A pole-free expression equals (and hashes like) its polynomial.
             return hash(self._poly)
-        return hash(("TransformExpr", self._rates, self._poly))
+        return hash(("TransformExpr", self._block, self._poly))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return TransformExpr._make(
-            _merge_rates(self._rates, other._rates), self._poly + other._poly
+            _merged((self._block, other._block)), self._poly + other._poly
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TransformExpr._make(
-            tuple((r, -w) for r, w in self._rates), -self._poly
-        )
+        return TransformExpr._make(-self._block, -self._poly)
 
     __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        rates = tuple((r, w * scalar) for r, w in self._rates) if scalar else ()
-        return TransformExpr._make(rates, self._poly * scalar)
+        return TransformExpr._make(self._block * scalar, self._poly * scalar)
 
     __rmul__ = __mul__
 
@@ -216,63 +170,66 @@ class TransformExpr:
         """Exact n-th derivative in s.
 
         d/ds sends w**m to m * w**(m+1) with the sign of -1, so n steps send
-        it to (-1)**n * m(m+1)...(m+n-1) * w**(m+n).
+        it to (-1)**n * m(m+1)...(m+n-1) * w**(m+n); entry k, the pole of
+        order m = k+1, moves to entry k+n.
         """
         if not (isinstance(n, int) and n >= 0):
             raise ValueError("derivative order must be a nonnegative integer")
         if n == 0:
             return self
         sign = -1 if n % 2 else 1
-        rates = []
-        for r, w in self._rates:
-            num = [0] * (n + 1) + [
-                sign * math.perm(m + n - 1, n) * c for m, c in enumerate(w._num[1:], 1)
-            ]
-            rates.append((r, ReducedPoly._from_ints(num, w._den)))
-        return TransformExpr._make(tuple(rates), self._poly.deriv(n))
+        block = self._block
+        nums = [
+            [0] * n + [sign * math.perm(k + n, n) * c for k, c in enumerate(num)]
+            for num in block._nums
+        ]
+        return TransformExpr._make(
+            ExpPoly._from_block(block._keys, nums, block._den), self._poly.deriv(n)
+        )
 
     def mul_s(self) -> "TransformExpr":
         """Exact product by s, re-expanded into partial fractions.
 
-        With s = rate + 1/w, s * W(w) = rate*W(w) + W(w)/w: every coefficient
-        moves down one power of w, and the one that lands on w**0 joins the
-        polynomial part.
+        With s = rate + 1/w, s * W(w) = rate*W(w) + W(w)/w.  Over the common
+        Q of the rate denominators, rate = a/Q and entry k becomes
+        a*c[k] + Q*c[k+1] over one more factor Q; the w**1 entries, the
+        block's value at zero, land on w**0 and join the polynomial part.
         """
-        rates = []
-        extra = Fraction(0)
-        for r, w in self._rates:
-            num, den = w._num, w._den
-            p, q = r.numerator, r.denominator
-            extra += Fraction(num[1], den)
-            out = [p * c for c in num]
-            for k in range(1, len(num) - 1):
-                out[k] += q * num[k + 1]
-            W = ReducedPoly._from_ints(out, den * q)
-            if W:
-                rates.append((r, W))
+        block = self._block
+        Q = math.lcm(*(q for _, q in block._keys))
+        nums = []
+        for (p, q), num in zip(block._keys, block._nums):
+            a = p * (Q // q)
+            out = [a * c + Q * d for c, d in zip(num, num[1:])]
+            out.append(a * num[-1])
+            nums.append(out)
         poly = self._poly
         shifted = ReducedPoly._from_ints([0, *poly._num], poly._den)
-        return TransformExpr._make(tuple(rates), shifted + extra)
+        return TransformExpr._make(
+            ExpPoly._from_block(block._keys, nums, block._den * Q),
+            shifted + block.value_at_zero(),
+        )
 
     def shifted(self, a) -> "TransformExpr":
-        """Substitute s -> s + a exactly."""
+        """Substitute s -> s + a exactly: every rate moves by -a."""
         a = _as_fraction(a)
         return TransformExpr._make(
-            tuple((r - a, w) for r, w in self._rates), self._poly.taylor_shift(a)
+            self._block.shift_rate(-a), self._poly.taylor_shift(a)
         )
 
     def __call__(self, s: float) -> float:
         """Numeric value away from the poles, rounded once.
 
-        The sum is formed exactly at Fraction(s), each rate's polynomial in
-        w evaluated at w = 1/(s - rate): the pole terms of an image like
+        The sum is formed exactly at Fraction(s), each rate's terms summed
+        as w * P(w) at w = 1/(s - rate): the pole terms of an image like
         (s-1)**n / s**(n+1) cancel to many orders of magnitude below their
         size, so a float sum would keep none of the value's digits.
         """
         s = Fraction(s)
         total = self._poly(s)
-        for r, w in self._rates:
-            total += w(1 / (s - r))
+        for r, p in self._block.terms:
+            w = 1 / (s - r)
+            total += w * p(w)
         return float(total)
 
     def __str__(self):
@@ -291,6 +248,11 @@ class TransformExpr:
         return f"TransformExpr({self})"
 
 
+# Immutable, so shared: the poles of a coerced scalar, an empty polynomial part.
+_NO_POLES = ExpPoly()
+_ZERO = ReducedPoly()
+
+
 def transform(f: ExpPoly) -> TransformExpr:
     """Forward transform: u**k * exp(r*u) maps to k!/(s-r)**(k+1).
 
@@ -300,17 +262,16 @@ def transform(f: ExpPoly) -> TransformExpr:
     f = ExpPoly._coerce(f)
     if f is None:
         raise TypeError("ExpPoly expected")
-    rates = []
-    for key, num in zip(f._keys, f._nums):
-        # The coefficient of u**k becomes that of w**(k+1), times k!.
-        w = [0]
-        fact = 1
+    # The coefficient of u**k becomes entry k, the pole of order k+1, times k!.
+    nums = []
+    for num in f._nums:
+        out, fact = [], 1
         for k, c in enumerate(num):
             if k:
                 fact *= k
-            w.append(c * fact)
-        rates.append((Fraction(*key), ReducedPoly._from_ints(w, f._den)))
-    return TransformExpr._make(tuple(rates), ReducedPoly._from_ints([]))
+            out.append(c * fact)
+        nums.append(out)
+    return TransformExpr._make(ExpPoly._from_block(f._keys, nums, f._den), _ZERO)
 
 
 def inverse(T: TransformExpr) -> ExpPoly:
@@ -319,24 +280,18 @@ def inverse(T: TransformExpr) -> ExpPoly:
         raise NonInvertibleError(
             "polynomial part present; no inverse within the function class"
         )
-    keys, nums, dens = [], [], []
-    for r, w in T._rates:
-        # Over the denominator den * top!, the coefficient of u**k is the
-        # numerator of w**(k+1) times top!/k!.
-        num = w._num
-        top = len(num) - 2
-        out = [0] * (top + 1)
-        scale = 1
-        for k in range(top, -1, -1):
-            out[k] = num[k + 1] * scale
+    # Over the denominator den * top!, with top the highest entry index of
+    # any rate, the coefficient of u**k is entry k times top!/k!.
+    block = T._block
+    top = max(map(len, block._nums), default=1) - 1
+    nums = []
+    for num in block._nums:
+        out, scale = list(num), math.perm(top, top - len(num) + 1)
+        for k in range(len(num) - 1, -1, -1):
+            out[k] *= scale
             scale *= k
-        keys.append((r.numerator, r.denominator))
         nums.append(out)
-        dens.append(w._den * math.factorial(top))
-    # One block over the common denominator of the rates.
-    den = math.lcm(*dens)
-    nums = [out if d == den else [c * (den // d) for c in out] for out, d in zip(nums, dens)]
-    return ExpPoly._from_block(keys, nums, den)
+    return ExpPoly._from_block(block._keys, nums, block._den * math.factorial(top))
 
 
 def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
@@ -448,8 +403,8 @@ def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
 def laguerre_transform(n: int) -> TransformExpr:
     """(s-1)**n / s**(n+1), expanded exactly into sum_k (-1)**k C(n,k)/s**(k+1)."""
     _check_index(n)
-    w = ReducedPoly._from_ints([0] + [(-1) ** k * math.comb(n, k) for k in range(n + 1)])
-    return TransformExpr._make(((Fraction(0), w),), ReducedPoly._from_ints([]))
+    poles = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    return TransformExpr._make(ExpPoly._from_block(((0, 1),), (poles,), 1), _ZERO)
 
 
 def s_domain_residual(Y: TransformExpr, n: int) -> TransformExpr:

@@ -460,11 +460,13 @@ class RefTransform:
 
 
 def assert_per_rate_canonical(T):
-    rates = [r for r, _ in T._rates]
-    assert all(type(r) is F for r in rates)
+    block = T._block
+    rates = [F(*key) for key in block._keys]
     assert all(a < b for a, b in zip(rates, rates[1:]))
-    for _, w in T._rates:
-        assert w and w.coeffs[0] == 0
+    assert all(num and num[-1] for num in block._nums)
+    entries = [c for num in block._nums for c in num]
+    assert block._den > 0 and math.gcd(block._den, *entries) == 1
+    assert all(type(p.rate) is F for p in T.poles)
     assert list(T.poles) == sorted(T.poles, key=lambda p: (p.rate, p.order))
     assert all(type(p.coeff) is F and p.coeff for p in T.poles)
 
@@ -478,7 +480,10 @@ def assert_matches(got, ref):
     assert got == rebuilt and hash(got) == hash(rebuilt)
 
 
-pole_lists = st.lists(st.tuples(fractions, rates, st.integers(1, 6)), max_size=6)
+# Beside the rates above, rates over three different denominators, so sums,
+# mul_s and fractional shifts meet mixed rate denominators.
+pole_rates = st.one_of(rates, st.sampled_from([F(1, 3), F(-3, 4), F(5, 6)]))
+pole_lists = st.lists(st.tuples(fractions, pole_rates, st.integers(1, 6)), max_size=6)
 s_polys = st.builds(ReducedPoly, st.lists(fractions, max_size=4))
 scalars = st.one_of(st.integers(-3, 3), fractions)
 
@@ -535,6 +540,24 @@ class TestPerRateModel:
             (t.rate, ReducedPoly.monomial(t.order - 1, t.coeff / math.factorial(t.order - 1)))
             for t in ref.poles
         )
+
+    def test_transform_and_inverse_build_no_fraction(self, monkeypatch):
+        p = ExpPoly([(F(-1, 2), ReducedPoly((F(1, 3), 0, 2))), (1, ReducedPoly((1, F(-5, 4))))])
+        calls = []
+        new = F.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting_new)
+        T = transform(p)
+        in_transform = len(calls)
+        back = inverse(T)
+        in_inverse = len(calls) - in_transform
+        monkeypatch.undo()
+        assert (in_transform, in_inverse) == (0, 0)
+        assert back == p
 
     def test_laguerre_transform(self):
         for n in range(0, 41, 5):
