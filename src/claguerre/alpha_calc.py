@@ -10,7 +10,14 @@ rendering time.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.  All three
-exact types, these two and ``laplace.TransformExpr``, store integers only.
+exact types, these two and ``laplace.TransformExpr``, store integers only,
+in a canonical content/primitive-part form.  ``ReducedPoly._set`` and
+``ExpPoly._from_block`` are the one normaliser of each type, for results
+whose common factor can change (sums, products of two exact values,
+derivatives, transforms).  Results that are canonical by construction go
+through ``_make`` without the gcd pass: negation, rate shifts, a rate put on
+a canonical polynomial, division by u**m, and scalar products, which
+divide out only the factors the scalar can share with the block.
 ``ReducedPoly.coeffs`` and ``ExpPoly.terms`` fill their Fraction views on
 first use; threads that race to fill one compute equal tuples.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Callable, Iterable, NamedTuple, Union
 
 __all__ = [
@@ -162,6 +169,14 @@ class ReducedPoly:
         return p
 
     @classmethod
+    def _make(cls, num: tuple[int, ...], den: int) -> "ReducedPoly":
+        """Internal constructor for numerators already in canonical form;
+        nothing is checked or normalised."""
+        p = cls.__new__(cls)
+        p._num, p._den, p._fractions = num, den, None
+        return p
+
+    @classmethod
     def one(cls) -> "ReducedPoly":
         return cls((1,))
 
@@ -171,7 +186,9 @@ class ReducedPoly:
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
         c = _as_fraction(coeff)
-        return cls._from_ints([0] * k + [c.numerator], c.denominator)
+        if not c:
+            return _ZERO
+        return cls._make((0,) * k + (c.numerator,), c.denominator)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -200,10 +217,11 @@ class ReducedPoly:
     def _coerce(value) -> "ReducedPoly | None":
         if isinstance(value, ReducedPoly):
             return value
-        if isinstance(value, int):
-            return ReducedPoly._from_ints([value])
-        if isinstance(value, Fraction):
-            return ReducedPoly._from_ints([value.numerator], value.denominator)
+        if isinstance(value, (int, Fraction)):
+            # A Fraction is in lowest terms with a positive denominator.
+            if not value:
+                return _ZERO
+            return ReducedPoly._make((value.numerator,), value.denominator)
         return None
 
     def __add__(self, other):
@@ -222,7 +240,7 @@ class ReducedPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ReducedPoly._from_ints([-c for c in self._num], self._den)
+        return ReducedPoly._make(tuple(map(neg, self._num)), self._den)
 
     __sub__, __rsub__ = _sub, _rsub
 
@@ -232,7 +250,7 @@ class ReducedPoly:
         if isinstance(other, ReducedPoly):
             a, b = self._num, other._num
             if not a or not b:
-                return ReducedPoly._from_ints([])
+                return _ZERO
             out = [0] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 if x:
@@ -240,24 +258,25 @@ class ReducedPoly:
                         out[j] += x * y
             return ReducedPoly._from_ints(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return ReducedPoly._from_ints(
-                [p * a for a in self._num], self._den * other.denominator
-            )
+            return self._scaled(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            c = _as_fraction(scalar)
-            if not c:
+            p, q = scalar.numerator, scalar.denominator
+            if not p:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            q = c.denominator
-            return ReducedPoly._from_ints(
-                [q * a for a in self._num], self._den * c.numerator
-            )
+            return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
         return NotImplemented
+
+    def _scaled(self, p: int, q: int) -> "ReducedPoly":
+        """The product by p/q in lowest terms with q > 0, see :func:`_scale`."""
+        if not p or not self._num:
+            return _ZERO
+        (num,), den = _scale((self._num,), self._den, p, q)
+        return ReducedPoly._make(num, den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -289,7 +308,8 @@ class ReducedPoly:
             raise ValueError("power must be nonnegative")
         if any(self._num[:m]):
             raise AlgebraError(f"u^{m} does not divide {self}")
-        return ReducedPoly._from_ints(list(self._num[m:]), self._den)
+        # Only zeros leave, so the content and the top entry stay.
+        return ReducedPoly._make(self._num[m:], self._den)
 
     def taylor_shift(self, a: Rational) -> "ReducedPoly":
         """Coefficients of p(u + a)."""
@@ -320,7 +340,8 @@ class ReducedPoly:
         bit for bit; float Horner would err by about sum |c_k u**k| (Higham
         2002, sec. 5.1), far above the value for alternating coefficients.
         A nan u raises ValueError; an infinite u, or a value beyond the
-        float range, OverflowError.
+        float range, OverflowError.  A value that :meth:`_overflows` proves
+        too large raises before the sum is formed.
 
         A float call costs time in proportion to the degree times the
         float's binary exponent, since the scale is q**d for the power of two
@@ -336,6 +357,8 @@ class ReducedPoly:
         num = self._num
         if not num:
             return 0 * u
+        if isinstance(u, float) and self._overflows(p, q):
+            raise OverflowError(f"the value at u = {u!r} is beyond the float range")
         # Horner on integers: sum num[k] * p**k * q**(d-k) / (den * q**d).
         acc, scale = num[-1], 1
         for c in reversed(num[:-1]):
@@ -344,6 +367,25 @@ class ReducedPoly:
         if isinstance(u, float):
             return acc / (self._den * scale)
         return Fraction(acc, self._den * scale)
+
+    def _overflows(self, p: int, q: int) -> bool:
+        """Whether |self(u)| > 2**1025 is proved at u = p/q, q a power of two.
+
+        If |c_k| <= |c_d| * (|u|/3)**(d-k) for every k < d (the Fujiwara
+        form of the root bound), the lower terms sum to less than
+        |c_d| * |u|**d * (1/3 + 1/9 + ...), so |p(u)| > |c_d| * |u|**d / 2.
+        Both steps are checked on bit lengths, as 2**(b-1) <= |x| < 2**b for
+        an x of bit length b; each only ever errs towards no proof.
+        """
+        num = self._num
+        d = len(num) - 1
+        if d < 1 or not p:
+            return False
+        top = num[-1].bit_length() - 1  # |c_d| >= 2**top
+        e = p.bit_length() - q.bit_length() - 2  # |u|/3 > 2**e
+        if top - 1 - self._den.bit_length() + d * (e + 2) < 1025:
+            return False
+        return all(e * (d - k) >= c.bit_length() - top for k, c in enumerate(num[:-1]))
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0 for a given order (u = x**alpha / alpha).
@@ -392,6 +434,37 @@ class ReducedPoly:
         return f"ReducedPoly({[str(c) for c in self.coeffs]})"
 
 
+# The shared zero polynomial; every value here is immutable.
+_ZERO = ReducedPoly._make((), 1)
+
+
+def _scale(nums, den: int, p: int, q: int):
+    """The canonical block (nums, den) times p/q, for p/q != 0 in lowest
+    terms with q > 0: the new numerator tuples and denominator, canonical.
+
+    The content c of the numerators is coprime to den, and p to q, so the
+    common factor of p*nums and q*den is exactly gcd(p, den) * gcd(q, c)
+    (the content/primitive-part split, Knuth, TAOCP vol. 2, sec. 4.6.1).
+    An int scalar needs only the first gcd, and no pass over the block.
+    """
+    g = math.gcd(p, den)
+    if g != 1:
+        p //= g
+        den //= g
+    if q != 1:
+        h = q
+        for num in nums:
+            h = math.gcd(h, *num)
+            if h == 1:
+                break
+        den *= q // h
+        if h != 1:
+            return tuple(tuple([c // h * p for c in num]) for num in nums), den
+    if p == 1:
+        return nums, den
+    return tuple(tuple([c * p for c in num]) for num in nums), den
+
+
 class ExpPoly:
     """Finite sum of poly(u) * exp(rate * u) terms with rational rates.
 
@@ -400,7 +473,9 @@ class ExpPoly:
     tuple of integer numerators per rate, ending in a nonzero entry, and one
     positive denominator shared by every term and coprime to the numerators
     together.  The form is canonical, so equality and hashing are
-    structural, and each operation normalises its result once.  ``terms``
+    structural.  Sums, products and derivatives normalise their result
+    once; negation, ``shift_rate``, ``exp`` and scalar products keep the
+    form by construction and skip the pass.  ``terms``
     builds the ``(Fraction, ReducedPoly)`` view on first use.  A plain
     polynomial (rate 0 only) compares and hashes equal to its ReducedPoly.
     """
@@ -419,9 +494,10 @@ class ExpPoly:
         common factor are removed here."""
         ks, ns, g = [], [], den
         for key, num in zip(keys, nums):
-            num = list(num)
-            while num and not num[-1]:
-                num.pop()
+            if num and not num[-1]:
+                num = list(num)
+                while num and not num[-1]:
+                    num.pop()
             if num:
                 ks.append(key)
                 ns.append(num)
@@ -432,8 +508,14 @@ class ExpPoly:
         elif g != 1:
             ns = [[c // g for c in num] for num in ns]
             den //= g
+        return cls._make(tuple(ks), tuple(map(tuple, ns)), den)
+
+    @classmethod
+    def _make(cls, keys: tuple, nums: tuple, den: int) -> "ExpPoly":
+        """Internal constructor for a block already in canonical form:
+        nothing is checked or normalised."""
         e = cls.__new__(cls)
-        e._keys, e._nums, e._den, e._terms = tuple(ks), tuple(map(tuple, ns)), den, None
+        e._keys, e._nums, e._den, e._terms = keys, nums, den, None
         return e
 
     @classmethod
@@ -447,7 +529,10 @@ class ExpPoly:
         p = ReducedPoly._coerce(poly)
         if p is None:
             raise TypeError(f"polynomial part expected, got {type(poly).__name__}")
-        return cls._from_block(((r.numerator, r.denominator),), (p._num,), p._den)
+        if not p._num:
+            return _EMPTY
+        # A canonical polynomial under one reduced rate key is a canonical block.
+        return cls._make(((r.numerator, r.denominator),), (p._num,), p._den)
 
     @property
     def terms(self) -> tuple[tuple[Fraction, ReducedPoly], ...]:
@@ -486,8 +571,8 @@ class ExpPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly._from_block(
-            self._keys, [[-c for c in num] for num in self._nums], self._den
+        return ExpPoly._make(
+            self._keys, tuple(tuple(map(neg, num)) for num in self._nums), self._den
         )
 
     __sub__, __rsub__ = _sub, _rsub
@@ -496,12 +581,10 @@ class ExpPoly:
         if isinstance(other, ExpPoly):
             q = other
         elif isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return ExpPoly._from_block(
-                self._keys,
-                [[p * c for c in num] for num in self._nums],
-                self._den * other.denominator,
-            )
+            if not other or not self._keys:
+                return _EMPTY
+            nums, den = _scale(self._nums, self._den, other.numerator, other.denominator)
+            return ExpPoly._make(self._keys, nums, den)
         else:
             q = self._coerce(other)
             if q is None:
@@ -531,8 +614,8 @@ class ExpPoly:
         and the integer block carry over unchanged."""
         a = _as_fraction(a)
         step = (a.numerator, a.denominator)
-        keys = [_rate_sum(key, step) for key in self._keys]
-        return ExpPoly._from_block(keys, self._nums, self._den)
+        keys = tuple([_rate_sum(key, step) for key in self._keys])
+        return ExpPoly._make(keys, self._nums, self._den)
 
     def d_alpha(self) -> "ExpPoly":
         """Conformable derivative, :func:`d_alpha_n` with n = 1: on a rate-r
@@ -546,12 +629,10 @@ class ExpPoly:
     def as_poly(self) -> ReducedPoly:
         """The rate-0 polynomial, provided no exponential term survives."""
         if not self._keys:
-            return ReducedPoly()
+            return _ZERO
         if self._keys == ((0, 1),):
             # One rate-0 term in block form is already a canonical ReducedPoly.
-            p = ReducedPoly.__new__(ReducedPoly)
-            p._num, p._den, p._fractions = self._nums[0], self._den, None
-            return p
+            return ReducedPoly._make(self._nums[0], self._den)
         raise AlgebraError(f"exponential terms survive in {self}")
 
     def eval_u(self, u: float) -> float:
@@ -598,13 +679,17 @@ class ExpPoly:
         return f"ExpPoly({[(str(r), str(p)) for r, p in self.terms]})"
 
 
+# The shared empty block: the zero ExpPoly.
+_EMPTY = ExpPoly._make((), (), 1)
+
+
 def _merged(blocks) -> ExpPoly:
     """The sum of ExpPolys: each block is rescaled once to the lcm of the
     denominators, and like rates are added on their integer lists."""
     # Every ExpPoly is canonical: zero blocks drop out, a lone block is the sum.
     blocks = [e for e in blocks if e._keys]
-    if len(blocks) == 1:
-        return blocks[0]
+    if len(blocks) < 2:
+        return blocks[0] if blocks else _EMPTY
     den = math.lcm(*(e._den for e in blocks))
     merged: dict[tuple[int, int], list[int]] = {}
     for e in blocks:
@@ -631,10 +716,15 @@ def _rate_sum(ka: tuple[int, int], kb: tuple[int, int]) -> tuple[int, int]:
 def _rate_order(keys) -> list[tuple[int, int]]:
     """Distinct reduced rate keys in increasing order.
 
-    Sorting on the correctly rounded float of each rate is exact unless two
-    rates round to one float or overflow; a cross-multiplied check of
-    neighbours catches that, and the keys are then sorted as Fractions.
+    Integer rates sort as their key tuples.  Otherwise, sorting on the
+    correctly rounded float of each rate is exact unless two rates round to
+    one float or overflow; a cross-multiplied check of neighbours catches
+    that, and the keys are then sorted as Fractions.
     """
+    if len(keys) < 2:
+        return list(keys)
+    if all(b == 1 for _, b in keys):
+        return sorted(keys)
     try:
         keys = sorted(keys, key=lambda key: key[0] / key[1])
         if all(a * d < c * b for (a, b), (c, d) in zip(keys, keys[1:])):

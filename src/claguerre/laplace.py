@@ -30,6 +30,8 @@ from .alpha_calc import (
     AlgebraError,
     ExpPoly,
     ReducedPoly,
+    _EMPTY,
+    _ZERO,
     _as_fraction,
     _join_signed,
     _merged,
@@ -112,7 +114,7 @@ class TransformExpr:
         if isinstance(value, TransformExpr):
             return value
         if isinstance(value, (int, Fraction)):
-            return TransformExpr._make(_NO_POLES, ReducedPoly._coerce(value))
+            return TransformExpr._make(_EMPTY, ReducedPoly._coerce(value))
         return None
 
     @property
@@ -246,11 +248,6 @@ class TransformExpr:
 
     def __repr__(self):
         return f"TransformExpr({self})"
-
-
-# Immutable, so shared: the poles of a coerced scalar, an empty polynomial part.
-_NO_POLES = ExpPoly()
-_ZERO = ReducedPoly()
 
 
 def transform(f: ExpPoly) -> TransformExpr:

@@ -1,0 +1,106 @@
+"""Check the CLI's recorded outputs on every Python the package declares.
+
+Standard library only, so it runs where pytest is not installed; pytest
+does not collect it.  For each interpreter it runs ``python -m
+claguerre.cli`` from ``src/`` and compares:
+
+* ``solve --n {0,1,5,12}`` and ``verify --scope all`` with their golden
+  files in ``tests/golden/``;
+* the cases of ``test_cli.TestNegativeLookingValues`` (read from that file,
+  so they are written once), both as ``--opt value`` and ``--opt=value``:
+  exit 2, empty stdout and the one-line message on stderr.
+
+Usage::
+
+    python3 tests/check_versions.py [PYTHON ...]
+
+With no argument it runs the interpreters of ``VERSIONS`` found under
+``$PYENV_ROOT/versions`` (default ``~/.pyenv/versions``) and reports the
+ones that are missing.  It prints one line per check and exits 1 if any
+check fails or no interpreter was found.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+VERSIONS = ("3.10.13", "3.12.1", "3.13.0")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+GOLDEN = TESTS / "golden"
+
+
+def negative_looking_cases() -> list[tuple[tuple[str, ...], str]]:
+    """The (argv, message) table of ``TestNegativeLookingValues``."""
+    tree = ast.parse((TESTS / "test_cli.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "TestNegativeLookingValues":
+            for item in node.body:
+                for deco in getattr(item, "decorator_list", ()):
+                    if isinstance(deco, ast.Call) and deco.args[:1] and (
+                        ast.literal_eval(deco.args[0]) == "argv, message"
+                    ):
+                        return ast.literal_eval(deco.args[1])
+    raise LookupError("TestNegativeLookingValues cases not found in test_cli.py")
+
+
+def expectations():
+    """(name, argv, exit code, stdout, stderr) for every check."""
+    for n in (0, 1, 5, 12):
+        golden = (GOLDEN / f"solve_n{n}.txt").read_text()
+        yield f"solve --n {n}", ("solve", "--n", str(n)), 0, golden, ""
+    golden = (GOLDEN / "verify_all.txt").read_text()
+    yield "verify --scope all", ("verify", "--scope", "all"), 0, golden, ""
+    for argv, message in negative_looking_cases():
+        yield " ".join(argv), tuple(argv), 2, "", message
+        *head, option, value = argv
+        if option.startswith("--"):
+            joined = (*head, f"{option}={value}")
+            yield " ".join(joined), joined, 2, "", message
+
+
+def check(python: str) -> int:
+    """Run every check under one interpreter; the number that failed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    version = subprocess.run(
+        [python, "-c", "import sys; print(sys.version.split()[0])"],
+        capture_output=True, text=True, env=env,
+    ).stdout.strip()
+    failed = 0
+    for name, argv, code, out, err in expectations():
+        run = subprocess.run(
+            [python, "-m", "claguerre.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=SRC,
+        )
+        ok = (run.returncode, run.stdout, run.stderr) == (code, out, err)
+        failed += not ok
+        detail = "" if ok else f" (exit {run.returncode}, stderr {run.stderr[-200:]!r})"
+        print(f"{'PASS' if ok else 'FAIL'} {version} {name}{detail}")
+    return failed
+
+
+def main(argv: list[str]) -> int:
+    pythons = list(argv)
+    if not pythons:
+        root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+        for version in VERSIONS:
+            python = root / version / "bin" / "python3"
+            if python.exists():
+                pythons.append(str(python))
+            else:
+                print(f"MISSING {version}: no {python}")
+    if not pythons:
+        print("no interpreter to check")
+        return 1
+    failed = sum(check(python) for python in pythons)
+    print(f"{'all checks passed' if not failed else f'{failed} checks failed'}"
+          f" on {len(pythons)} interpreters")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

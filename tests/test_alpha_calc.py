@@ -342,6 +342,15 @@ fraction_lists = st.lists(
 scalars = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
 
 
+def factor_scalars(nums, den):
+    """Scalars that meet the factors of a block of numerator tuples over den:
+    0, negatives, ints sharing factors with den, and Fractions whose
+    denominator shares a factor with the numerators' content."""
+    content = math.gcd(*(c for num in nums for c in num)) or 1
+    return [0, -1, den, -6 * den, 2 * den + 2, F(1, content), F(-5, 6 * content),
+            F(3 * den, 2 * content)]
+
+
 def model(cs):
     """Canonical list-of-Fraction form: trailing zeros stripped."""
     out = [F(c) for c in cs]
@@ -408,8 +417,11 @@ class TestIntegerContentModel:
             (p + c, model_add(ma, (F(c),))),
             (c - p, model_add((F(c),), [-x for x in ma])),
         ]
-        if c:
-            cases.append((p / c, model([x / F(c) for x in ma])))
+        for k in (c, *factor_scalars((p._num,), p._den)):
+            cases += [(p * k, model([x * k for x in ma])), (k * p, model([x * k for x in ma]))]
+            if k:
+                cases.append((p / k, model([x / F(k) for x in ma])))
+        cases.append(((p * U**2).divide_by_u(2), ma))
         for got, want in cases:
             assert got.coeffs == want
             assert_canonical(got)
@@ -516,6 +528,30 @@ class TestIntegerContentModel:
     def test_value_past_the_float_range_raises(self):
         with pytest.raises(OverflowError):
             ReducedPoly.monomial(2)(1e200)
+
+    @pytest.mark.parametrize("u", [1e300, -1e300])
+    def test_a_proved_overflow_raises_before_the_sum(self, u):
+        from claguerre.laguerre import assoc_closed
+
+        p = assoc_closed(1500, 0)
+        assert p._overflows(*u.as_integer_ratio())
+        with pytest.raises(OverflowError):
+            p(u)
+
+    def test_values_at_the_edge_of_the_float_range(self):
+        assert ReducedPoly((0, 1))(1.7e308) == 1.7e308
+        # exact cancellation of two terms far past the float range
+        p = ReducedPoly((0, -(2**1000), 1))
+        assert not p._overflows(*(2.0**1000).as_integer_ratio())
+        assert p(2.0**1000) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**1100), 2**1100), min_size=2, max_size=6),
+           st.integers(1, 2**40), st.floats(allow_nan=False, allow_infinity=False))
+    def test_the_overflow_proof_is_sound(self, num, den, u):
+        p = ReducedPoly._from_ints(num, den)
+        if p._overflows(*u.as_integer_ratio()):
+            assert abs(p(F(u))) > 2**1025
 
     def test_canonical_forms(self):
         assert (ReducedPoly()._num, ReducedPoly()._den) == ((), 1)
@@ -761,12 +797,57 @@ class TestExpPolyBlock:
     @settings(max_examples=150, deadline=None)
     @given(mixed_exppolys, mixed_exppolys, scalars, st.integers(0, 4))
     def test_every_route_gives_the_canonical_block(self, f, g, c, n):
-        for e in (f, f + g, f - g, -f, f * g, f * c, c * f, d_alpha_n(f, n),
-                  f.shift_rate(c)):
+        routes = [f, f + g, f - g, -f, f * g, d_alpha_n(f, n), f.shift_rate(c)]
+        routes += [ExpPoly.exp(c, p) for _, p in f.terms] + [ExpPoly.exp(c, 0)]
+        for k in (c, *factor_scalars(f._nums, f._den)):
+            want = ExpPoly(
+                (r, ReducedPoly([x * F(k) for x in p.coeffs])) for r, p in f.terms
+            )
+            assert f * k == k * f == want
+            routes += [f * k, k * f]
+        for e in routes:
             assert_block_canonical(e)
         assert block((f + g) - g) == block(f)
         assert block(f * g) == block(g * f)
         assert hash(f * g) == hash(g * f)
+
+    def test_canonical_results_skip_the_normalising_pass(self, monkeypatch):
+        f = ExpPoly(((F(-1, 2), ReducedPoly((F(1, 3), 0, 2))), (1, ReducedPoly((4, F(-5, 6))))))
+        g = ExpPoly.exp(F(-1, 2), ReducedPoly((F(2, 9), 1)))
+        p = ReducedPoly((F(3, 4), 6, F(-9, 2)))
+        pu = p * U
+        calls = []
+        from_block, set_ = ExpPoly._from_block.__func__, ReducedPoly._set
+
+        def counting_from_block(cls, *args):
+            calls.append("_from_block")
+            return from_block(cls, *args)
+
+        def counting_set(self, *args):
+            calls.append("_set")
+            return set_(self, *args)
+
+        monkeypatch.setattr(ExpPoly, "_from_block", classmethod(counting_from_block))
+        monkeypatch.setattr(ReducedPoly, "_set", counting_set)
+        got = [-f, f.shift_rate(F(1, 2)), 3 * f, f * F(-2, 3), ExpPoly.exp(F(1, 3), p),
+               -p, 3 * p, p * F(2, 3), p / 6, pu.divide_by_u(1)]
+        direct = list(calls)
+        diff = f - g
+        monkeypatch.undo()
+        assert direct == []
+        assert calls == ["_from_block"]  # the sum; the negation of g is direct
+        cs = p.coeffs
+        want = [
+            ExpPoly((r, ReducedPoly([-x for x in q.coeffs])) for r, q in f.terms),
+            f * ExpPoly.exp(F(1, 2)),
+            ExpPoly((r, ReducedPoly([3 * x for x in q.coeffs])) for r, q in f.terms),
+            ExpPoly((r, ReducedPoly([F(-2, 3) * x for x in q.coeffs])) for r, q in f.terms),
+            ExpPoly([(F(1, 3), p)]),
+            ReducedPoly([-x for x in cs]), ReducedPoly([3 * x for x in cs]),
+            ReducedPoly([F(2, 3) * x for x in cs]), ReducedPoly([x / 6 for x in cs]), p,
+        ]
+        assert got == want
+        assert diff == ExpPoly(f.terms + tuple((r, -q) for r, q in g.terms))
 
     @settings(max_examples=100, deadline=None)
     @given(mixed_exppolys, st.randoms(use_true_random=False))
