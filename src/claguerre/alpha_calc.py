@@ -17,7 +17,10 @@ whose common factor can change (sums, products of two exact values,
 derivatives, transforms).  Results that are canonical by construction go
 through ``_make`` without the gcd pass: negation, rate shifts, a rate put on
 a canonical polynomial, division by u**m, and scalar products, which
-divide out only the factors the scalar can share with the block.
+divide out only the factors the scalar can share with the block.  Outside
+this module, ``laguerre.assoc_closed`` and ``laguerre.generating_series``
+build each degree-n polynomial over n! with top numerator +-1, so they use
+``_make`` too.
 ``ReducedPoly.coeffs`` and ``ExpPoly.terms`` fill their Fraction views on
 first use; threads that race to fill one compute equal tuples.
 """

@@ -71,11 +71,12 @@ def assoc_closed(n: int, m: int) -> ReducedPoly:
     """Associated polynomial with coefficient of u**r equal to
     (-1)**r * (n+m)! / ((n-r)! * (r+m)! * r!)."""
     _check_index(n, m)
-    # Over the denominator (n+m)!, the numerator of u**r is
-    # (-1)**r * C(n+m, n-r) * (n+m)!/r!.
-    return ReducedPoly._from_ints(
-        [(-1) ** r * comb(n + m, n - r) * perm(n + m, n + m - r) for r in range(n + 1)],
-        factorial(n + m),
+    # Over the denominator n!, the numerator of u**r is
+    # (-1)**r * C(n+m, n-r) * n!/r!.  The top one (r = n) is (-1)**n, so the
+    # form is canonical as built.
+    return ReducedPoly._make(
+        tuple([(-1) ** r * comb(n + m, n - r) * perm(n, n - r) for r in range(n + 1)]),
+        factorial(n),
     )
 
 
@@ -199,13 +200,17 @@ def generating_series(m: int, order: int) -> GeneratingExpansion:
     Multiplying by the geometric factor 1/(1-t)**(m+1) is m+1 prefix sums
     over the t-coefficients.
 
-    Every t-coefficient is held as a list of integer numerators over the one
-    denominator D = order!: the u**k coefficient of E_n is
-    (-1)**k * C(n-1, k-1) / k! with k <= n <= order, so k! divides D, and
-    the geometric factor has integer coefficients.  So the sums are plain
-    integer additions, each step divides by n exactly, and each coefficient
-    is normalised once, when its polynomial is built.  A step whose division
-    leaves a remainder raises AlgebraError rather than truncate.
+    Entry k of each t-coefficient list holds k! times its u**k coefficient,
+    so every entry is a small integer: for E_n it is (-1)**k * C(n-1, k-1).
+    The step becomes entry k of E_n = -k * S_n[k-1] / n, and scaling a
+    column commutes with the sums, which stay plain integer additions.  Row
+    n is built over the denominator n!, with numerator k = entry k * n!/k!.
+    Two checks guard the route and raise AlgebraError: a step whose division
+    by n leaves a remainder, rather than truncate; and a top entry of row n
+    other than (-1)**n, the scaled u**n entry of E_n, from which alone it
+    comes, as the lower rows are shorter.  Being +-1, that entry makes
+    gcd(n!, numerators) = 1, so each row is canonical as built, with no gcd
+    pass.
 
     The coefficient of t**n equals the associated polynomial of index
     (n, m); this route never touches the closed-form coefficients, so the
@@ -214,23 +219,32 @@ def generating_series(m: int, order: int) -> GeneratingExpansion:
     _check_index(0, m)
     if order < 1:
         raise ValueError("order must be at least 1")
-    den = factorial(order)
-    coeffs = [[den]]
+    coeffs = [[1]]
     prefix = s_n = coeffs[0]
     for n in range(1, order + 1):
-        # n*E_n = -u*S_n: shift by one place and divide by n exactly.
-        if any(c % n for c in s_n):
-            raise AlgebraError(f"{n} does not divide u*S_{n} over {order}!")
-        e_n = [0] + [-c // n for c in s_n]
+        # n*E_n = -u*S_n: entry k of E_n is -k*S_n[k-1]/n, exactly.
+        e_n = [0]
+        for k, c in enumerate(s_n, 1):
+            q, r = divmod(-k * c, n)
+            if r:
+                raise AlgebraError(f"{n} does not divide {k}*S_{n}[{k - 1}]")
+            e_n.append(q)
         coeffs.append(e_n)
         prefix = _add_ints(prefix, e_n)
         s_n = _add_ints(s_n, prefix)
     for _ in range(m + 1):
         for n in range(1, order + 1):
             coeffs[n] = _add_ints(coeffs[n - 1], coeffs[n])
-    return GeneratingExpansion(
-        order, tuple(ReducedPoly._from_ints(c, den) for c in coeffs)
-    )
+    for n, row in enumerate(coeffs):
+        if row[-1] != (-1) ** n:
+            raise AlgebraError(f"top entry of t^{n} is {row[-1]}, not {(-1) ** n}")
+        # Scale entry k-1 by n!/(k-1)!, from the top down; f ends at n!.
+        f = 1
+        for k in range(n, 0, -1):
+            f *= k
+            row[k - 1] *= f
+        coeffs[n] = ReducedPoly._make(tuple(row), f)
+    return GeneratingExpansion(order, tuple(coeffs))
 
 
 def values_at_zero(n: int) -> tuple[Fraction, Fraction, Fraction]:

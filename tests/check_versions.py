@@ -8,7 +8,9 @@ claguerre.cli`` from ``src/`` and compares:
   files in ``tests/golden/``;
 * the cases of ``test_cli.TestNegativeLookingValues`` (read from that file,
   so they are written once), both as ``--opt value`` and ``--opt=value``:
-  exit 2, empty stdout and the one-line message on stderr.
+  exit 2, empty stdout and the one-line message on stderr;
+* the SHA-256 of ``exact_results()`` from ``test_exact_golden.py``, which
+  needs no pytest, with ``golden/exact_results.sha256``.
 
 Usage::
 
@@ -32,6 +34,10 @@ VERSIONS = ("3.10.13", "3.12.1", "3.13.0")
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 GOLDEN = TESTS / "golden"
+DIGEST = (
+    "import hashlib, test_exact_golden as t; "
+    "print(hashlib.sha256('\\n'.join(t.exact_results()).encode()).hexdigest())"
+)
 
 
 def negative_looking_cases() -> list[tuple[tuple[str, ...], str]]:
@@ -80,6 +86,12 @@ def check(python: str) -> int:
         failed += not ok
         detail = "" if ok else f" (exit {run.returncode}, stderr {run.stderr[-200:]!r})"
         print(f"{'PASS' if ok else 'FAIL'} {version} {name}{detail}")
+    env["PYTHONPATH"] = os.pathsep.join((str(SRC), str(TESTS)))
+    run = subprocess.run([python, "-c", DIGEST], capture_output=True, text=True, env=env)
+    ok = run.stdout.strip() == (GOLDEN / "exact_results.sha256").read_text().strip()
+    failed += not ok
+    detail = "" if ok else f" (got {run.stdout.strip()!r}, stderr {run.stderr[-200:]!r})"
+    print(f"{'PASS' if ok else 'FAIL'} {version} exact_results digest{detail}")
     return failed
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from claguerre import laguerre
-from claguerre.alpha_calc import AlgebraError, ReducedPoly
+from claguerre.alpha_calc import AlgebraError, ReducedPoly, _add_ints
 from claguerre.laguerre import (
     GeneratingExpansion,
     assoc_closed,
@@ -156,21 +156,34 @@ class TestGeneratingSeries:
         def forbidden(*args):
             raise AssertionError("the generating route read the closed form")
 
-        for name in ("assoc_closed", "comb", "perm"):
+        for name in ("assoc_closed", "comb", "perm", "factorial"):
             monkeypatch.setattr(laguerre, name, forbidden)
+        # Rows are canonical as built, so no normalising pass runs either.
+        for name in ("_from_ints", "_set"):
+            monkeypatch.setattr(ReducedPoly, name, forbidden)
         assert list(generating_series(3, 40).coefficient_polys) == want
 
     @pytest.mark.parametrize(
-        "wrong",
+        "name, fault, check",
         [
-            lambda k: math.factorial(k) // 2,
-            lambda k: math.factorial(k) + 1,
-            lambda k: 1,
+            pytest.param("_add_ints", lambda a, b: [2 * c for c in _add_ints(a, b)],
+                         "does not divide", id="doubled-sum"),
+            pytest.param("_add_ints", lambda a, b: [c + 1 for c in _add_ints(a, b)],
+                         "does not divide", id="off-by-one-sum"),
+            pytest.param("_add_ints", lambda a, b: [0, *_add_ints(a, b)],
+                         "does not divide", id="shifted-sum"),
+            pytest.param("divmod", lambda a, n: divmod(2 * a, n),
+                         "top entry", id="doubled-quotient"),
+            pytest.param("divmod", lambda a, n: divmod(-a, n),
+                         "top entry", id="negated-quotient"),
         ],
     )
-    def test_wrong_denominator_raises_instead_of_truncating(self, monkeypatch, wrong):
-        monkeypatch.setattr(laguerre, "factorial", wrong)
-        with pytest.raises(AlgebraError):
+    def test_injected_fault_raises_instead_of_truncating(
+        self, monkeypatch, name, fault, check
+    ):
+        # divmod is a builtin; the fault shadows it in the module's globals.
+        monkeypatch.setattr(laguerre, name, fault, raising=False)
+        with pytest.raises(AlgebraError, match=check):
             generating_series(2, 30)
 
     def test_partial_sum_against_closed_form(self):
@@ -193,6 +206,27 @@ class TestGeneratingSeries:
             GeneratingExpansion(1, (ReducedPoly.one(),))
         with pytest.raises(ValueError):
             GeneratingExpansion(1, (U, ReducedPoly.one()))
+
+
+class TestCanonicalAsBuilt:
+    """Both builders skip the normaliser, so comparing them with each other
+    cannot catch a non-canonical form they share: each stored form must be
+    the one the normaliser makes of it."""
+
+    @staticmethod
+    def assert_canonical(p):
+        q = ReducedPoly._from_ints(list(p._num), p._den)
+        assert (p._num, p._den) == (q._num, q._den)
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_generating_series_rows(self, m):
+        for p in generating_series(m, 60):
+            self.assert_canonical(p)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_assoc_closed(self, m):
+        for n in range(61):
+            self.assert_canonical(assoc_closed(n, m))
 
 
 class TestValuesAtZero:
