@@ -22,7 +22,8 @@ this module, ``laguerre.assoc_closed`` and ``laguerre.generating_series``
 build each degree-n polynomial over n! with top numerator +-1, so they use
 ``_make`` too.
 ``ReducedPoly.coeffs`` and ``ExpPoly.terms`` fill their Fraction views on
-first use; threads that race to fill one compute equal tuples.
+first use, and :func:`d_alpha_n` keeps the derivatives it has built on each
+ExpPoly; threads that race to fill one compute equal values.
 """
 
 from __future__ import annotations
@@ -479,16 +480,21 @@ class ExpPoly:
     structural.  Sums, products and derivatives normalise their result
     once; negation, ``shift_rate``, ``exp`` and scalar products keep the
     form by construction and skip the pass.  ``terms``
-    builds the ``(Fraction, ReducedPoly)`` view on first use.  A plain
+    builds the ``(Fraction, ReducedPoly)`` view on first use, and
+    ``_derivs`` maps each order n >= 1 that :func:`d_alpha_n` has built to
+    its result, for as long as this ExpPoly lives; neither enters equality,
+    hashing or the printed forms.  A pickle or deep copy carries both, and a
+    shallow copy shares them with an equal ExpPoly.  A plain
     polynomial (rate 0 only) compares and hashes equal to its ReducedPoly.
     """
 
-    __slots__ = ("_keys", "_nums", "_den", "_terms")
+    __slots__ = ("_keys", "_nums", "_den", "_terms", "_derivs")
 
     def __init__(self, terms: Iterable[tuple[Rational, "ReducedPoly | Rational"]] = ()):
         # exp() checks each term.
         e = _merged([ExpPoly.exp(rate, poly) for rate, poly in terms])
-        self._keys, self._nums, self._den, self._terms = e._keys, e._nums, e._den, None
+        self._keys, self._nums, self._den = e._keys, e._nums, e._den
+        self._terms = self._derivs = None
 
     @classmethod
     def _from_block(cls, keys, nums, den: int) -> "ExpPoly":
@@ -518,7 +524,8 @@ class ExpPoly:
         """Internal constructor for a block already in canonical form:
         nothing is checked or normalised."""
         e = cls.__new__(cls)
-        e._keys, e._nums, e._den, e._terms = keys, nums, den, None
+        e._keys, e._nums, e._den = keys, nums, den
+        e._terms = e._derivs = None
         return e
 
     @classmethod
@@ -756,6 +763,12 @@ def d_alpha_n(f, n: int):
     never expands (d/du + r)**n binomially: that expansion on
     u**N * exp(-u) would recompute the closed-form Laguerre coefficients,
     and the Rodrigues check would lose its independence.
+
+    A nonzero ExpPoly memoises each order n >= 1 asked of it, for as long
+    as it lives: a repeated order returns the stored object, and a new one
+    steps on from the highest stored order below it, so that the Leibniz
+    rule's D^k f for k = 0..n costs n steps, not n(n+1)/2.  n = 0 and the
+    zero ExpPoly return f and store nothing.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
@@ -765,6 +778,22 @@ def d_alpha_n(f, n: int):
         raise TypeError(f"ReducedPoly or ExpPoly expected, got {type(f).__name__}")
     if n == 0 or not f._keys:
         return f
+    memo = f._derivs
+    if memo is None:
+        out = _stepped(f, n)
+        f._derivs = {n: out}
+        return out
+    out = memo.get(n)
+    if out is None:
+        # Step on from the highest stored order below n, read from a
+        # snapshot of the orders, as other threads may add some.
+        k = max(filter(n.__gt__, list(memo)), default=0)
+        memo[n] = out = _stepped(memo[k] if k else f, n - k)
+    return out
+
+
+def _stepped(f: ExpPoly, n: int) -> ExpPoly:
+    """D^n f for n >= 1, stepped on the integer block and normalised once."""
     # Each rate is written a/B over the common B of the rate denominators.
     # A step then sends numerators c[k] to a*c[k] + B*(k+1)*c[k+1], with
     # a*c[d] on top, over one more factor B of the denominator; at rate 0

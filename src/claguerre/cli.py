@@ -28,8 +28,7 @@ import re
 import sys
 
 _DEFAULT_ALPHAS = "0.25,0.5,0.75,1.0"
-# Size caps on single inputs, each a usage error when exceeded; together
-# they bound a table's work, which grows with n * samples * alphas.  MAX_N
+# Size caps on single inputs, each a usage error when exceeded.  MAX_N
 # caps the degree of ``eval``, ``table``, ``solve`` and ``transform laguerre
 # <n>``; it stays below 1559, where the coefficient 1/n! of the printed exact
 # forms passes Python's default 4300-digit limit on int-to-str conversion.
@@ -38,6 +37,10 @@ MAX_N = 1500
 MAX_M = 100
 MAX_SAMPLES = 100_000
 MAX_ALPHAS = 8
+# The cap on one table's work, (n+1) * samples * alphas recurrence steps,
+# checked before any evaluation: a table at the cap takes 4-6 s as one
+# process, CSV included (2-vCPU Linux host, Python 3.11.7).
+MAX_TABLE_STEPS = 20_000_000
 _SIZE_LIMITS = (("n", MAX_N), ("m", MAX_M), ("samples", MAX_SAMPLES))
 # The shell's status for a process ended by SIGPIPE; Python ignores the
 # signal and raises BrokenPipeError instead.
@@ -100,10 +103,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _check_table_work(n: int, samples: int, count: int) -> None:
+    steps = (n + 1) * samples * count
+    if steps > MAX_TABLE_STEPS:
+        raise ValueError(
+            f"table work (n+1)*samples*alphas = {n + 1}*{samples}*{count} = {steps}"
+            f" steps exceeds the cap of {MAX_TABLE_STEPS}"
+        )
+
+
 def _cmd_table(args) -> int:
     from .tables import build_table
 
     alphas = _parse_alphas(args.alpha)
+    _check_table_work(args.n, args.samples, len(alphas))
     table = build_table(args.n, args.m, alphas, args.xmin, args.xmax, args.samples)
     # With PYTHONUNBUFFERED set, each text write goes to the file at once and
     # a short write, as when a pipe's reader leaves mid-write, is dropped
@@ -270,7 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float, required=True, help="evaluation point")
     p_eval.set_defaults(handler=_cmd_eval)
 
-    p_table = sub.add_parser("table", help="emit a CSV sample grid")
+    p_table = sub.add_parser(
+        "table", help="emit a CSV sample grid",
+        description="Emit a CSV sample grid.  The work (n+1)*samples*alphas "
+                    f"may be at most {MAX_TABLE_STEPS} steps.",
+    )
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--m", type=int, default=0)
     p_table.add_argument("--alpha", default=_DEFAULT_ALPHAS)

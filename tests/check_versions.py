@@ -10,7 +10,10 @@ claguerre.cli`` from ``src/`` and compares:
   so they are written once), both as ``--opt value`` and ``--opt=value``:
   exit 2, empty stdout and the one-line message on stderr;
 * the SHA-256 of ``exact_results()`` from ``test_exact_golden.py``, which
-  needs no pytest, with ``golden/exact_results.sha256``.
+  needs no pytest, with ``golden/exact_results.sha256``;
+* the derivative memo of ``ExpPoly`` (``MEMO``): orders asked in a shuffled
+  sequence match the same orders on a fresh twin, and an ExpPoly with a
+  filled memo survives ``pickle`` at every protocol from 2 on.
 
 Usage::
 
@@ -38,6 +41,25 @@ DIGEST = (
     "import hashlib, test_exact_golden as t; "
     "print(hashlib.sha256('\\n'.join(t.exact_results()).encode()).hexdigest())"
 )
+MEMO = """
+import pickle, random
+from claguerre.alpha_calc import ExpPoly, d_alpha_n
+from claguerre.verify import random_exppoly
+rng = random.Random(19)
+checked = 0
+for _ in range(40):
+    f = random_exppoly(rng)
+    orders = [rng.randint(0, 8) for _ in range(10)]
+    for n in orders:
+        assert d_alpha_n(f, n) == d_alpha_n(ExpPoly(f.terms), n), (f, n)
+        checked += 1
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        g = pickle.loads(pickle.dumps(f, protocol))
+        assert g == f and hash(g) == hash(f), (f, protocol)
+        assert all(d_alpha_n(g, n) == d_alpha_n(f, n) for n in range(10)), (f, protocol)
+        checked += 1
+print(checked)
+"""
 
 
 def negative_looking_cases() -> list[tuple[tuple[str, ...], str]]:
@@ -92,6 +114,11 @@ def check(python: str) -> int:
     failed += not ok
     detail = "" if ok else f" (got {run.stdout.strip()!r}, stderr {run.stderr[-200:]!r})"
     print(f"{'PASS' if ok else 'FAIL'} {version} exact_results digest{detail}")
+    run = subprocess.run([python, "-c", MEMO], capture_output=True, text=True, env=env)
+    ok = run.returncode == 0 and run.stdout.strip().isdigit()
+    failed += not ok
+    detail = f" ({run.stdout.strip()} checks)" if ok else f" (stderr {run.stderr[-200:]!r})"
+    print(f"{'PASS' if ok else 'FAIL'} {version} derivative memo and pickle{detail}")
     return failed
 
 

@@ -1,9 +1,13 @@
+import copy
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from claguerre.alpha_calc import (
@@ -886,9 +890,6 @@ class TestExpPolyBlock:
 
     @pytest.mark.parametrize("fill", [False, True])
     def test_copy_and_pickle_round_trips(self, fill):
-        import copy
-        import pickle
-
         e = ExpPoly(((F(-2, 3), ReducedPoly((1, 0, F(5, 7)))), (0, 2), (F(3, 2), U)))
         if fill:
             e.terms
@@ -929,3 +930,135 @@ class TestExpPolyBlock:
     @given(mixed_exppolys, scalars)
     def test_shift_rate_is_the_product_by_an_exponential(self, f, a):
         assert block(f.shift_rate(a)) == block(f * ExpPoly.exp(a))
+
+
+# Seeded ExpPolys with integer, fractional and zero rates (the zero ExpPoly
+# among them), and the Rodrigues seed u**N * exp(-u).
+memo_inputs = st.one_of(
+    mixed_exppolys,
+    st.builds(lambda N: ExpPoly.exp(-1, ReducedPoly.monomial(N)), st.integers(0, 12)),
+)
+orders = st.lists(st.integers(0, 8), max_size=12)
+order_sequences = st.one_of(
+    orders, orders.map(sorted), orders.map(lambda ks: sorted(ks, reverse=True))
+)
+
+
+def twin(f):
+    """A freshly built ExpPoly equal to f, with nothing memoised."""
+    return ExpPoly(f.terms)
+
+
+class TestDerivativeMemo:
+    # 200 examples of up to 12 orders each, from a fixed seed.
+    @seed(19)
+    @settings(max_examples=200, deadline=None)
+    @given(memo_inputs, order_sequences)
+    def test_any_order_sequence_matches_a_fresh_twin(self, f, ks):
+        for k in ks:
+            got = d_alpha_n(f, k)
+            assert block(got) == block(d_alpha_n(twin(f), k))
+            assert d_alpha_n(f, k) is got
+        asked = {k for k in ks if k}
+        if f and asked:
+            assert set(f._derivs) == asked
+        else:
+            assert f._derivs is None
+        fresh = twin(f)
+        assert f == fresh and hash(f) == hash(fresh)
+        assert str(f) == str(fresh) and repr(f) == repr(fresh)
+
+    def test_a_new_order_steps_on_from_the_highest_stored_order_below_it(self, monkeypatch):
+        import claguerre.alpha_calc as A
+
+        steps = []
+        stepped = A._stepped
+
+        def counting(g, n):
+            steps.append((g, n))
+            return stepped(g, n)
+
+        monkeypatch.setattr(A, "_stepped", counting)
+        f = ExpPoly.exp(-1, ReducedPoly.monomial(9))
+        d5 = d_alpha_n(f, 5)
+        d2 = d_alpha_n(f, 2)
+        d_alpha_n(f, 7)
+        d_alpha_n(f, 3)
+        d_alpha_n(f, 5)
+        d_alpha_n(f, 1)
+        assert [(g is f, g is d5, g is d2, n) for g, n in steps] == [
+            (True, False, False, 5),
+            (True, False, False, 2),
+            (False, True, False, 2),
+            (False, False, True, 1),
+            (True, False, False, 1),
+        ]
+
+    def test_order_zero_and_the_zero_exppoly_store_nothing(self):
+        f = ExpPoly.exp(F(-1, 2), ReducedPoly((1, F(2, 3))))
+        assert d_alpha_n(f, 0) is f and f._derivs is None
+        for zero in (ExpPoly(), ExpPoly.exp(3, 0), f - f):
+            for n in (0, 1, 4):
+                assert d_alpha_n(zero, n) is zero
+            assert zero._derivs is None
+
+    def test_a_vanishing_derivative_is_stored_and_stepped_on(self):
+        f = ExpPoly.from_poly(ReducedPoly((1, 2, 3)))
+        assert d_alpha_n(f, 3).is_zero
+        assert d_alpha_n(f, 5).is_zero and d_alpha_n(f, 2) == 6
+        assert set(f._derivs) == {2, 3, 5}
+
+    def test_threads_sharing_one_exppoly_get_right_derivatives(self):
+        f = ExpPoly(((F(-1, 2), ReducedPoly((1, 2, F(3, 5)))), (1, U), (F(2, 3), 4)))
+        want = [d_alpha_n(twin(f), n) for n in range(13)]
+        shared = [twin(f) for _ in range(20)]
+        errors, results = [], []
+
+        def work(seed):
+            rnd = random.Random(seed)
+            try:
+                for g in shared:
+                    ks = list(range(13))
+                    rnd.shuffle(ks)
+                    results.extend((k, d_alpha_n(g, k)) for k in ks)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 8 * 20 * 13
+        assert all(block(got) == block(want[k]) for k, got in results)
+
+    @pytest.mark.parametrize("make", [
+        copy.copy, copy.deepcopy,
+        *(lambda e, p=p: pickle.loads(pickle.dumps(e, p))
+          for p in range(2, pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    def test_a_filled_memo_survives_copy_and_pickle(self, make):
+        # A shallow copy shares the memo dict with its source; the two are
+        # equal, so each stored order is right for both.
+        e = ExpPoly(((F(-2, 3), ReducedPoly((1, 0, F(5, 7)))), (0, 2), (F(3, 2), U)))
+        want = {n: d_alpha_n(e, n) for n in (1, 3, 4)}
+        got = make(e)
+        assert got == e and hash(got) == hash(e) and str(got) == str(e)
+        for n in range(6):
+            assert block(d_alpha_n(got, n)) == block(d_alpha_n(twin(e), n))
+        assert all(d_alpha_n(got, n) == d for n, d in want.items())
+
+    @pytest.mark.parametrize("protocol", [0, 1])
+    def test_protocols_below_two_refuse_the_slotted_class(self, protocol):
+        # Unchanged by the memo: a class with __slots__ and no __getstate__
+        # pickles from protocol 2 on only.
+        e = ExpPoly.exp(-1, U)
+        d_alpha_n(e, 2)
+        with pytest.raises(TypeError, match="__slots__"):
+            pickle.dumps(e, protocol)

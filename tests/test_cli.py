@@ -630,6 +630,70 @@ class TestSizeCaps:
         assert len(out.splitlines()) == cli.MAX_SAMPLES + 1
 
 
+class TestTableWorkCap:
+    """(n+1) * samples * alphas may reach cli.MAX_TABLE_STEPS; none of these
+    tests builds a table at that size."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import claguerre.tables
+
+        calls = []
+
+        class Table:
+            def to_csv(self):
+                return "x\n"
+
+        def build_table(*args):
+            calls.append(args)
+            return Table()
+
+        monkeypatch.setattr(claguerre.tables, "build_table", build_table)
+        return calls
+
+    def test_the_check_at_the_cap_and_one_above(self):
+        cap = cli.MAX_TABLE_STEPS
+        cli._check_table_work(cap - 1, 1, 1)
+        with pytest.raises(ValueError) as info:
+            cli._check_table_work(cap, 1, 1)
+        assert str(info.value) == (
+            f"table work (n+1)*samples*alphas = {cap + 1}*1*1 = {cap + 1} steps"
+            f" exceeds the cap of {cap}"
+        )
+
+    def test_a_table_at_the_cap_is_accepted(self, capsys, built):
+        assert 200 * 100_000 * 1 == cli.MAX_TABLE_STEPS
+        code, out, err = run_cli(capsys, "table", "--n", "199", "--samples", "100000",
+                                 "--alpha", "1")
+        assert (code, out, err) == (0, "x\n", "")
+        assert built == [(199, 0, (1.0,), 0.0, 8.0, 100_000)]
+
+    def test_one_step_over_the_cap_is_a_usage_error(self, capsys, built, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TABLE_STEPS", 200 * 100_000 - 1)
+        result = run_cli(capsys, "table", "--n", "199", "--samples", "100000", "--alpha", "1")
+        _assert_one_line_usage_error(result)
+        assert "= 20000000 steps exceeds the cap of 19999999" in result[2]
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "200", "--samples", "100000", "--alpha", "1"),
+        ("--n", "25", "--samples", "100000", "--alpha", ",".join(["0.5"] * cli.MAX_ALPHAS)),
+        ("--n", str(cli.MAX_N), "--samples", str(cli.MAX_SAMPLES)),
+    ])
+    def test_tables_over_the_cap_are_refused_before_any_evaluation(self, capsys, built, argv):
+        code, out, err = run_cli(capsys, "table", *argv)
+        _assert_one_line_usage_error((code, out, err))
+        assert f"exceeds the cap of {cli.MAX_TABLE_STEPS}" in err
+        assert built == []
+
+    def test_the_usage_text_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["table", "-h"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"(n+1)*samples*alphas may be at most {cli.MAX_TABLE_STEPS} steps" in text
+
+
 class TestInternalError:
     def test_unexpected_exception_is_one_line_with_exit_three(self, capsys, monkeypatch):
         def broken(args):
