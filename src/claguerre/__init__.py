@@ -28,13 +28,10 @@ _EXPORTS = {
         "AlgebraError",
         "ExpPoly",
         "ReducedPoly",
-        "XViewTerm",
         "as_alpha",
         "d_alpha",
         "d_alpha_n",
         "d_alpha_numeric",
-        "from_x_view",
-        "x_view",
         "x_view_str",
     ),
     "integrate": (

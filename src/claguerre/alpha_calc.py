@@ -31,19 +31,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, neg
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Union
 
 __all__ = [
     "AlgebraError",
     "ExpPoly",
     "ReducedPoly",
-    "XViewTerm",
     "as_alpha",
     "d_alpha",
     "d_alpha_n",
     "d_alpha_numeric",
-    "from_x_view",
-    "x_view",
     "x_view_str",
 ]
 
@@ -155,8 +152,6 @@ class ReducedPoly:
             den = 1
         else:
             g = math.gcd(den, *num)
-            if den < 0:
-                g = -g
             if g != 1:
                 num = [c // g for c in num]
                 den //= g
@@ -166,7 +161,7 @@ class ReducedPoly:
 
     @classmethod
     def _from_ints(cls, num: list[int], den: int = 1) -> "ReducedPoly":
-        """Internal constructor: integer numerators over a nonzero integer
+        """Internal constructor: integer numerators over a positive integer
         denominator, normalised here; skips the public per-coefficient check."""
         p = cls.__new__(cls)
         p._set(num, den)
@@ -209,11 +204,6 @@ class ReducedPoly:
     @property
     def is_zero(self) -> bool:
         return not self._num
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self._num):
-            return self.coeffs[k]
-        return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -428,11 +418,8 @@ class ReducedPoly:
             pieces.append((c < 0, body))
         return pieces
 
-    def to_str(self, var: str = "u") -> str:
-        return _join_signed(self._signed_terms(var))
-
     def __str__(self):
-        return self.to_str("u")
+        return _join_signed(self._signed_terms("u"))
 
     def __repr__(self):
         return f"ReducedPoly({[str(c) for c in self.coeffs]})"
@@ -677,7 +664,7 @@ class ExpPoly:
             return "0"
         pieces = []
         for r, p in self.terms:
-            body = p.to_str("u")
+            body = str(p)
             if r != 0:
                 body = f"({body})" if (" " in body or body.startswith("-")) else body
                 rate = "-u" if r == -1 else ("u" if r == 1 else f"{r}*u")
@@ -836,46 +823,14 @@ def d_alpha_numeric(
     return (f(x + step) - f(x - step)) / (2.0 * h)
 
 
-class XViewTerm(NamedTuple):
-    """One term of the x-space rendering: rational_part * alpha**alpha_power * x**(k*alpha)."""
+def x_view_str(p: ReducedPoly) -> str:
+    """Text form of p in x-space, e.g. ``1 - 2 * a^(-1) * x^(1*a)``.
 
-    k: int
-    rational_part: Fraction
-    alpha_power: int
-
-
-def x_view(p: ReducedPoly) -> tuple[XViewTerm, ...]:
-    """Render a reduced polynomial in x-space, one term per nonzero u**k.
-
-    Term k reads coeff * alpha**(-k) * x**(k*alpha), since u**k expands to
+    Term k reads coeff * a^(-k) * x^(k*a), since u**k expands to
     x**(k*alpha) / alpha**k.  Zero coefficients are skipped.
     """
-    return tuple(
-        XViewTerm(k, c, -k) for k, c in enumerate(p.coeffs) if c != 0
+    return _join_signed(
+        (c < 0, f"{abs(c)} * a^({-k}) * x^({k}*a)" if k else str(abs(c)))
+        for k, c in enumerate(p.coeffs)
+        if c
     )
-
-
-def from_x_view(terms: Iterable[XViewTerm]) -> ReducedPoly:
-    """Inverse of :func:`x_view`; exact round trip."""
-    terms = tuple(terms)
-    out: list[Fraction] = []
-    for t in terms:
-        if t.alpha_power != -t.k:
-            raise ValueError(f"non-canonical x-view term {t}")
-        while len(out) <= t.k:
-            out.append(Fraction(0))
-        out[t.k] += t.rational_part
-    return ReducedPoly(out)
-
-
-def x_view_str(p: ReducedPoly) -> str:
-    """Text form of the x-view, e.g. ``1 - 2 * a^(-1) * x^(1*a)``."""
-    pieces = []
-    for t in x_view(p):
-        mag = abs(t.rational_part)
-        if t.k == 0:
-            body = str(mag)
-        else:
-            body = f"{mag} * a^({t.alpha_power}) * x^({t.k}*a)"
-        pieces.append((t.rational_part < 0, body))
-    return _join_signed(pieces)

@@ -18,10 +18,6 @@ class FigureFixture(namedtuple("FigureFixture", "number n m formula")):
 
     __slots__ = ()
 
-    @property
-    def label(self) -> str:
-        return f"L_{self.n}" if self.m == 0 else f"L_{self.n}^{self.m}"
-
 
 FIGURES: tuple[FigureFixture, ...] = (
     FigureFixture(1, 1, 0, lambda x, a: 1 - x**a / a),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -21,8 +22,7 @@ from .alpha_calc import (
     ReducedPoly,
     d_alpha_n,
     d_alpha_numeric,
-    from_x_view,
-    x_view,
+    x_view_str,
 )
 from .figures import FIGURES
 from .laguerre import (
@@ -137,8 +137,9 @@ def _suite_leibniz() -> str:
     for _ in range(12):
         f = random_exppoly(rng, max_degree=3, max_terms=2)
         g = random_exppoly(rng, max_degree=3, max_terms=2)
+        fg = f * g
         for n in range(6):
-            lhs = d_alpha_n(f * g, n)
+            lhs = d_alpha_n(fg, n)
             rhs = ExpPoly()
             for k in range(n + 1):
                 rhs = rhs + math.comb(n, k) * (
@@ -182,12 +183,22 @@ def _suite_canonical_idempotence() -> str:
     return "60 random values, rebuild is the identity"
 
 
+# One term of the printed x-view: c, or c * a^(-k) * x^(k*a).
+_X_TERM = re.compile(r"(-?\d+(?:/\d+)?)(?: \* a\^\((-?\d+)\) \* x\^\((\d+)\*a\))?")
+
+
 def _suite_x_view_round_trip() -> str:
+    # Read back at alpha = 1/2 and x = 4, where a^(-k) * x^(k*a) = 4**k, the
+    # printed x-view must give p(4) exactly.
     rng = random.Random(_SEED + 3)
     for _ in range(60):
         p = _random_poly(rng, max_degree=8)
-        _ensure(from_x_view(x_view(p)) == p, lambda: f"x-view round trip broke on {p}")
-    return "60 random polynomials, exact round trip"
+        text, total = x_view_str(p), Fraction(0)
+        for term in text.replace(" - ", " + -").split(" + "):
+            c, power, k = _X_TERM.fullmatch(term).groups()
+            total += Fraction(c) * (Fraction(1, 2) ** int(power) * 2 ** int(k) if k else 1)
+        _ensure(total == p(4), lambda: f"x-view {text} misreads {p}")
+    return "60 random polynomials, printed x-view read back exactly"
 
 
 # -- laguerre -----------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as F
@@ -14,16 +15,13 @@ from claguerre.alpha_calc import (
     AlgebraError,
     ExpPoly,
     ReducedPoly,
-    XViewTerm,
     as_alpha,
     d_alpha,
     d_alpha_n,
     d_alpha_numeric,
-    from_x_view,
-    x_view,
     x_view_str,
 )
-from claguerre.verify import random_exppoly
+from claguerre.verify import _SEED, _random_poly, random_exppoly
 
 U = ReducedPoly((0, 1))
 
@@ -297,30 +295,69 @@ class TestAlphaValue:
         assert as_alpha(F(1, 4)) == 0.25
 
 
+# One term of the x-view text: its sign (none on a leading positive term),
+# its magnitude, and for k >= 1 the alpha power and the k of x^(k*a).
+X_TERM = re.compile(
+    r"(?:^(?P<lead>-?)| (?P<op>[-+]) )(?P<mag>\d+(?:/\d+)?)"
+    r"(?: \* a\^\((?P<power>-?\d+)\) \* x\^\((?P<k>\d+)\*a\))?"
+)
+
+
+def eval_x_view(text, a, x_to_a):
+    """The exact value of an x-view text at alpha = a, given x**a."""
+    total, end = F(0), 0
+    for m in X_TERM.finditer(text):
+        assert m.start() == end, f"unparsed text in {text!r}"
+        end = m.end()
+        value = F(m["mag"])
+        if m["k"] is not None:
+            value *= a ** int(m["power"]) * x_to_a ** int(m["k"])
+        total += -value if "-" in (m["lead"], m["op"]) else value
+    assert end == len(text), f"unparsed text in {text!r}"
+    return total
+
+
+def assert_x_view_exact(p):
+    text = x_view_str(p)
+    # alpha = 1/2, x = 4: x**(k*alpha) * alpha**(-k) = 2**k * 2**k = 4**k
+    assert eval_x_view(text, F(1, 2), F(2)) == p(4)
+    # alpha = 1, x = 3: x**(k*alpha) * alpha**(-k) = 3**k
+    assert eval_x_view(text, F(1), F(3)) == p(3)
+
+
 class TestXView:
     def test_basic_terms(self):
-        assert x_view(1 - U) == (
-            XViewTerm(0, F(1), 0),
-            XViewTerm(1, F(-1), -1),
-        )
+        assert x_view_str(1 - U) == "1 - 1 * a^(-1) * x^(1*a)"
 
     def test_zero_is_empty(self):
-        assert x_view(ReducedPoly()) == ()
-
-    def test_skips_zero_coefficients(self):
-        assert x_view(ReducedPoly.monomial(2, F(1, 2))) == (
-            XViewTerm(2, F(1, 2), -2),
-        )
-
-    def test_strings(self):
-        assert x_view_str(1 - U) == "1 - 1 * a^(-1) * x^(1*a)"
-        assert x_view_str(ReducedPoly.monomial(2, F(1, 2))) == "1/2 * a^(-2) * x^(2*a)"
         assert x_view_str(ReducedPoly()) == "0"
 
+    def test_skips_zero_coefficients(self):
+        assert x_view_str(ReducedPoly.monomial(2, F(1, 2))) == "1/2 * a^(-2) * x^(2*a)"
+
+    def test_strings(self):
+        assert x_view_str(ReducedPoly((F(-3, 4), 0, 2))) == "-3/4 + 2 * a^(-2) * x^(2*a)"
+        assert x_view_str(ReducedPoly((0, F(5, 2), -1))) == (
+            "5/2 * a^(-1) * x^(1*a) - 1 * a^(-2) * x^(2*a)"
+        )
+
+    # The text, read back at two points, gives p's exact values there.
     @settings(max_examples=60, deadline=None)
     @given(polys)
     def test_round_trip(self, p):
-        assert from_x_view(x_view(p)) == p
+        assert_x_view_exact(p)
+
+    def test_round_trip_of_the_seeded_polynomials(self):
+        rng = random.Random(_SEED + 3)
+        for _ in range(60):
+            assert_x_view_exact(_random_poly(rng, max_degree=8))
+
+    def test_the_check_sees_an_altered_term(self):
+        text = x_view_str(ReducedPoly((1, F(-3, 2), 2)))
+        assert eval_x_view(text, F(1, 2), F(2)) == 1 - 6 + 32
+        assert eval_x_view(text.replace("a^(-2)", "a^(-1)"), F(1, 2), F(2)) != 1 - 6 + 32
+        with pytest.raises(AssertionError, match="unparsed"):
+            eval_x_view(text.replace(" * x^(2*a)", " * x^(2a)"), F(1, 2), F(2))
 
 
 @settings(max_examples=60, deadline=None)

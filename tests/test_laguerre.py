@@ -36,7 +36,7 @@ class TestClosedForm:
 
     def test_coefficient_formula(self):
         # spot-check k = 3 of degree 7 against the factorial expression
-        got = laguerre_closed(7).coeff(3)
+        got = laguerre_closed(7).coeffs[3]
         assert got == F(-math.factorial(7), math.factorial(4) * math.factorial(3) ** 2)
 
     def test_rejects_bad_degree(self):
@@ -96,7 +96,7 @@ class TestAssociated:
         assert assoc_from_derivative(15, 4) == closed
         assert assoc_rodrigues(15, 4) == closed
         assert ode_residual(closed, 15, 4).is_zero
-        assert closed.coeff(0) == F(
+        assert closed.coeffs[0] == F(
             math.factorial(19), math.factorial(15) * math.factorial(4)
         )
 
