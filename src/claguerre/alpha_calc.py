@@ -29,9 +29,9 @@ ExpPoly; threads that race to fill one compute equal values.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from operator import add, neg
-from typing import Callable, Iterable, Union
 
 __all__ = [
     "AlgebraError",
@@ -44,7 +44,7 @@ __all__ = [
     "x_view_str",
 ]
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class AlgebraError(RuntimeError):
@@ -541,10 +541,6 @@ class ExpPoly:
                 for key, num in zip(self._keys, self._nums)
             )
         return self._terms
-
-    @property
-    def rates(self) -> tuple[Fraction, ...]:
-        return tuple(r for r, _ in self.terms)
 
     @property
     def is_zero(self) -> bool:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .alpha_calc import ExpPoly, as_alpha
 from .laguerre import laguerre_closed, laguerre_pair

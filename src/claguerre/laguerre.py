@@ -26,9 +26,9 @@ against exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import Sequence
 
 from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
 

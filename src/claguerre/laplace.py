@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
 
 from .alpha_calc import (
     AlgebraError,
@@ -60,12 +60,10 @@ class NonInvertibleError(ValueError):
     """The expression has a polynomial part, so no function inverse exists."""
 
 
-class PoleTerm(NamedTuple):
+class PoleTerm(namedtuple("PoleTerm", "coeff rate order")):
     """coeff / (s - rate)**order with exact rational coeff and rate."""
 
-    coeff: Fraction
-    rate: Fraction
-    order: int
+    __slots__ = ()
 
 
 class TransformExpr:

@@ -262,15 +262,17 @@ def _suite_zero_values() -> str:
 
 def _suite_classical_oracle() -> str:
     for n in range(13):
-        poly = laguerre_closed(n)
-        for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-            got = poly.eval(x, 1.0)
-            want = laguerre_pair(n, 0, x)[0]
-            _ensure(
-                abs(got - want) <= 1e-10,
-                lambda: f"alpha=1 value {got} vs recurrence {want} at (n={n}, x={x})",
-            )
-    return "n <= 12 against the three-term recurrence, 1e-10"
+        for m in range(5):
+            poly = assoc_closed(n, m)
+            for x in (0.1, 0.5, 1.0, 2.0, 5.0):
+                got = poly.eval(x, 1.0)
+                want = laguerre_pair(n, m, x)[0]
+                _ensure(
+                    abs(got - want) <= 1e-10,
+                    lambda: f"alpha=1 value {got} vs recurrence {want} at "
+                    f"(n={n}, m={m}, x={x})",
+                )
+    return "n <= 12, m <= 4 against the three-term recurrence, 1e-10"
 
 
 def _suite_generating_numeric() -> str:

@@ -9,6 +9,9 @@ claguerre.cli`` from ``src/`` and compares:
 * the cases of ``test_cli.TestNegativeLookingValues`` (read from that file,
   so they are written once), both as ``--opt value`` and ``--opt=value``:
   exit 2, empty stdout and the one-line message on stderr;
+* each command of ``test_cli.TestImports``' table, run under ``-S`` (no
+  site hook) through that class's import probe: exit 0, and none of
+  ``dataclasses``, ``inspect`` or ``typing`` in ``sys.modules`` afterwards;
 * the SHA-256 of ``exact_results()`` from ``test_exact_golden.py``, which
   needs no pytest, with ``golden/exact_results.sha256``;
 * the derivative memo of ``ExpPoly`` (``MEMO``): orders asked in a shuffled
@@ -28,6 +31,7 @@ check fails or no interpreter was found.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +80,18 @@ def negative_looking_cases() -> list[tuple[tuple[str, ...], str]]:
     raise LookupError("TestNegativeLookingValues cases not found in test_cli.py")
 
 
+def import_probe() -> tuple[str, list[tuple[str, ...]]]:
+    """The probe script of ``TestImports`` and the command lines it runs."""
+    tree = ast.parse((TESTS / "test_cli.py").read_text())
+    values = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    table = ast.literal_eval(values["_LOADED_BY"])
+    return ast.literal_eval(values["_IMPORT_PROBE"]), [argv for argv, _ in table]
+
+
 def expectations():
     """(name, argv, exit code, stdout, stderr) for every check."""
     for n in (0, 1, 5, 12):
@@ -108,6 +124,19 @@ def check(python: str) -> int:
         failed += not ok
         detail = "" if ok else f" (exit {run.returncode}, stderr {run.stderr[-200:]!r})"
         print(f"{'PASS' if ok else 'FAIL'} {version} {name}{detail}")
+    probe, commands = import_probe()
+    for argv in commands:
+        run = subprocess.run(
+            [python, "-S", "-c", probe, *argv],
+            capture_output=True, text=True, env=env, cwd=SRC,
+        )
+        # The probe prints [exit code, modules before, after, heavy modules].
+        got = json.loads(run.stdout.splitlines()[-1]) if run.returncode == 0 else None
+        ok = got is not None and got[0] == 0 and got[3] == []
+        failed += not ok
+        detail = "" if ok else f" (probe {got}, stderr {run.stderr[-200:]!r})"
+        print(f"{'PASS' if ok else 'FAIL'} {version} -S {' '.join(argv)} loads no "
+              f"dataclasses, inspect or typing{detail}")
     env["PYTHONPATH"] = os.pathsep.join((str(SRC), str(TESTS)))
     run = subprocess.run([python, "-c", DIGEST], capture_output=True, text=True, env=env)
     ok = run.stdout.strip() == (GOLDEN / "exact_results.sha256").read_text().strip()

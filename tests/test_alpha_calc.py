@@ -35,6 +35,11 @@ def conv(a, b):
     return out
 
 
+def rates_of(e):
+    """The rates of an ExpPoly, in the order of its terms."""
+    return tuple(r for r, _ in e.terms)
+
+
 # -- strategies ----------------------------------------------------------------
 
 fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
@@ -121,7 +126,7 @@ class TestExpPolyArithmetic:
 
     def test_rates_sorted_and_distinct(self):
         e = ExpPoly(((F(1), 1), (F(-1), 1), (F(1), 2)))
-        assert e.rates == (F(-1), F(1))
+        assert rates_of(e) == (F(-1), F(1))
 
 
 class TestSubtraction:
@@ -721,7 +726,7 @@ class TestIntegerRateSums:
         for got in (f * g, g * f):
             assert_exppoly_canonical(got)
             assert {r: p.coeffs for r, p in got.terms} == want
-            assert got.rates == tuple(sorted(want))
+            assert rates_of(got) == tuple(sorted(want))
 
     def test_pairs_with_the_same_sum_merge(self):
         a, b = ExpPoly.exp(F(1, 2)), ExpPoly.exp(F(1, 3))
@@ -730,23 +735,23 @@ class TestIntegerRateSums:
         assert got.terms == ExpPoly(
             ((F(2, 3), 1), (F(5, 6), 2), (F(1), 1))
         ).terms
-        assert all(type(r) is F for r in got.rates)
+        assert all(type(r) is F for r in rates_of(got))
 
     def test_cancelling_products_drop_their_rate(self):
         a, b = ExpPoly.exp(F(1, 2)), ExpPoly.exp(F(1, 3))
         # (a + b)(b - a) = b^2 - a^2: the two exp(5/6 u) terms cancel
-        assert ((a + b) * (b - a)).rates == (F(2, 3), F(1))
+        assert rates_of((a + b) * (b - a)) == (F(2, 3), F(1))
         assert ((a + b) * (b - a)).terms == (b * b - a * a).terms
         one = ExpPoly.exp(F(-1, 2)) * a
         assert one.terms == ((F(0), ReducedPoly.one()),)
-        assert type(one.rates[0]) is F
+        assert type(rates_of(one)[0]) is F
         assert (ExpPoly.exp(F(-2, 3), U) * ExpPoly.exp(F(5, 6), 0)).is_zero
 
     def test_equal_denominators_reduce(self):
         # 1/6 + 1/6 = 1/3 and 1/4 + 3/4 = 1: the sum is put in lowest terms
-        assert (ExpPoly.exp(F(1, 6)) * ExpPoly.exp(F(1, 6))).rates == (F(1, 3),)
+        assert rates_of(ExpPoly.exp(F(1, 6)) * ExpPoly.exp(F(1, 6))) == (F(1, 3),)
         got = ExpPoly.exp(F(1, 4)) * ExpPoly.exp(F(3, 4))
-        assert got.rates == (F(1),) and got.rates[0].denominator == 1
+        assert rates_of(got) == (F(1),) and rates_of(got)[0].denominator == 1
         # 1/2 + 1/2 and 0 + 1 must land on one rate 1, and -1/2 + 1/2 on 0
         f = ExpPoly.exp(F(1, 2)) + 1
         g = ExpPoly.exp(F(1, 2)) + ExpPoly.exp(1)
@@ -915,7 +920,7 @@ class TestExpPolyBlock:
             assert type(r) is F and type(p) is ReducedPoly
             assert_canonical(p)
         assert e.terms == ((F(-1, 2), ReducedPoly((1, F(2, 3)))), (F(1), ReducedPoly((F(3, 4),))))
-        assert e.rates == (F(-1, 2), F(1))
+        assert rates_of(e) == (F(-1, 2), F(1))
 
     def test_cancellation_across_the_shared_denominator(self):
         half, third = ExpPoly.exp(-1, F(1, 2)), ExpPoly.exp(-1, F(1, 3))
@@ -939,15 +944,15 @@ class TestExpPolyBlock:
         huge = 10**400
         rates = [F(huge + 1), F(huge), F(-10 * huge), F(10**20 + 1, 10**20), F(1), F(0)]
         e = ExpPoly((r, 1) for r in rates)
-        assert e.rates == tuple(sorted(rates))
+        assert rates_of(e) == tuple(sorted(rates))
         prod = e * e
         assert_block_canonical(prod)
-        assert prod.rates == tuple(sorted({a + b for a in rates for b in rates}))
+        assert rates_of(prod) == tuple(sorted({a + b for a in rates for b in rates}))
         # Rate sums all near 1 that round to one float, first met out of order.
         tiny = F(1, 10**20)
         a = ExpPoly.exp(0) + ExpPoly.exp(tiny)
         b = ExpPoly.exp(1) + ExpPoly.exp(1 + 2 * tiny)
-        assert (a * b).rates == (1, 1 + tiny, 1 + 2 * tiny, 1 + 3 * tiny)
+        assert rates_of(a * b) == (1, 1 + tiny, 1 + 2 * tiny, 1 + 3 * tiny)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_rate_zero_beside_fractional_rates(self, n):

@@ -464,7 +464,8 @@ class TestVerify:
 
 
 # The library modules each command loads, in a fresh interpreter, beyond
-# ``claguerre`` and ``claguerre.cli``.
+# ``claguerre`` and ``claguerre.cli``.  The probe runs under ``-S``: a site
+# hook may import ``typing`` itself, which would hide one that claguerre loads.
 _LOADED_BY = [
     (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre"}),
     (("table", "--n", "3", "--samples", "5"), {"alpha_calc", "laguerre", "tables"}),
@@ -484,13 +485,13 @@ def ours():
 before = ours()
 code = claguerre.cli.main(sys.argv[1:])
 print(json.dumps([code, before, ours(),
-                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+                  [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]]))
 """
 
 
 def _probe_imports(argv):
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, *argv], capture_output=True,
         text=True, env=CHILD_ENV, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])

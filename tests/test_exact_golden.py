@@ -39,7 +39,7 @@ def _draw(rng):
 
 def _fingerprint(value) -> str:
     if isinstance(value, ExpPoly):
-        rates = [(str(r), type(r).__name__) for r in value.rates]
+        rates = [(str(r), type(r).__name__) for r, _ in value.terms]
         terms = [(type(r).__name__, type(p).__name__, repr(p)) for r, p in value.terms]
         extra = f"{rates}|{terms}"
     elif isinstance(value, TransformExpr):

@@ -3,6 +3,7 @@ readable reprs and the argument checks of their constructors."""
 
 import copy
 import pickle
+from fractions import Fraction as F
 
 import pytest
 
@@ -10,7 +11,7 @@ from claguerre.alpha_calc import ReducedPoly
 from claguerre.figures import FIGURES, FigureFixture
 from claguerre.integrate import QuadratureRule, gauss_laguerre
 from claguerre.laguerre import GeneratingExpansion, generating_series
-from claguerre.laplace import NamedSignal
+from claguerre.laplace import NamedSignal, PoleTerm
 from claguerre.tables import SampleTable
 from claguerre.verify import SuiteResult, VerifyReport
 
@@ -31,10 +32,11 @@ RECORDS = [
     (lambda: SuiteResult("a/b", True, "ok"), ("name", "passed", "detail")),
     (lambda: VerifyReport((SuiteResult("a/b", True, "ok"),)), ("entries",)),
     (_expansion, ("order", "coefficient_polys")),
+    (lambda: PoleTerm(F(1, 2), F(-1), 2), ("coeff", "rate", "order")),
 ]
 IDS = [
     "SampleTable", "QuadratureRule", "NamedSignal", "FigureFixture",
-    "SuiteResult", "VerifyReport", "GeneratingExpansion",
+    "SuiteResult", "VerifyReport", "GeneratingExpansion", "PoleTerm",
 ]
 
 
@@ -72,6 +74,9 @@ def test_reprs_in_full():
     assert repr(NamedSignal("one")) == "NamedSignal(kind='one', p=0.0, omega=1.0)"
     assert repr(SuiteResult("a/b", False, "off")) == (
         "SuiteResult(name='a/b', passed=False, detail='off')"
+    )
+    assert repr(PoleTerm(F(1, 2), F(-1), 2)) == (
+        "PoleTerm(coeff=Fraction(1, 2), rate=Fraction(-1, 1), order=2)"
     )
 
 
