@@ -38,7 +38,7 @@ MAX_M = 100
 MAX_SAMPLES = 100_000
 MAX_ALPHAS = 8
 # The cap on one table's work, (n+1) * samples * alphas recurrence steps,
-# checked before any evaluation: a table at the cap takes 4-6 s as one
+# checked before any evaluation: a table at the cap takes 3-5 s as one
 # process, CSV included (2-vCPU Linux host, Python 3.11.7).
 MAX_TABLE_STEPS = 20_000_000
 _SIZE_LIMITS = (("n", MAX_N), ("m", MAX_M), ("samples", MAX_SAMPLES))

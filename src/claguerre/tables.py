@@ -40,9 +40,8 @@ class SampleTable(namedtuple("SampleTable", "columns rows")):
         return super().__new__(cls, columns, rows)
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        lines.extend([",".join(map(repr, row)) for row in self.rows])
-        return "\n".join(lines) + "\n"
+        cells = [map(repr, col) for col in zip(*self.rows)]
+        return "\n".join([",".join(self.columns), *map(",".join, zip(*cells)), ""])
 
 
 def build_table(
@@ -83,4 +82,9 @@ def build_table(
             "x values; use fewer samples or a wider range"
         )
     columns = [laguerre_column(n, m, [x**a / a for x in xs]) for a in alphas]
-    return SampleTable(header, tuple(zip(xs, *columns)))
+    # The step check above proves x strictly increasing and zip fixes the
+    # row width, so of SampleTable's checks only finiteness is left; x itself
+    # overflows when x_max is near the float maximum.
+    if not all(map(math.isfinite, chain(xs, *columns))):
+        raise ValueError("table values must be finite")
+    return SampleTable._make((header, tuple(zip(xs, *columns))))

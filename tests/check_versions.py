@@ -9,6 +9,8 @@ claguerre.cli`` from ``src/`` and compares:
 * the cases of ``test_cli.TestNegativeLookingValues`` (read from that file,
   so they are written once), both as ``--opt value`` and ``--opt=value``:
   exit 2, empty stdout and the one-line message on stderr;
+* the SHA-256 of the stdout of each ``table`` command of
+  ``test_cli._TABLE_DIGESTS`` with the digest recorded there;
 * each command of ``test_cli.TestImports``' table, run under ``-S`` (no
   site hook) through that class's import probe: exit 0, and none of
   ``dataclasses``, ``inspect`` or ``typing`` in ``sys.modules`` afterwards;
@@ -31,6 +33,7 @@ check fails or no interpreter was found.
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -80,16 +83,19 @@ def negative_looking_cases() -> list[tuple[tuple[str, ...], str]]:
     raise LookupError("TestNegativeLookingValues cases not found in test_cli.py")
 
 
+def cli_test_literal(name: str):
+    """The literal value of a module-level constant of ``test_cli.py``."""
+    tree = ast.parse((TESTS / "test_cli.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in test_cli.py")
+
+
 def import_probe() -> tuple[str, list[tuple[str, ...]]]:
     """The probe script of ``TestImports`` and the command lines it runs."""
-    tree = ast.parse((TESTS / "test_cli.py").read_text())
-    values = {
-        node.targets[0].id: node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-    }
-    table = ast.literal_eval(values["_LOADED_BY"])
-    return ast.literal_eval(values["_IMPORT_PROBE"]), [argv for argv, _ in table]
+    table = cli_test_literal("_LOADED_BY")
+    return cli_test_literal("_IMPORT_PROBE"), [argv for argv, _ in table]
 
 
 def expectations():
@@ -124,6 +130,15 @@ def check(python: str) -> int:
         failed += not ok
         detail = "" if ok else f" (exit {run.returncode}, stderr {run.stderr[-200:]!r})"
         print(f"{'PASS' if ok else 'FAIL'} {version} {name}{detail}")
+    for argv, digest in cli_test_literal("_TABLE_DIGESTS"):
+        run = subprocess.run(
+            [python, "-m", "claguerre.cli", "table", *argv],
+            capture_output=True, env=env, cwd=SRC,
+        )
+        ok = run.returncode == 0 and hashlib.sha256(run.stdout).hexdigest() == digest
+        failed += not ok
+        detail = "" if ok else f" (exit {run.returncode}, stderr {run.stderr[-200:]!r})"
+        print(f"{'PASS' if ok else 'FAIL'} {version} table {' '.join(argv)} digest{detail}")
     probe, commands = import_probe()
     for argv in commands:
         run = subprocess.run(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 from claguerre import cli, laplace, verify
 from claguerre.alpha_calc import x_view_str
 from claguerre.laguerre import assoc_closed, laguerre_closed
+from claguerre.tables import build_table
 from claguerre.verify import SuiteResult, VerifyReport
 
 
@@ -78,7 +80,38 @@ class TestEval:
         assert f"L_50^0(alpha=1.0, x=50.0) = {exact:.12g}\n" in out
 
 
+# SHA-256 of the stdout of `table` for these arguments: a change to the bits
+# of any value or to the CSV layout fails here.  tests/check_versions.py runs
+# the same cases on the other Pythons.
+_TABLE_DIGESTS = [
+    (("--n", "5"), "3407bc9809d44bbdb82adf0b43e415eff12982a26b358c260d751f8d42111908"),
+    (("--n", "0"), "9baea929572b901ad59ad59bc066d6266cda5ded6a992c77704a03b014ec0463"),
+    (("--n", "8", "--m", "2", "--samples", "2000"),
+     "3a693405fe71a47947414e3d5e9560790f7ba4c466fb49973733854c231dfe6e"),
+    (("--n", "0", "--alpha", "1", "--xmin", "1e16", "--xmax", "1.0000000000000006e16",
+      "--samples", "4"), "bf0edf24c710bf4b7e8ad6175dc2f277dbd966459fb4e805be900b527a196965"),
+]
+
+
 class TestTable:
+    @pytest.mark.parametrize("argv, digest", _TABLE_DIGESTS)
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, xmax, samples", [
+        (200, "1e6", 3),
+        # (samples - 1) * step rounds past the largest float, so x is inf.
+        (0, "1.7976931348623157e308", 4),
+    ])
+    def test_values_that_overflow_are_refused(self, capsys, n, xmax, samples):
+        result = run_cli(capsys, "table", "--n", str(n), "--alpha", "1",
+                         "--xmax", xmax, "--samples", str(samples))
+        assert result == (2, "", "error: table values must be finite\n")
+        with pytest.raises(ValueError, match="^table values must be finite$"):
+            build_table(n, 0, (1.0,), 0.0, float(xmax), samples)
+
     @pytest.mark.parametrize(
         "xmin, xmax, samples",
         [("1e16", "1.0000000000000004e16", "10"), ("0", "5e-324", "100000")],

@@ -314,13 +314,28 @@ class TestFloatRecurrence:
         assert laguerre_pair(0, 3, 5.0) == (1.0, 0.0)
 
     def test_column_is_bit_identical_to_the_scalar_form(self):
+        def int_constant_pair(n, m, u):
+            # The recurrence with int step constants, as first written.
+            if n == 0:
+                return 1.0, 0.0
+            prev, cur = 1.0, 1.0 + m - u
+            for k in range(1, n):
+                prev, cur = cur, ((2 * k + 1 + m - u) * cur - (k + m) * prev) / (k + 1)
+            return cur, prev
+
         rng = random.Random(7)
-        us = [0.0, 1e-300, 0.5] + [rng.uniform(0.0, 120.0) for _ in range(40)]
-        for n in (0, 1, 2, 9, 48, 100):
-            for m in (0, 1, 4):
-                scalar = [laguerre_pair(n, m, u)[0].hex() for u in us]
-                assert [v.hex() for v in laguerre_column(n, m, us)] == scalar
+        # 1e5 and 1e300 overflow to inf or nan at the larger degrees.
+        us = [0.0, 1e-300, 0.5, 1e5, 1e300] + [rng.uniform(0.0, 120.0) for _ in range(40)]
+        for n in (0, 1, 2, 9, 48, 100, 1500):
+            for m in (0, 1, 4, 100):
+                want = [int_constant_pair(n, m, u) for u in us]
+                pairs = [laguerre_pair(n, m, u) for u in us]
+                assert [(v.hex(), p.hex()) for v, p in pairs] == [
+                    (v.hex(), p.hex()) for v, p in want]
+                assert [v.hex() for v in laguerre_column(n, m, us)] == [
+                    v.hex() for v, _ in want]
                 assert laguerre_column(n, m, []) == []
+        assert not math.isfinite(laguerre_pair(1500, 100, 1e5)[0])
 
     def test_negative_indices_are_rejected(self):
         for bad in ((-1, 0), (2, -1)):

@@ -12,7 +12,7 @@ from claguerre.figures import FIGURES, FigureFixture
 from claguerre.integrate import QuadratureRule, gauss_laguerre
 from claguerre.laguerre import GeneratingExpansion, generating_series
 from claguerre.laplace import NamedSignal, PoleTerm
-from claguerre.tables import SampleTable
+from claguerre.tables import SampleTable, build_table
 from claguerre.verify import SuiteResult, VerifyReport
 
 U = ReducedPoly.monomial(1)
@@ -90,6 +90,18 @@ def test_named_signal_defaults():
     sig = NamedSignal("one")
     assert (sig.kind, sig.p, sig.omega) == ("one", 0.0, 1.0)
     assert NamedSignal("power_p", p=1.5).p == 1.5
+
+
+def test_sample_table_csv_layout():
+    table = SampleTable(("x", "y", "z"), ((0.0, 1.5, -0.0), (2.5, 1e-300, 3e16)))
+    assert table.to_csv() == "x,y,z\n0.0,1.5,-0.0\n2.5,1e-300,3e+16\n"
+    assert SampleTable(("x",), ()).to_csv() == "x\n"
+
+
+def test_built_table_passes_the_public_checks():
+    table = build_table(3, 1, (0.5, 1.0), 0.0, 6.0, 40)
+    assert type(table) is SampleTable
+    assert SampleTable(*table) == table
 
 
 def test_memoised_gauss_rule_is_shared_and_immutable():
