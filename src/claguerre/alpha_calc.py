@@ -656,17 +656,15 @@ class ExpPoly:
         return bool(self._keys)
 
     def __str__(self):
-        if not self._keys:
-            return "0"
         pieces = []
         for r, p in self.terms:
-            body = str(p)
-            if r != 0:
-                body = f"({body})" if (" " in body or body.startswith("-")) else body
+            signed = p._signed_terms("u")
+            if r:
                 rate = "-u" if r == -1 else ("u" if r == 1 else f"{r}*u")
-                body = f"{body}*exp({rate})"
-            pieces.append(body)
-        return " + ".join(pieces)
+                neg, body = (False, f"({p})") if len(signed) > 1 else signed[0]
+                signed = [(neg, f"{'' if body == '1' else body + '*'}exp({rate})")]
+            pieces += signed
+        return _join_signed(pieces)
 
     def __repr__(self):
         return f"ExpPoly({[(str(r), str(p)) for r, p in self.terms]})"

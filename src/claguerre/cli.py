@@ -240,21 +240,17 @@ def _cmd_solve(args) -> int:
     from .laguerre import laguerre_closed
 
     n = args.n
-    Y = laplace.laguerre_transform(n)
+    Y, residual, solution = laplace.replay_laguerre_ode(n)
     print(f"n = {n}")
     print(f"s-domain equation: -s(s-1)*Y'(s) + ({n + 1} - s)*Y(s) = 0")
     print(f"closed form: Y(s) = (s-1)^{n}/s^{n + 1}")
     print(f"partial fractions: Y(s) = {Y}")
-    residual = laplace.s_domain_residual(Y, n)
-    print(f"s-domain residual: {residual} {'(exact)' if residual.is_zero else ''}")
-    solution = laplace.inverse(Y).as_poly()
+    print(f"s-domain residual: {residual}{' (exact)' if residual.is_zero else ''}")
     print(f"inverse transform: y(u) = {solution}, u = x^a/a")
     print(f"x-view: {x_view_str(solution)}")
-    if residual.is_zero and solution == laguerre_closed(n):
-        print("match: exact")
-        return 0
-    print("match: MISMATCH against the direct coefficients")
-    return 1
+    exact = residual.is_zero and solution == laguerre_closed(n)
+    print(f"match: {'exact' if exact else 'MISMATCH against the direct coefficients'}")
+    return 0 if exact else 1
 
 
 def _cmd_verify(args) -> int:

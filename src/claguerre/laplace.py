@@ -49,6 +49,7 @@ __all__ = [
     "derivative_rule",
     "inverse",
     "laguerre_transform",
+    "replay_laguerre_ode",
     "s_domain_residual",
     "solve_laguerre_ode",
     "transform",
@@ -410,15 +411,17 @@ def s_domain_residual(Y: TransformExpr, n: int) -> TransformExpr:
     return -(s_dY.mul_s() - s_dY) + (n + 1) * Y - Y.mul_s()
 
 
-def solve_laguerre_ode(n: int) -> ReducedPoly:
-    """Replay of the transform-domain solution of the defining equation.
-
-    Builds Y(s) = (s-1)**n / s**(n+1) by exact binomial expansion, checks
-    that it annihilates the s-domain operator, and inverts termwise to the
-    reduced polynomial sum_k (-1)**k C(n,k) u**k / k!.
-    """
+def replay_laguerre_ode(n: int) -> tuple[TransformExpr, TransformExpr, ReducedPoly]:
+    """The s-domain solution of the defining equation, stage by stage: Y(s) =
+    (s-1)**n / s**(n+1) expanded exactly, its s-domain residual, and its
+    termwise inverse sum_k (-1)**k C(n,k) u**k / k!."""
     Y = laguerre_transform(n)
-    residual = s_domain_residual(Y, n)
+    return Y, s_domain_residual(Y, n), inverse(Y).as_poly()
+
+
+def solve_laguerre_ode(n: int) -> ReducedPoly:
+    """The replay's solution; AlgebraError if its residual is nonzero."""
+    _, residual, solution = replay_laguerre_ode(n)
     if not residual.is_zero:
         raise AlgebraError(f"s-domain residual is nonzero: {residual}")
-    return inverse(Y).as_poly()
+    return solution

@@ -343,10 +343,15 @@ def _suite_shift() -> str:
     shifts = (Fraction(1), Fraction(2), Fraction(1, 2))
     for i in range(_PROPERTY_DRAWS):
         a, p = shifts[i % 3], _property_draw(rng)
-        lhs = laplace.transform(ExpPoly.exp(-a) * p)
-        rhs = laplace.transform(p).shifted(a)
-        _ensure(lhs == rhs, lambda: f"shift by {a} broken for {p}")
-    return f"{_PROPERTY_DRAWS} draws, a in {{1, 2, 1/2}}, exact partial-fraction identity"
+        T = laplace.transform(p)
+        S = T.shifted(a)
+        ok = laplace.transform(ExpPoly.exp(-a) * p) == S
+        if i % 15 == 2:  # s^2 F(s) has a polynomial part, shifted too
+            sS = S.mul_s()
+            ok &= T.mul_s().mul_s().shifted(a) == sS.mul_s() + 2 * a * sS + a * a * S
+        _ensure(ok, lambda: f"shift by {a} broken for {p}")
+    return (f"{_PROPERTY_DRAWS} draws, a in {{1, 2, 1/2}}, exact partial-fraction "
+            "identity, 7 also on s^2 F(s)")
 
 
 def _suite_u_multiplication() -> str:

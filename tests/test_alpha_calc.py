@@ -128,6 +128,15 @@ class TestExpPolyArithmetic:
         e = ExpPoly(((F(1), 1), (F(-1), 1), (F(1), 2)))
         assert rates_of(e) == (F(-1), F(1))
 
+    def test_str_joins_signed_terms(self):
+        assert str(ExpPoly([(-1, 1), (0, -1)])) == "exp(-u) - 1"
+        assert str(ExpPoly([(-1, -U), (0, U - 1)])) == "-u*exp(-u) - 1 + u"
+        assert str(d_alpha(ExpPoly.exp(-1))) == "-exp(-u)"
+        assert str(ExpPoly.exp(-1, 1 - U)) == "(1 - u)*exp(-u)"
+        assert str(ExpPoly.exp(F(1, 2), -1 - U)) == "(-1 - u)*exp(1/2*u)"
+        assert str(ExpPoly([(2, F(-3, 2) * U * U), (1, 2)])) == "2*exp(u) - 3/2*u^2*exp(2*u)"
+        assert str(ExpPoly()) == "0"
+
 
 class TestSubtraction:
     """Each type's `-` equals adding the negation, from either side and

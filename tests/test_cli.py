@@ -459,6 +459,27 @@ class TestSolve:
         _, out, _ = run_cli(capsys, "solve", "--n", "4")
         assert f"x-view: {x_view_str(laguerre_closed(4))}" in out
 
+    def test_nonzero_residual_is_a_mismatch(self, capsys, monkeypatch):
+        Y, _, solution = laplace.replay_laguerre_ode(3)
+        monkeypatch.setattr(
+            laplace, "replay_laguerre_ode",
+            lambda n: (Y, laplace.TransformExpr([(1, 0, 2)]), solution),
+        )
+        code, out, err = run_cli(capsys, "solve", "--n", "3")
+        assert (code, err) == (1, "")
+        assert "\ns-domain residual: 1/s^2\n" in out
+        assert out.endswith("\nmatch: MISMATCH against the direct coefficients\n")
+
+    def test_wrong_solution_is_a_mismatch(self, capsys, monkeypatch):
+        Y, residual, _ = laplace.replay_laguerre_ode(3)
+        monkeypatch.setattr(
+            laplace, "replay_laguerre_ode", lambda n: (Y, residual, laguerre_closed(2))
+        )
+        code, out, _ = run_cli(capsys, "solve", "--n", "3")
+        assert code == 1
+        assert "s-domain residual: 0 (exact)\n" in out
+        assert out.endswith("match: MISMATCH against the direct coefficients\n")
+
     @pytest.mark.parametrize("n", [0, 1, 5, 12])
     def test_golden_output(self, capsys, n):
         # Recorded from the Fraction-pole TransformExpr this output must match.

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claguerre.alpha_calc import ExpPoly, ReducedPoly
+from claguerre import laplace
+from claguerre.alpha_calc import AlgebraError, ExpPoly, ReducedPoly
 from claguerre.integrate import gauss_laguerre, quad_transform
 from claguerre.laguerre import laguerre_closed
 from claguerre.laplace import (
@@ -17,6 +18,7 @@ from claguerre.laplace import (
     derivative_rule,
     inverse,
     laguerre_transform,
+    replay_laguerre_ode,
     s_domain_residual,
     solve_laguerre_ode,
     transform,
@@ -282,6 +284,21 @@ class TestSolve:
     def test_matches_closed_form(self):
         for n in range(13):
             assert solve_laguerre_ode(n) == laguerre_closed(n)
+
+    def test_replay_stages(self):
+        Y, residual, solution = replay_laguerre_ode(3)
+        assert Y == laguerre_transform(3)
+        assert residual.is_zero
+        assert solution == laguerre_closed(3)
+
+    def test_nonzero_residual_raises(self, monkeypatch):
+        Y, _, solution = replay_laguerre_ode(3)
+        monkeypatch.setattr(
+            laplace, "replay_laguerre_ode",
+            lambda n: (Y, TransformExpr([(1, 0, 2)]), solution),
+        )
+        with pytest.raises(AlgebraError, match=r"s-domain residual is nonzero: 1/s\^2"):
+            solve_laguerre_ode(3)
 
 
 class TestRendering:
