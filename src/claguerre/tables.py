@@ -4,7 +4,9 @@ Values come from the three-term recurrence of
 :func:`claguerre.laguerre.laguerre_column`, run one alpha column at a time:
 the alphas are validated once per table, the indices once per column, and
 u = x**alpha / alpha is computed once per (x, alpha), so the per-point cost
-is the recurrence alone.  Output is deterministic byte for byte: floats
+is the recurrence alone.  The record keeps the columns that the recurrence
+computes, x first, and renders from them; ``SampleTable.rows`` builds the
+row tuples on each access.  Output is deterministic byte for byte: floats
 print in shortest round-trip form and rows end with a bare linefeed.
 """
 
@@ -21,26 +23,31 @@ from .laguerre import laguerre_column
 __all__ = ["SampleTable", "build_table"]
 
 
-class SampleTable(namedtuple("SampleTable", "columns rows")):
-    """Header plus rows of (x, one value per requested alpha)."""
+class SampleTable(namedtuple("SampleTable", "columns values")):
+    """Header plus one tuple of values per header name: x, then one column
+    per requested alpha."""
 
     __slots__ = ()
 
     def __new__(
-        cls, columns: tuple[str, ...], rows: tuple[tuple[float, ...], ...]
+        cls, columns: tuple[str, ...], values: tuple[tuple[float, ...], ...]
     ) -> SampleTable:
-        xs = [row[0] for row in rows]
+        xs = values[0] if values else ()
+        if len(values) != len(columns) or any(len(col) != len(xs) for col in values):
+            raise ValueError("need one value column per header name, each as long as x")
         if any(map(le, xs[1:], xs)):
             raise ValueError("x values must be strictly increasing")
-        width = len(columns)
-        if any(len(row) != width for row in rows):
-            raise ValueError("row width must match the header")
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
+        if not all(map(math.isfinite, chain.from_iterable(values))):
             raise ValueError("table values must be finite")
-        return super().__new__(cls, columns, rows)
+        return super().__new__(cls, columns, values)
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """The table by row, (x, one value per alpha), built on each access."""
+        return tuple(zip(*self.values))
 
     def to_csv(self) -> str:
-        cells = [map(repr, col) for col in zip(*self.rows)]
+        cells = [map(repr, col) for col in self.values]
         return "\n".join([",".join(self.columns), *map(",".join, zip(*cells)), ""])
 
 
@@ -82,9 +89,9 @@ def build_table(
             "x values; use fewer samples or a wider range"
         )
     columns = [laguerre_column(n, m, [x**a / a for x in xs]) for a in alphas]
-    # The step check above proves x strictly increasing and zip fixes the
-    # row width, so of SampleTable's checks only finiteness is left; x itself
-    # overflows when x_max is near the float maximum.
+    # The step check above proves x strictly increasing and every column is
+    # as long as x, so of SampleTable's checks only finiteness is left; x
+    # itself overflows when x_max is near the float maximum.
     if not all(map(math.isfinite, chain(xs, *columns))):
         raise ValueError("table values must be finite")
-    return SampleTable._make((header, tuple(zip(xs, *columns))))
+    return SampleTable._make((header, (tuple(xs), *map(tuple, columns))))

@@ -571,7 +571,13 @@ def _suite_csv_determinism() -> str:
     _ensure(first == second, "repeated renders differ")
     _ensure("\r" not in first, "carriage return in output")
     _ensure(first.endswith("\n"), "missing trailing newline")
-    return "byte-identical renders, LF line endings"
+    # L_0^m = 1 exactly, and no figure fixture has n = 0.
+    constant = build_table(0, 1, (0.5, 1.0), 0.0, 6.0, 40)
+    _ensure(
+        all(v == 1.0 for column in constant.values[1:] for v in column),
+        "an n = 0 value column is not exactly 1.0",
+    )
+    return "byte-identical renders, LF line endings, n = 0 columns exactly 1.0"
 
 
 SUITES: dict[str, tuple[tuple[str, object], ...]] = {

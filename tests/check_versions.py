@@ -18,7 +18,11 @@ claguerre.cli`` from ``src/`` and compares:
   needs no pytest, with ``golden/exact_results.sha256``;
 * the derivative memo of ``ExpPoly`` (``MEMO``): orders asked in a shuffled
   sequence match the same orders on a fresh twin, and an ExpPoly with a
-  filled memo survives ``pickle`` at every protocol from 2 on.
+  filled memo survives ``pickle`` at every protocol from 2 on;
+* the sample table record (``RECORD``): a built table survives the public
+  constructor unchanged, holds one tuple per column, and its ``rows``, read
+  back from the columns, are the per-point ``laguerre_pair`` values bit for
+  bit.
 
 Usage::
 
@@ -66,6 +70,20 @@ for _ in range(40):
         assert all(d_alpha_n(g, n) == d_alpha_n(f, n) for n in range(10)), (f, protocol)
         checked += 1
 print(checked)
+"""
+RECORD = """
+from claguerre.laguerre import laguerre_pair
+from claguerre.tables import SampleTable, build_table
+alphas = (0.25, 0.5, 1.0)
+table = build_table(6, 2, alphas, 0.5, 7.5, 30)
+assert SampleTable(*table) == table
+assert all(type(column) is tuple for column in table.values)
+rows = table.rows
+assert rows == tuple(zip(*table.values)) and len(rows) == 30
+for x, *got in rows:
+    want = [laguerre_pair(6, 2, x**a / a)[0] for a in alphas]
+    assert [v.hex() for v in got] == [v.hex() for v in want], (x, got, want)
+print(len(rows))
 """
 
 
@@ -163,6 +181,11 @@ def check(python: str) -> int:
     failed += not ok
     detail = f" ({run.stdout.strip()} checks)" if ok else f" (stderr {run.stderr[-200:]!r})"
     print(f"{'PASS' if ok else 'FAIL'} {version} derivative memo and pickle{detail}")
+    run = subprocess.run([python, "-c", RECORD], capture_output=True, text=True, env=env)
+    ok = run.returncode == 0 and run.stdout.strip().isdigit()
+    failed += not ok
+    detail = f" ({run.stdout.strip()} rows)" if ok else f" (stderr {run.stderr[-200:]!r})"
+    print(f"{'PASS' if ok else 'FAIL'} {version} sample table columns and rows{detail}")
     return failed
 
 

@@ -795,3 +795,24 @@ class TestProcessContract:
             [sys.executable, "-m", "claguerre.cli"], capture_output=True, env=CHILD_ENV
         )
         assert proc.returncode == 2
+
+    def test_package_runs_as_the_cli_module(self):
+        argv = ("eval", "--n", "2", "--x", "1")
+        package, module = (
+            subprocess.run([sys.executable, "-m", name, *argv],
+                           capture_output=True, env=CHILD_ENV)
+            for name in ("claguerre", "claguerre.cli")
+        )
+        assert (package.returncode, package.stdout, package.stderr) == (
+            module.returncode, module.stdout, module.stderr
+        )
+        assert package.returncode == 0 and package.stdout
+
+    def test_package_reports_a_rejected_input_in_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "claguerre", "solve", "--n", "-1"],
+            capture_output=True, text=True, env=CHILD_ENV,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert re.fullmatch(r"error: [^\n]+\n", proc.stderr)

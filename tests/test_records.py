@@ -10,7 +10,7 @@ import pytest
 from claguerre.alpha_calc import ReducedPoly
 from claguerre.figures import FIGURES, FigureFixture
 from claguerre.integrate import QuadratureRule, gauss_laguerre
-from claguerre.laguerre import GeneratingExpansion, generating_series
+from claguerre.laguerre import GeneratingExpansion, generating_series, laguerre_pair
 from claguerre.laplace import NamedSignal, PoleTerm
 from claguerre.tables import SampleTable, build_table
 from claguerre.verify import SuiteResult, VerifyReport
@@ -25,7 +25,7 @@ def _expansion():
 
 # (record factory, its field names); each call builds a fresh, equal record.
 RECORDS = [
-    (lambda: SampleTable(("x", "y"), ((0.0, 1.0), (1.0, 2.0))), ("columns", "rows")),
+    (lambda: SampleTable(("x", "y"), ((0.0, 1.0), (1.0, 2.0))), ("columns", "values")),
     (lambda: QuadratureRule((0.5, 1.5), (0.5, 0.5), 2), ("nodes", "weights", "order")),
     (lambda: NamedSignal("sin_wu", omega=2.0), ("kind", "p", "omega")),
     (lambda: FigureFixture(1, 1, 0, _formula), ("number", "n", "m", "formula")),
@@ -93,15 +93,35 @@ def test_named_signal_defaults():
 
 
 def test_sample_table_csv_layout():
-    table = SampleTable(("x", "y", "z"), ((0.0, 1.5, -0.0), (2.5, 1e-300, 3e16)))
+    table = SampleTable(("x", "y", "z"), ((0.0, 2.5), (1.5, 1e-300), (-0.0, 3e16)))
     assert table.to_csv() == "x,y,z\n0.0,1.5,-0.0\n2.5,1e-300,3e+16\n"
-    assert SampleTable(("x",), ()).to_csv() == "x\n"
+    assert table.rows == ((0.0, 1.5, -0.0), (2.5, 1e-300, 3e16))
+    header_only = SampleTable(("x",), ((),))
+    assert header_only.to_csv() == "x\n"
+    assert header_only.rows == ()
 
 
 def test_built_table_passes_the_public_checks():
     table = build_table(3, 1, (0.5, 1.0), 0.0, 6.0, 40)
     assert type(table) is SampleTable
     assert SampleTable(*table) == table
+    assert len(table.values) == len(table.columns) == 3
+    assert all(type(column) is tuple and len(column) == 40 for column in table.values)
+
+
+def test_built_table_rows_are_the_per_point_recurrence():
+    alphas = (0.25, 0.5, 1.0)
+    table = build_table(6, 2, alphas, 0.5, 7.5, 30)
+    assert type(table.rows) is tuple
+    assert [x.hex() for x in table.values[0]] == [
+        (0.5 + i * (7.0 / 29)).hex() for i in range(30)
+    ]
+    want = [
+        (x, *(laguerre_pair(6, 2, x**a / a)[0] for a in alphas)) for x in table.values[0]
+    ]
+    assert [tuple(v.hex() for v in row) for row in table.rows] == [
+        tuple(v.hex() for v in row) for row in want
+    ]
 
 
 def test_memoised_gauss_rule_is_shared_and_immutable():
@@ -115,10 +135,17 @@ def test_memoised_gauss_rule_is_shared_and_immutable():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: SampleTable(("x", "y"), ((1.0, 0.0), (1.0, 0.0))),
+        (lambda: SampleTable(("x", "y"), ((1.0, 1.0), (0.0, 0.0))),
          "x values must be strictly increasing"),
-        (lambda: SampleTable(("x", "y"), ((0.0,),)), "row width must match the header"),
-        (lambda: SampleTable(("x", "y"), ((0.0, float("nan")),)),
+        (lambda: SampleTable(("x", "y"), ((0.0,),)),
+         "need one value column per header name, each as long as x"),
+        pytest.param(lambda: SampleTable(("x", "y"), ((0.0, 1.0), (0.0,))),
+                     "need one value column per header name, each as long as x",
+                     id="SampleTable-short-value-column"),
+        pytest.param(lambda: SampleTable(("x", "y"), ((0.0,), (0.0, 1.0))),
+                     "need one value column per header name, each as long as x",
+                     id="SampleTable-long-value-column"),
+        (lambda: SampleTable(("x", "y"), ((0.0,), (float("nan"),))),
          "table values must be finite"),
         (lambda: QuadratureRule((0.5,), (1.0,), 2),
          "rule must hold exactly `order` nodes and weights"),
