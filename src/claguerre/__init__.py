@@ -71,8 +71,8 @@ _EXPORTS = {
     ),
     "tables": ("SampleTable", "build_table"),
 }
-_SUBMODULES = ("alpha_calc", "cli", "figures", "integrate", "laguerre", "laplace",
-               "tables", "verify")
+_SUBMODULES = ("alpha_calc", "cli", "integrate", "laguerre", "laplace", "tables",
+               "verify")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

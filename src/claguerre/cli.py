@@ -256,13 +256,13 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    report = verify.run_suites(args.scope)
-    for entry in report.entries:
+    results = verify.run_suites(args.scope)
+    for entry in results:
         status = "PASS" if entry.passed else "FAIL"
         print(f"{status} {entry.name}: {entry.detail}")
-    failed = sum(1 for e in report.entries if not e.passed)
-    print(f"{len(report.entries) - failed}/{len(report.entries)} suites passed")
-    return report.exit_code
+    failed = sum(1 for e in results if not e.passed)
+    print(f"{len(results) - failed}/{len(results)} suites passed")
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

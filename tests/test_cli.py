@@ -13,7 +13,7 @@ from claguerre import cli, laplace, verify
 from claguerre.alpha_calc import x_view_str
 from claguerre.laguerre import assoc_closed, laguerre_closed
 from claguerre.tables import build_table
-from claguerre.verify import SuiteResult, VerifyReport
+from claguerre.verify import SuiteResult
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -507,11 +507,12 @@ class TestVerify:
         assert lines[-1].endswith("suites passed")
 
     def test_exit_code_tracks_failures(self, capsys, monkeypatch):
-        fake = VerifyReport((SuiteResult("fake/broken", False, "boom"),))
+        fake = (SuiteResult("fake/fine", True, "ok"),
+                SuiteResult("fake/broken", False, "boom"))
         monkeypatch.setattr(verify, "run_suites", lambda scope: fake)
         code, out, _ = run_cli(capsys, "verify", "--scope", "all")
         assert code == 1
-        assert "FAIL fake/broken: boom" in out
+        assert out == "PASS fake/fine: ok\nFAIL fake/broken: boom\n1/2 suites passed\n"
 
     def test_unknown_scope_is_usage_error(self, capsys):
         _assert_one_line_usage_error(run_cli(capsys, "verify", "--scope", "nope"))
@@ -529,7 +530,7 @@ _LOADED_BY = [
      {"alpha_calc", "integrate", "laguerre", "laplace"}),
     (("solve", "--n", "4"), {"alpha_calc", "laguerre", "laplace"}),
     (("verify", "--scope", "all"),
-     {"alpha_calc", "figures", "integrate", "laguerre", "laplace", "tables", "verify"}),
+     {"alpha_calc", "integrate", "laguerre", "laplace", "tables", "verify"}),
 ]
 _IMPORT_PROBE = """\
 import json, sys

@@ -8,12 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from claguerre.alpha_calc import ReducedPoly
-from claguerre.figures import FIGURES, FigureFixture
 from claguerre.integrate import QuadratureRule, gauss_laguerre
 from claguerre.laguerre import GeneratingExpansion, generating_series, laguerre_pair
 from claguerre.laplace import NamedSignal, PoleTerm
 from claguerre.tables import SampleTable, build_table
-from claguerre.verify import SuiteResult, VerifyReport
+from claguerre.verify import FIGURES, FigureFixture, SuiteResult
 
 U = ReducedPoly.monomial(1)
 _formula = FIGURES[0].formula
@@ -30,13 +29,12 @@ RECORDS = [
     (lambda: NamedSignal("sin_wu", omega=2.0), ("kind", "p", "omega")),
     (lambda: FigureFixture(1, 1, 0, _formula), ("number", "n", "m", "formula")),
     (lambda: SuiteResult("a/b", True, "ok"), ("name", "passed", "detail")),
-    (lambda: VerifyReport((SuiteResult("a/b", True, "ok"),)), ("entries",)),
     (_expansion, ("order", "coefficient_polys")),
     (lambda: PoleTerm(F(1, 2), F(-1), 2), ("coeff", "rate", "order")),
 ]
 IDS = [
     "SampleTable", "QuadratureRule", "NamedSignal", "FigureFixture",
-    "SuiteResult", "VerifyReport", "GeneratingExpansion", "PoleTerm",
+    "SuiteResult", "GeneratingExpansion", "PoleTerm",
 ]
 
 

@@ -1,17 +1,17 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from claguerre import verify
+from claguerre import cli, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly
 from claguerre.laguerre import laguerre_pair
 from claguerre.verify import (
     SUITES,
     SuiteResult,
-    VerifyReport,
     run_suites,
     scope_names,
 )
@@ -28,11 +28,13 @@ def test_unknown_scope_raises():
 
 
 def test_single_scope_runs_only_its_suites():
-    report = run_suites("alpha_calc")
-    assert len(report.entries) == len(SUITES["alpha_calc"])
-    assert all(e.name.startswith("alpha_calc/") for e in report.entries)
-    assert report.all_passed
-    assert report.exit_code == 0
+    results = run_suites("alpha_calc")
+    assert type(results) is tuple
+    assert [type(e) for e in results] == [SuiteResult] * len(SUITES["alpha_calc"])
+    assert [e.name for e in results] == [
+        f"alpha_calc/{name}" for name, _ in SUITES["alpha_calc"]
+    ]
+    assert all(e.passed for e in results)
 
 
 def test_failures_become_entries_not_crashes(monkeypatch):
@@ -43,19 +45,45 @@ def test_failures_become_entries_not_crashes(monkeypatch):
         assert False, "identity moved"
 
     monkeypatch.setitem(SUITES, "cli", (("boom", boom), ("miss", miss)))
-    report = run_suites("cli")
-    assert [e.passed for e in report.entries] == [False, False]
-    assert "RuntimeError" in report.entries[0].detail
-    assert "identity moved" in report.entries[1].detail
-    assert report.exit_code == 1
+    results = run_suites("cli")
+    assert [e.passed for e in results] == [False, False]
+    assert "RuntimeError" in results[0].detail
+    assert "identity moved" in results[1].detail
 
 
-def test_report_exit_code_reflects_entries():
-    good = VerifyReport((SuiteResult("a/b", True, "ok"),))
-    bad = VerifyReport((SuiteResult("a/b", True, "ok"),
-                        SuiteResult("a/c", False, "off")))
-    assert good.exit_code == 0 and good.all_passed
-    assert bad.exit_code == 1 and not bad.all_passed
+def test_report_exit_code_reflects_entries(monkeypatch, capsys):
+    def ok():
+        return "ok"
+
+    def off():
+        raise AssertionError("off")
+
+    monkeypatch.setitem(SUITES, "cli", (("b", ok),))
+    assert cli.main(["verify", "--scope", "cli"]) == 0
+    monkeypatch.setitem(SUITES, "cli", (("b", ok), ("c", off)))
+    assert cli.main(["verify", "--scope", "cli"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "FAIL cli/c: off", "1/2 suites passed",
+    ]
+
+
+def test_named_pairs_catch_an_unscaled_overflow_branch(monkeypatch):
+    # w^2 + s^2 overflows at w = s = 1e200; dropping the last division by the
+    # scale makes sin_wu's image 0.5 instead of 5e-201
+    def unscaled(top, w, s):
+        d = w * w + s * s
+        if math.isfinite(d):
+            return top / d
+        c = max(abs(w), abs(s))
+        w, s = w / c, s / c
+        return top / c / (w * w + s * s)
+
+    monkeypatch.setattr(verify.laplace, "_over_squares", unscaled)
+    failed = [e for e in run_suites("laplace") if not e.passed]
+    assert [e.name for e in failed] == ["laplace/named-pair-quadrature"]
+    assert failed[0].detail.startswith(
+        "NamedSignal(kind='sin_wu', p=0.0, omega=1e+200) at s=1e+200: quadrature "
+    )
 
 
 def test_classical_recurrence_small_values():
@@ -86,8 +114,7 @@ def test_passing_checks_build_no_failure_message(monkeypatch):
 
     for cls in (ExpPoly, ReducedPoly):
         monkeypatch.setattr(cls, "__str__", forbidden)
-    report = run_suites("all")
-    assert report.all_passed, [e.detail for e in report.entries if not e.passed]
+    assert [e.detail for e in run_suites("all") if not e.passed] == []
 
 
 def test_failing_check_reports_its_formatted_message(monkeypatch):
@@ -95,7 +122,7 @@ def test_failing_check_reports_its_formatted_message(monkeypatch):
     first = verify.random_exppoly(
         random.Random(verify._SEED + 4), rates=verify._ROUND_TRIP_RATES, max_degree=8
     )
-    entry = run_suites("laplace").entries[0]
+    entry = run_suites("laplace")[0]
     assert entry == SuiteResult("laplace/round-trip", False, f"round trip moved {first}")
 
 
