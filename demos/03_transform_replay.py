@@ -3,8 +3,8 @@
 
 The transform sends u**k * exp(r*u) to k!/(s-r)**(k+1) and stays exact in
 partial-fraction form, so the whole s-domain derivation (first-order ODE in
-s, binomial expansion, termwise inversion) can be replayed and checked step
-by step.
+s, derived from the u-domain equation's coefficient table, binomial
+expansion, termwise inversion) can be replayed and checked step by step.
 """
 
 from fractions import Fraction as F
@@ -21,7 +21,7 @@ from claguerre import (
     transform,
     transform_named,
 )
-from claguerre.laplace import replay_laguerre_ode
+from claguerre.laplace import replay_laguerre_ode, s_domain_equation
 
 u = ReducedPoly((0, 1))
 
@@ -65,6 +65,7 @@ print("== the s-domain replay ==")
 n = 4
 Y, residual, y = replay_laguerre_ode(n)
 print(f"Y(s) = (s-1)^{n}/s^{n + 1} = {Y}")
+print(f"derived s-domain equation: {s_domain_equation(n)}")
 print(f"s-domain residual: {residual}")
 print(f"inverse transform: {y}")
 print(f"matches the closed form: {y == laguerre_closed(n)}")

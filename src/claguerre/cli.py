@@ -242,7 +242,7 @@ def _cmd_solve(args) -> int:
     n = args.n
     Y, residual, solution = laplace.replay_laguerre_ode(n)
     print(f"n = {n}")
-    print(f"s-domain equation: -s(s-1)*Y'(s) + ({n + 1} - s)*Y(s) = 0")
+    print(f"s-domain equation: {laplace.s_domain_equation(n)}")
     print(f"closed form: Y(s) = (s-1)^{n}/s^{n + 1}")
     print(f"partial fractions: Y(s) = {Y}")
     print(f"s-domain residual: {residual}{' (exact)' if residual.is_zero else ''}")

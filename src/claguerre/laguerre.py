@@ -19,9 +19,9 @@ at big-integer cost, and it never reads the monomial coefficients, so the
 two check each other.  The conformable polynomial is the classical L_n^m at
 u = x**alpha / alpha, so the same recurrence serves every alpha.
 
-With the normalization used here (constant term 1 for the plain family) the
-polynomials satisfy u*p'' + (1 + m - u)*p' + n*p = 0 and are orthonormal
-against exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
+With constant term 1 for the plain family, the polynomials solve the one
+copy of the defining equation, ``laguerre_ode``, and are orthonormal against
+exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "laguerre_closed",
     "laguerre_column",
     "laguerre_pair",
+    "laguerre_ode",
     "laguerre_rodrigues",
     "ode_residual",
     "values_at_zero",
@@ -156,17 +157,23 @@ def laguerre_column(n: int, m: int, us: Sequence[float]) -> list[float]:
     return cur
 
 
-def ode_residual(p: ReducedPoly, n: int, m: int = 0) -> ReducedPoly:
-    """Residual of the defining equation in reduced form.
-
-    In the u variable the conformable operator collapses to
-    alpha * (u*p'' + (1 + m - u)*p' + n*p); the global alpha factor is
-    nonzero and is divided out, so the residual is zero exactly when p
-    solves the equation.
-    """
+def laguerre_ode(n: int, m: int = 0) -> tuple[tuple[int, ...], ...]:
+    """The defining equation u*p'' + (1 + m - u)*p' + n*p = 0, its one copy,
+    as the integer coefficients in u of each P_j in sum_j P_j * p^(j)."""
     _check_index(n, m)
-    u = ReducedPoly.monomial(1)
-    return u * p.deriv(2) + ReducedPoly((1 + m, -1)) * p.deriv() + n * p
+    return (n,), (1 + m, -1), (0, 1)
+
+
+def ode_residual(p: ReducedPoly, n: int, m: int = 0) -> ReducedPoly:
+    """sum_j P_j * p^(j) over :func:`laguerre_ode`, on p's numerators.  The
+    conformable operator in u is alpha times this residual, so with the
+    nonzero alpha divided out it is zero exactly when p solves the equation."""
+    num, out = p._num, [0] * (len(p._num) + 1)
+    for j, P in enumerate(laguerre_ode(n, m)):
+        for k, c in enumerate(P):
+            for r in range(j, len(num)):
+                out[r - j + k] += c * perm(r, j) * num[r]
+    return ReducedPoly._from_ints(out, p._den)
 
 
 class GeneratingExpansion(tuple):

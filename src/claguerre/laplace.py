@@ -39,7 +39,7 @@ from .alpha_calc import (
     _sub,
     as_alpha,
 )
-from .laguerre import _check_index
+from .laguerre import _check_index, laguerre_ode
 
 __all__ = [
     "NamedSignal",
@@ -50,6 +50,8 @@ __all__ = [
     "inverse",
     "laguerre_transform",
     "replay_laguerre_ode",
+    "s_domain_equation",
+    "s_domain_operator",
     "s_domain_residual",
     "solve_laguerre_ode",
     "transform",
@@ -403,12 +405,41 @@ def laguerre_transform(n: int) -> TransformExpr:
     return TransformExpr._make(ExpPoly._from_block(((0, 1),), (poles,), 1), _ZERO)
 
 
+def s_domain_operator(n: int) -> tuple[tuple[int, ...], ...]:
+    """(Q_0, Q_1, ...) in s: sum_l Q_l * Y^(l) is the transform of the
+    equation of :func:`~claguerre.laguerre.laguerre_ode` by two rules,
+    L{y^(j)} = s**j * Y - (initial values) and L{u**k * g} = (-d/ds)**k G.
+    By Leibniz, c * u**k * y^(j) adds c * (-1)**k * C(k, i) * j!/(j-i)! *
+    s**(j-i) to Q_(k-i) for i <= min(j, k).  The initial values cancel at
+    m = 0; at m > 0 they would leave m * y(0)."""
+    table = laguerre_ode(n)
+    Q = [[0] * len(table) for _ in range(max(map(len, table)))]
+    for j, P in enumerate(table):
+        for k, c in enumerate(P):
+            for i in range(min(j, k) + 1):
+                Q[k - i][j - i] += (-1) ** k * c * math.comb(k, i) * math.perm(j, i)
+    return tuple(ReducedPoly._from_ints(q)._num for q in Q)  # trailing 0s drop
+
+
 def s_domain_residual(Y: TransformExpr, n: int) -> TransformExpr:
-    """Residual of the first-order s-domain equation
-    -s(s-1) Y'(s) + (n+1-s) Y(s), with the global alpha factor divided out."""
-    dY = Y.d_ds(1)
-    s_dY = dY.mul_s()
-    return -(s_dY.mul_s() - s_dY) + (n + 1) * Y - Y.mul_s()
+    """sum_l Q_l(s) * Y^(l)(s) over :func:`s_domain_operator`, by Horner in
+    s, with the global alpha factor divided out."""
+    Q = s_domain_operator(n)
+    derivs = [Y.d_ds(l) for l in range(len(Q))]
+    residual = 0
+    for i in reversed(range(max(map(len, Q)))):
+        residual = sum((q[i] * d for q, d in zip(Q, derivs) if i < len(q) and q[i]), residual)
+        residual = residual.mul_s() if i else residual
+    return residual
+
+
+def s_domain_equation(n: int) -> str:
+    """:func:`s_domain_operator` as text, highest derivative first."""
+    terms = []
+    for l, q in enumerate(s_domain_operator(n)):
+        Q_l = _join_signed(ReducedPoly._make(q, 1)._signed_terms("s"))
+        terms.insert(0, f"({Q_l})*Y" + "'" * l + "(s)")
+    return " + ".join(terms) + " = 0"
 
 
 def replay_laguerre_ode(n: int) -> tuple[TransformExpr, TransformExpr, ReducedPoly]:

@@ -31,6 +31,7 @@ from .laguerre import (
     assoc_rodrigues,
     generating_series,
     laguerre_closed,
+    laguerre_ode,
     laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
@@ -397,7 +398,14 @@ def _suite_s_domain_residual() -> str:
     for n in range(13):
         residual = laplace.s_domain_residual(laplace.laguerre_transform(n), n)
         _ensure(residual.is_zero, lambda: f"nonzero residual {residual} at n={n}")
-    return "n <= 12, expanded (s-1)^n/s^(n+1) annihilates the operator"
+    rng = random.Random(_SEED + 10)  # L{sum_j P_j y^(j)} is the residual of L{y}
+    for i in range(26):
+        n, y = i // 2, random_exppoly(rng, max_degree=4, max_terms=2)
+        lhs = sum(ReducedPoly(P) * d_alpha_n(y, j) for j, P in enumerate(laguerre_ode(n)))
+        _ensure(laplace.transform(lhs) == laplace.s_domain_residual(laplace.transform(y), n),
+                lambda: f"residual is not the transformed equation at n={n} for {y}")
+    return ("n <= 12, expanded (s-1)^n/s^(n+1) annihilates the operator; on 26 "
+            "random exp-polynomials it is the transformed equation, exact")
 
 
 # -- integrate ----------------------------------------------------------------

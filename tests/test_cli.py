@@ -482,7 +482,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("n", [0, 1, 5, 12])
     def test_golden_output(self, capsys, n):
-        # Recorded from the Fraction-pole TransformExpr this output must match.
+        # Recorded from the Fraction-pole TransformExpr this output must match;
+        # the equation line is rendered from the operator derived from laguerre_ode.
         code, out, _ = run_cli(capsys, "solve", "--n", str(n))
         assert code == 0
         assert out == (GOLDEN / f"solve_n{n}.txt").read_text()

@@ -14,6 +14,7 @@ from claguerre.laguerre import (
     generating_series,
     laguerre_closed,
     laguerre_column,
+    laguerre_ode,
     laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
@@ -117,6 +118,23 @@ class TestOdeResidual:
         for n in range(11):
             for m in range(5):
                 assert ode_residual(assoc_closed(n, m), n, m).is_zero
+
+    def test_equation_table(self):
+        assert laguerre_ode(0) == ((0,), (1, -1), (0, 1))
+        assert laguerre_ode(5, 2) == ((5,), (3, -1), (0, 1))
+        with pytest.raises(ValueError):
+            laguerre_ode(2, -1)
+
+    def test_matches_the_written_out_operator(self):
+        # u*p'' + (1 + m - u)*p' + n*p, by ReducedPoly arithmetic, on
+        # polynomials that solve nothing
+        rng = random.Random(26)
+        for _ in range(60):
+            p = ReducedPoly([F(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(rng.randint(0, 8))])
+            n, m = rng.randint(0, 9), rng.randint(0, 4)
+            expected = U * p.deriv(2) + ReducedPoly((1 + m, -1)) * p.deriv() + n * p
+            assert ode_residual(p, n, m) == expected
 
 
 class TestGeneratingSeries:

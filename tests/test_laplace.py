@@ -19,6 +19,8 @@ from claguerre.laplace import (
     inverse,
     laguerre_transform,
     replay_laguerre_ode,
+    s_domain_equation,
+    s_domain_operator,
     s_domain_residual,
     solve_laguerre_ode,
     transform,
@@ -269,6 +271,14 @@ class TestSDomain:
 
     def test_double_pole_fails_degree_zero(self):
         assert not s_domain_residual(TransformExpr([(1, 0, 2)]), 0).is_zero
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_operator_is_derived_from_the_equation(self, n):
+        # -s(s-1)*Y' + (n+1-s)*Y: Q_0 = n+1 - s and Q_1 = s - s^2
+        assert s_domain_operator(n) == ((n + 1, -1), (0, 1, -1))
+
+    def test_equation_text(self):
+        assert s_domain_equation(5) == "(s - s^2)*Y'(s) + (6 - s)*Y(s) = 0"
 
 
 class TestSolve:

@@ -86,6 +86,17 @@ def test_named_pairs_catch_an_unscaled_overflow_branch(monkeypatch):
     )
 
 
+def test_s_domain_residual_catches_a_residual_times_s(monkeypatch):
+    # s times the residual still vanishes on the Laguerre images; only the
+    # transformed-equation identity sees it
+    exact = verify.laplace.s_domain_residual
+    monkeypatch.setattr(verify.laplace, "s_domain_residual",
+                        lambda Y, n: exact(Y, n).mul_s())
+    failed = [e for e in run_suites("laplace") if not e.passed]
+    assert [e.name for e in failed] == ["laplace/s-domain-residual"]
+    assert failed[0].detail.startswith("residual is not the transformed equation at n=0")
+
+
 def test_classical_recurrence_small_values():
     # L_2(x) = 1 - 2x + x^2/2 and L_1^1(x) = 2 - x, directly
     assert laguerre_pair(2, 0, 1.0)[0] == pytest.approx(-0.5)
