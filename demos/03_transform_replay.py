@@ -14,13 +14,12 @@ from claguerre import (
     NamedSignal,
     ReducedPoly,
     derivative_rule,
-    gauss_laguerre,
     laguerre_closed,
-    quad_transform,
     solve_laguerre_ode,
     transform,
     transform_named,
 )
+from claguerre.integrate import transform_check
 from claguerre.laplace import replay_laguerre_ode, s_domain_equation
 
 u = ReducedPoly((0, 1))
@@ -46,7 +45,6 @@ print(f"L[u f]               = {transform(ExpPoly.from_poly(u) * p)}")
 
 print()
 print("== named pairs against quadrature ==")
-rule = gauss_laguerre(48)
 for sig in (
     NamedSignal("one"),
     NamedSignal("power_p", p=1.5),
@@ -56,8 +54,7 @@ for sig in (
 ):
     alpha = 0.5
     s = 2.0
-    closed = transform_named(sig, alpha)(s)
-    numeric = quad_transform(sig.reduced(alpha), s, rule)
+    closed, numeric = transform_check(transform_named(sig, alpha), sig.reduced(alpha), s)
     print(f"{sig.kind:>8} at s={s}: closed {closed:.10f}  quadrature {numeric:.10f}")
 
 print()

@@ -127,33 +127,6 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _transform_at(F, g, s: float) -> list[str]:
-    """The lines giving the closed value F(s) and its quadrature check of g.
-
-    A value that is not a finite float raises ValueError, so that it ends
-    in a usage error, not a printed nan or a traceback.
-    """
-    from . import integrate
-
-    try:
-        closed = F(s)
-    except ArithmeticError:
-        closed = math.nan
-    if not math.isfinite(closed):
-        raise ValueError(f"the transform at s={s!r} is not a finite float")
-    try:
-        rule = integrate.gauss_laguerre(integrate.TRANSFORM_CHECK_ORDER)
-        numeric = integrate.quad_transform(g, s, rule)
-    except (ArithmeticError, ValueError):
-        numeric = math.nan
-    if not math.isfinite(numeric):
-        raise ValueError(f"the quadrature check at s={s!r} is not a finite float")
-    return [
-        f"value at s={s!r}: {closed:.12g}",
-        f"quadrature check: {numeric:.12g} (|diff| = {abs(numeric - closed):.3e})",
-    ]
-
-
 def _grammar() -> dict:
     """kind -> (the parameter it reads, how a token spells it, its type) for
     each transform expression: the pairs ``laplace`` names, then ``laguerre
@@ -210,26 +183,23 @@ def _cmd_transform(args) -> int:
         # The inverse is the classical L_n(u); the recurrence evaluates it
         # in n float steps, independently of the partial fractions printed.
         g = lambda u: laguerre_pair(n, 0, u)[0]
-        if args.s is not None:
-            from .integrate import TRANSFORM_CHECK_ORDER
-
-            # The fixed check rule integrates polynomials exactly up to this
-            # degree.
-            quad_check_max_n = 2 * TRANSFORM_CHECK_ORDER - 1
-            if args.s <= 0:
-                raise ValueError("s must be positive for the numeric check")
-            if n > quad_check_max_n:
-                raise ValueError(
-                    f"the quadrature check needs n <= {quad_check_max_n}, got {n}"
-                )
+        degree = n  # the check rule must integrate g exactly
+        if args.s is not None and args.s <= 0:
+            raise ValueError("s must be positive for the numeric check")
     else:
         sig = laplace.NamedSignal(kind, **params)
         F = laplace.transform_named(sig, alpha)
         lines = [f"transform: {sig.describe(alpha)}"]
-        g = sig.reduced(alpha)
+        g, degree = sig.reduced(alpha), None
 
     if args.s is not None:
-        lines += _transform_at(F, g, args.s)
+        from .integrate import transform_check
+
+        closed, numeric = transform_check(F, g, args.s, degree)
+        lines += [
+            f"value at s={args.s!r}: {closed:.12g}",
+            f"quadrature check: {numeric:.12g} (|diff| = {abs(numeric - closed):.3e})",
+        ]
     print("\n".join(lines))
     return 0
 

@@ -31,6 +31,7 @@ __all__ = [
     "orthonormality",
     "quad_dalpha",
     "quad_transform",
+    "transform_check",
 ]
 
 
@@ -119,8 +120,8 @@ def _newton_root(n: int, x: float) -> float:
     raise RootFindingError(f"Newton stalled near {x} for order {n}")
 
 
-# The order of the fixed rule that ``claguerre transform ... --s`` prints its
-# quadrature check with; it is exact up to degree 2 * order - 1.
+# The order of the fixed rule of :func:`transform_check`; it is exact up to
+# degree 2 * order - 1.
 TRANSFORM_CHECK_ORDER = 48
 
 
@@ -139,7 +140,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     library's one float evaluator.  The rule is frozen, so every call with
     the same order returns the same shared object.
     """
-    if not (isinstance(order, int) and 1 <= order <= 64):
+    if isinstance(order, bool) or not (isinstance(order, int) and 1 <= order <= 64):
         raise ValueError("order must be an integer in [1, 64]")
     rule = _RULES.get(order)
     if rule is not None:
@@ -193,3 +194,30 @@ def quad_transform(
     if s <= 0.0:
         raise ValueError("s must be positive")
     return math.fsum(w * g(u / s) for u, w in zip(rule.nodes, rule.weights)) / s
+
+
+def transform_check(F, g, s: float, degree: int | None = None) -> tuple[float, float]:
+    """The closed image F(s) and its quadrature check, the transform of g at s
+    by the fixed rule of order TRANSFORM_CHECK_ORDER.
+
+    This is the one check that ``claguerre transform ... --s`` prints and
+    verify's named-pair suite bounds.  A polynomial g of ``degree`` beyond the
+    rule's exactness, and a value that is not a finite float, raise
+    ValueError, so that the CLI ends in a usage error, not a printed nan.
+    """
+    exact_max = 2 * TRANSFORM_CHECK_ORDER - 1
+    if degree is not None and degree > exact_max:
+        raise ValueError(f"the quadrature check needs n <= {exact_max}, got {degree}")
+    try:
+        closed = F(s)
+    except ArithmeticError:
+        closed = math.nan
+    if not math.isfinite(closed):
+        raise ValueError(f"the transform at s={s!r} is not a finite float")
+    try:
+        numeric = quad_transform(g, s, gauss_laguerre(TRANSFORM_CHECK_ORDER))
+    except (ArithmeticError, ValueError):
+        numeric = math.nan
+    if not math.isfinite(numeric):
+        raise ValueError(f"the quadrature check at s={s!r} is not a finite float")
+    return closed, numeric

@@ -59,6 +59,19 @@ def _ensure(condition: bool, message) -> None:
         raise AssertionError(message() if callable(message) else message)
 
 
+def _close(got: float, want: float, tol: float, where) -> float:
+    """The one tolerance comparison: |got - want| / tol, or AssertionError
+    when |got - want| exceeds ``tol``.  The failure text starts with
+    ``where()``, which is only called on failure, and gives both values,
+    |diff| and the bound."""
+    diff = abs(got - want)
+    if not diff <= tol:
+        raise AssertionError(
+            f"{where()}: {got!r} vs {want!r}, |diff| = {diff:.3e} > {tol:.3g}"
+        )
+    return diff / tol
+
+
 class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
     """One suite's outcome: ``module/suite`` name, pass flag and a one-line detail."""
 
@@ -247,13 +260,8 @@ def _suite_classical_oracle() -> str:
         for m in range(5):
             poly = assoc_closed(n, m)
             for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-                got = poly.eval(x, 1.0)
-                want = laguerre_pair(n, m, x)[0]
-                _ensure(
-                    abs(got - want) <= 1e-10,
-                    lambda: f"alpha=1 value {got} vs recurrence {want} at "
-                    f"(n={n}, m={m}, x={x})",
-                )
+                _close(poly.eval(x, 1.0), laguerre_pair(n, m, x)[0], 1e-10,
+                       lambda: f"alpha=1 value vs recurrence at (n={n}, m={m}, x={x})")
     return "n <= 12, m <= 4 against the three-term recurrence, 1e-10"
 
 
@@ -268,11 +276,8 @@ def _suite_generating_numeric() -> str:
                     poly.eval(x, alpha) * t**n for n, poly in enumerate(polys)
                 )
                 closed = math.exp(-u * t / (1 - t)) / (1 - t) ** (m + 1)
-                _ensure(
-                    abs(total - closed) <= 1e-8,
-                    lambda: f"partial sum {total} vs closed form {closed} at "
-                    f"(m={m}, alpha={alpha}, x={x})",
-                )
+                _close(total, closed, 1e-8, lambda: "partial sum vs closed form "
+                       f"at (m={m}, alpha={alpha}, x={x})")
     return "orders m <= 3, partial sums to t^25 at t=0.3 within 1e-8"
 
 
@@ -377,21 +382,17 @@ def _named_pair_cases():
 
 
 def _suite_named_pairs() -> str:
-    # the fixed rule is the one ``transform --s`` prints its check with
-    fixed = integrate.gauss_laguerre(integrate.TRANSFORM_CHECK_ORDER)
+    # the check is the one ``transform --s`` prints
     checks = 0
     for sig, alpha, grid, tol in _named_pair_cases():
         F = laplace.transform_named(sig, alpha)
         g = sig.reduced(alpha)
         for s in grid:
-            closed = F(s)
-            numeric = integrate.quad_transform(g, s, fixed)
-            _ensure(
-                abs(numeric - closed) <= tol,
-                lambda: f"{sig!r} at s={s}: quadrature {numeric} vs closed {closed}",
-            )
+            closed, numeric = integrate.transform_check(F, g, s)
+            _close(numeric, closed, tol, lambda: f"{sig!r} at s={s}: quadrature vs closed")
             checks += 1
-    return f"{checks} (signal, s) pairs against the {fixed.order}-point rule"
+    return (f"{checks} (signal, s) pairs against the "
+            f"{integrate.TRANSFORM_CHECK_ORDER}-point rule")
 
 
 def _suite_s_domain_residual() -> str:
@@ -422,14 +423,12 @@ def _suite_exact_vs_quadrature() -> str:
     decaying = (Fraction(-1, 2), Fraction(-1), Fraction(-2), Fraction(-3))
     for _ in range(10):
         p = random_exppoly(rng, rates=decaying, max_degree=10)
-        want = integrate.moment_exact(p)
+        want = float(integrate.moment_exact(p))
         for alpha in (0.25, 0.5, 0.75, 1.0):
             f = lambda x: p.eval(x, alpha)
             got = integrate.quad_dalpha(f, alpha, rule)
-            _ensure(
-                abs(got - float(want)) <= 1e-8 * (1 + abs(float(want))),
-                lambda: f"quadrature {got} vs exact {want} at alpha={alpha} for {p}",
-            )
+            _close(got, want, 1e-8 * (1 + abs(want)),
+                   lambda: f"quadrature vs exact at alpha={alpha} for {p}")
     return "10 random integrands x 4 orders, 1e-8 relative"
 
 
@@ -445,11 +444,8 @@ def _suite_alpha_independence() -> str:
         for alpha in (0.25, 0.5, 0.75, 1.0):
             f = lambda x: p.eval(x, alpha)
             values.append(integrate.quad_dalpha(f, alpha, rule))
-        spread = max(values) - min(values)
-        _ensure(
-            spread <= 1e-8 * (1 + max(abs(v) for v in values)),
-            lambda: f"alpha dependence {spread} for {p}",
-        )
+        _close(max(values), min(values), 1e-8 * (1 + max(abs(v) for v in values)),
+               lambda: f"largest vs smallest over alpha for {p}")
     return "3 integrands x 4 orders, spread below 1e-8"
 
 
@@ -470,11 +466,7 @@ def _suite_gauss_exactness() -> str:
                 w * u**k for u, w in zip(rule.nodes, rule.weights)
             )
             want = float(math.factorial(k))
-            _ensure(
-                abs(got - want) <= 1e-10 * want,
-                lambda: f"moment u^{k} off by {abs(got - want) / want:.2e} "
-                f"at order {order}",
-            )
+            _close(got, want, 1e-10 * want, lambda: f"moment u^{k} at order {order}")
     return "orders 5, 10, 20 reproduce k! for k <= 2N-1 at 1e-10 relative"
 
 
@@ -563,21 +555,14 @@ def _suite_figure_fixtures() -> str:
         for row in _table_rows(fig, _FIXTURE_ALPHAS):
             x = row[0]
             for column, alpha in enumerate(_FIXTURE_ALPHAS, start=1):
-                want = fig.formula(x, alpha)
-                _ensure(
-                    abs(row[column] - want) <= 1e-12,
-                    lambda: f"figure {fig.number} at (x={x}, alpha={alpha}): "
-                    f"table {row[column]} vs formula {want}",
-                )
+                _close(row[column], fig.formula(x, alpha), 1e-12,
+                       lambda: f"figure {fig.number} at (x={x}, alpha={alpha}): "
+                       "table vs formula")
                 checks += 1
             # the table runs the recurrence, so its alpha = 1 column is
             # checked against exact Horner at Fraction(x), rounded once
-            exact = float(assoc_closed(fig.n, fig.m)(Fraction(x)))
-            _ensure(
-                abs(row[-1] - exact) <= 1e-10,
-                lambda: f"figure {fig.number} at x={x}: alpha=1 column {row[-1]} "
-                f"vs exact {exact}",
-            )
+            _close(row[-1], float(assoc_closed(fig.n, fig.m)(Fraction(x))), 1e-10,
+                   lambda: f"figure {fig.number} at x={x}: alpha=1 column vs exact")
     return f"{checks} fixture points across 11 figures, 1e-12"
 
 
@@ -603,18 +588,14 @@ def _suite_alpha_approach() -> str:
         )
         for alpha, deviation in zip((0.9, 0.99), deviations):
             h = (1 - Fraction(alpha)) / Fraction(alpha)
-            remainder = deviation - float(poly.deriv()(1) * h)
             tail = float(sum(
                 abs(poly.deriv(k)(1)) * h**k / math.factorial(k)
                 for k in range(2, poly.degree + 1)
             ))
-            _ensure(
-                abs(remainder) <= tail + 1e-12,
-                lambda: f"figure {fig.number} at alpha={alpha}: deviation {deviation} "
-                f"leaves {remainder:.3e} beyond L'(1)*h, over the Taylor tail "
-                f"{tail:.3e} + 1e-12",
-            )
-            worst = max(worst, abs(remainder) / (tail + 1e-12))
+            ratio = _close(deviation, float(poly.deriv()(1) * h), tail + 1e-12,
+                           lambda: f"figure {fig.number} at alpha={alpha}: deviation "
+                           "vs L'(1)*h, bound the Taylor tail + 1e-12")
+            worst = max(worst, ratio)
     return (
         f"11 figures, x=1 deviation at alpha in {{0.9, 0.99}} shrinks and is "
         f"L'(1)*h within the Taylor tail + 1e-12 (worst ratio {worst:.4f})"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +17,7 @@ from claguerre.integrate import (
     orthonormality,
     quad_dalpha,
     quad_transform,
+    transform_check,
 )
 from claguerre.laguerre import laguerre_closed
 from claguerre.verify import random_exppoly
@@ -105,6 +107,15 @@ class TestGaussLaguerre:
         with pytest.raises(ValueError):
             gauss_laguerre(65)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_order_is_rejected_and_leaves_the_memo_alone(self, monkeypatch, flag):
+        monkeypatch.setattr(integrate, "_RULES", {})
+        with pytest.raises(ValueError, match=r"^order must be an integer in \[1, 64\]$"):
+            gauss_laguerre(flag)
+        assert integrate._RULES == {}
+        order = gauss_laguerre(1).order
+        assert type(order) is int and order == 1
+
     def test_rule_is_memoised(self):
         assert gauss_laguerre(48) is gauss_laguerre(48)
 
@@ -189,3 +200,31 @@ class TestQuadTransform:
         rule = gauss_laguerre(5)
         with pytest.raises(ValueError):
             quad_transform(lambda u: 1.0, 0.0, rule)
+
+
+class TestTransformCheck:
+    def test_closed_value_and_the_fixed_rule(self):
+        rule = gauss_laguerre(integrate.TRANSFORM_CHECK_ORDER)
+        assert transform_check(lambda s: 1 / s, math.cos, 2.0) == (
+            0.5, quad_transform(math.cos, 2.0, rule)
+        )
+
+    def test_degree_beyond_the_rule_is_refused(self):
+        one = lambda s: 1 / s
+        assert transform_check(one, lambda u: 1.0, 2.0, degree=95)[0] == 0.5
+        with pytest.raises(ValueError, match=r"^the quadrature check needs n <= 95, got 96$"):
+            transform_check(one, lambda u: 1.0, 2.0, degree=96)
+
+    @pytest.mark.parametrize(
+        "F, g, s, message",
+        [
+            (lambda s: 1 / 0, lambda u: 1.0, 2.0, "the transform at s=2.0"),
+            (lambda s: math.inf, lambda u: 1.0, 2.0, "the transform at s=2.0"),
+            (lambda s: 1.0, lambda u: math.exp(u * u), 0.5, "the quadrature check at s=0.5"),
+            (lambda s: 1.0, lambda u: 1.0, -1.0, "the quadrature check at s=-1.0"),
+        ],
+        ids=["closed-raises", "closed-infinite", "numeric-overflows", "numeric-refused"],
+    )
+    def test_non_finite_values_are_refused(self, F, g, s, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not a finite float$"):
+            transform_check(F, g, s)

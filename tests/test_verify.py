@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from claguerre import cli, verify
+from claguerre import cli, integrate, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly
 from claguerre.laguerre import laguerre_pair
 from claguerre.verify import (
@@ -83,6 +83,33 @@ def test_named_pairs_catch_an_unscaled_overflow_branch(monkeypatch):
     assert [e.name for e in failed] == ["laplace/named-pair-quadrature"]
     assert failed[0].detail.startswith(
         "NamedSignal(kind='sin_wu', p=0.0, omega=1e+200) at s=1e+200: quadrature "
+    )
+
+
+def test_one_transform_check_serves_the_cli_and_the_named_pair_suite(monkeypatch, capsys):
+    exact = integrate.quad_transform
+    monkeypatch.setattr(integrate, "quad_transform",
+                        lambda g, s, rule: exact(g, s, rule) + 1e-3)
+    assert cli.main(["transform", "one", "--s", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "transform: 1/s\nvalue at s=2.0: 0.5\n"
+        "quadrature check: 0.501 (|diff| = 1.000e-03)\n"
+    )
+    failed = [e for e in run_suites("laplace") if not e.passed]
+    assert [e.name for e in failed] == ["laplace/named-pair-quadrature"]
+
+
+def test_close_reports_both_values_the_diff_and_the_bound(monkeypatch):
+    def shifted(n, m, x):
+        value, prev = laguerre_pair(n, m, x)
+        return value + 1e-9, prev
+
+    monkeypatch.setattr(verify, "laguerre_pair", shifted)
+    failed = [e for e in run_suites("laguerre") if not e.passed]
+    assert [e.name for e in failed] == ["laguerre/classical-oracle-alpha1"]
+    assert failed[0].detail == (
+        "alpha=1 value vs recurrence at (n=0, m=0, x=0.1): "
+        "1.0 vs 1.000000001, |diff| = 1.000e-09 > 1e-10"
     )
 
 
