@@ -63,6 +63,14 @@ def _as_fraction(value) -> Fraction:
     )
 
 
+def _check_count(value, what: str, low: int = 0) -> None:
+    """The one integer rule: refuse a value that is not an int (a bool is
+    not one) or lies below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+
+
 def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
     """Join (negative, magnitude text) pieces as ``a - b + c``; "0" if none."""
     text = ""
@@ -182,8 +190,7 @@ class ReducedPoly:
     @classmethod
     def monomial(cls, k: int, coeff: Rational = 1) -> "ReducedPoly":
         """coeff * u**k."""
-        if k < 0:
-            raise ValueError("monomial exponent must be nonnegative")
+        _check_count(k, "exponent")
         c = _as_fraction(coeff)
         if not c:
             return _ZERO
@@ -273,8 +280,7 @@ class ReducedPoly:
         return ReducedPoly._make(num, den)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_count(n, "exponent")
         out = ReducedPoly.one()
         base = self
         while n:
@@ -286,8 +292,7 @@ class ReducedPoly:
 
     def deriv(self, order: int = 1) -> "ReducedPoly":
         """Derivative d/du, applied ``order`` times."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+        _check_count(order, "derivative order")
         if order == 0:
             return self
         num = self._num
@@ -298,8 +303,7 @@ class ReducedPoly:
 
     def divide_by_u(self, m: int) -> "ReducedPoly":
         """Exact division by u**m; the low coefficients must vanish."""
-        if m < 0:
-            raise ValueError("power must be nonnegative")
+        _check_count(m, "power")
         if any(self._num[:m]):
             raise AlgebraError(f"u^{m} does not divide {self}")
         # Only zeros leave, so the content and the top entry stay.
@@ -751,8 +755,7 @@ def d_alpha_n(f, n: int):
     rule's D^k f for k = 0..n costs n steps, not n(n+1)/2.  n = 0 and the
     zero ExpPoly return f and store nothing.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _check_count(n, "n")
     if isinstance(f, ReducedPoly):
         return f.deriv(n)
     if not isinstance(f, ExpPoly):
@@ -802,17 +805,17 @@ def _stepped(f: ExpPoly, n: int) -> ExpPoly:
 def d_alpha_numeric(
     f: Callable[[float], float], x: float, alpha, h: float = 1e-5
 ) -> float:
-    """Central-difference estimate of the conformable derivative at x > 0.
+    """Central-difference estimate of the conformable derivative at finite x > 0.
 
     Uses the limit definition directly: the increment is h * x**(1-alpha),
     so the estimate is [f(x + h*x**(1-alpha)) - f(x - h*x**(1-alpha))] / (2h)
     with error O(h**2) for smooth f.
     """
     a = as_alpha(alpha)
-    if x <= 0:
-        raise ValueError("x must be positive (x**(1-alpha) branches at 0)")
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < x < math.inf:  # x**(1-alpha) branches at 0
+        raise ValueError(f"x must be positive and finite, got {x!r}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h!r}")
     step = h * x ** (1.0 - a)
     return (f(x + step) - f(x - step)) / (2.0 * h)
 

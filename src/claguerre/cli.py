@@ -184,8 +184,6 @@ def _cmd_transform(args) -> int:
         # in n float steps, independently of the partial fractions printed.
         g = lambda u: laguerre_pair(n, 0, u)[0]
         degree = n  # the check rule must integrate g exactly
-        if args.s is not None and args.s <= 0:
-            raise ValueError("s must be positive for the numeric check")
     else:
         sig = laplace.NamedSignal(kind, **params)
         F = laplace.transform_named(sig, alpha)

@@ -191,7 +191,7 @@ def quad_transform(
     The substitution v = s*u maps onto the rule's native weight, giving
     (1/s) * sum_i w_i g(u_i / s).
     """
-    if s <= 0.0:
+    if not s > 0.0:  # nan included
         raise ValueError("s must be positive")
     return math.fsum(w * g(u / s) for u, w in zip(rule.nodes, rule.weights)) / s
 
@@ -201,9 +201,9 @@ def transform_check(F, g, s: float, degree: int | None = None) -> tuple[float, f
     by the fixed rule of order TRANSFORM_CHECK_ORDER.
 
     This is the one check that ``claguerre transform ... --s`` prints and
-    verify's named-pair suite bounds.  A polynomial g of ``degree`` beyond the
-    rule's exactness, and a value that is not a finite float, raise
-    ValueError, so that the CLI ends in a usage error, not a printed nan.
+    verify's named-pair suite bounds.  A g of ``degree`` past the rule's
+    exactness, s <= 0 once F(s) is tried (F's region check speaks first) and
+    a non-finite value raise ValueError: the CLI's usage error, not a nan.
     """
     exact_max = 2 * TRANSFORM_CHECK_ORDER - 1
     if degree is not None and degree > exact_max:
@@ -212,6 +212,8 @@ def transform_check(F, g, s: float, degree: int | None = None) -> tuple[float, f
         closed = F(s)
     except ArithmeticError:
         closed = math.nan
+    if s <= 0:
+        raise ValueError("s must be positive for the numeric check")
     if not math.isfinite(closed):
         raise ValueError(f"the transform at s={s!r} is not a finite float")
     try:

@@ -30,7 +30,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
+from .alpha_calc import (AlgebraError, ExpPoly, ReducedPoly, _add_ints, _check_count,
+                         d_alpha_n)
 
 __all__ = [
     "GeneratingExpansion",
@@ -50,10 +51,8 @@ __all__ = [
 
 def _check_index(n: int, m: int = 0) -> None:
     """Reject a degree n or an order m that is not a nonnegative integer."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
-    if not (isinstance(m, int) and m >= 0):
-        raise ValueError(f"order must be a nonnegative integer, got {m!r}")
+    _check_count(n, "degree")
+    _check_count(m, "order")
 
 
 def laguerre_closed(n: int) -> ReducedPoly:
@@ -232,9 +231,8 @@ def generating_series(m: int, order: int) -> GeneratingExpansion:
     (n, m); this route never touches the closed-form coefficients, so the
     two act as independent checks.
     """
-    _check_index(0, m)
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _check_count(m, "order")
+    _check_count(order, "series order", low=1)
     coeffs = [[1]]
     prefix = s_n = coeffs[0]
     for n in range(1, order + 1):

@@ -33,6 +33,7 @@ from .alpha_calc import (
     _EMPTY,
     _ZERO,
     _as_fraction,
+    _check_count,
     _join_signed,
     _merged,
     _rsub,
@@ -92,8 +93,7 @@ class TransformExpr:
     ):
         terms = []
         for coeff, rate, order in poles:
-            if not (isinstance(order, int) and order >= 1):
-                raise ValueError(f"pole order must be a positive integer, got {order!r}")
+            _check_count(order, "pole order", low=1)
             terms.append((rate, ReducedPoly.monomial(order - 1, coeff)))
         p = ReducedPoly._coerce(poly_part)
         if p is None:
@@ -176,8 +176,7 @@ class TransformExpr:
         it to (-1)**n * m(m+1)...(m+n-1) * w**(m+n); entry k, the pole of
         order m = k+1, moves to entry k+n.
         """
-        if not (isinstance(n, int) and n >= 0):
-            raise ValueError("derivative order must be a nonnegative integer")
+        _check_count(n, "derivative order")
         if n == 0:
             return self
         sign = -1 if n % 2 else 1

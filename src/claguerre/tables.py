@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import le
 
-from .alpha_calc import as_alpha
+from .alpha_calc import _check_count, as_alpha
 from .laguerre import laguerre_column
 
 __all__ = ["SampleTable", "build_table"]
@@ -71,8 +71,7 @@ def build_table(
         )
     if x_min < 0:
         raise ValueError("x_min must be nonnegative")
-    if samples < 2:
-        raise ValueError("at least two samples are required")
+    _check_count(samples, "samples", low=2)
     if x_max <= x_min:
         raise ValueError("x_max must exceed x_min")
     alphas = tuple(as_alpha(a) for a in alphas)

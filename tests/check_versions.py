@@ -22,7 +22,9 @@ claguerre.cli`` from ``src/`` and compares:
 * the sample table record (``RECORD``): a built table survives the public
   constructor unchanged, holds one tuple per column, and its ``rows``, read
   back from the columns, are the per-point ``laguerre_pair`` values bit for
-  bit.
+  bit;
+* each script of ``demos/``: exit 0 and the stdout bytes of the same demo
+  run under the interpreter that runs this script.
 
 Usage::
 
@@ -48,6 +50,7 @@ VERSIONS = ("3.10.13", "3.12.1", "3.13.0")
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 GOLDEN = TESTS / "golden"
+DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
 DIGEST = (
     "import hashlib, test_exact_golden as t; "
     "print(hashlib.sha256('\\n'.join(t.exact_results()).encode()).hexdigest())"
@@ -131,8 +134,16 @@ def expectations():
             yield " ".join(joined), joined, 2, "", message
 
 
-def check(python: str) -> int:
-    """Run every check under one interpreter; the number that failed."""
+def run_demo(python: str, demo: Path) -> subprocess.CompletedProcess:
+    """One demo script under ``python``, from the repository root."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([python, str(demo)], capture_output=True, env=env,
+                          cwd=TESTS.parent)
+
+
+def check(python: str, demos: dict) -> int:
+    """Run every check under one interpreter; the number that failed.
+    ``demos`` maps each demo to its run under this script's interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     version = subprocess.run(
         [python, "-c", "import sys; print(sys.version.split()[0])"],
@@ -186,6 +197,14 @@ def check(python: str) -> int:
     failed += not ok
     detail = f" ({run.stdout.strip()} rows)" if ok else f" (stderr {run.stderr[-200:]!r})"
     print(f"{'PASS' if ok else 'FAIL'} {version} sample table columns and rows{detail}")
+    for demo, want in demos.items():
+        run = run_demo(python, demo)
+        ok = run.returncode == want.returncode == 0 and run.stdout == want.stdout
+        failed += not ok
+        detail = "" if ok else (f" (exit {run.returncode} vs {want.returncode}, "
+                                f"stderr {run.stderr[-200:]!r})")
+        print(f"{'PASS' if ok else 'FAIL'} {version} demo {demo.name} prints the bytes "
+              f"of Python {sys.version.split()[0]}{detail}")
     return failed
 
 
@@ -202,7 +221,8 @@ def main(argv: list[str]) -> int:
     if not pythons:
         print("no interpreter to check")
         return 1
-    failed = sum(check(python) for python in pythons)
+    demos = {demo: run_demo(sys.executable, demo) for demo in DEMOS}
+    failed = sum(check(python, demos) for python in pythons)
     print(f"{'all checks passed' if not failed else f'{failed} checks failed'}"
           f" on {len(pythons)} interpreters")
     return 1 if failed else 0

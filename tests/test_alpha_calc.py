@@ -262,6 +262,14 @@ class TestNumericDerivative:
             d_alpha_numeric(lambda x: x, 0.0, 0.5)
         with pytest.raises(ValueError):
             d_alpha_numeric(lambda x: x, 1.0, 0.5, h=0.0)
+        # nan fails every comparison, so a check written as x <= 0 lets it by.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^x must be positive and finite, got {bad!r}$"):
+                d_alpha_numeric(lambda x: x, bad, 0.5)
+            with pytest.raises(
+                ValueError, match=rf"^step size must be positive and finite, got {bad!r}$"
+            ):
+                d_alpha_numeric(lambda x: x, 1.0, 0.5, h=bad)
 
     def test_error_drops_quadratically(self):
         from claguerre.laguerre import laguerre_closed

@@ -447,6 +447,25 @@ class TestNegativeLookingValues:
             assert run_cli(capsys, *head, f"{option}={value}") == (2, "", message)
 
 
+class TestArgumentRules:
+    # The library's own refusals, each reached once: the s > 0 rule of
+    # integrate.transform_check and the integer rule on the sample count.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("transform", "laguerre", "3", "--s", "0"),
+             "error: s must be positive for the numeric check\n"),
+            (("transform", "laguerre", "3", "--s", "-1"),
+             "error: s must be positive for the numeric check\n"),
+            (("table", "--n", "2", "--samples", "1"),
+             "error: samples must be an integer >= 2, got 1\n"),
+        ],
+        ids=["laguerre-s-zero", "laguerre-s-negative", "table-one-sample"],
+    )
+    def test_one_line_usage_error(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", message)
+
+
 class TestSolve:
     @pytest.mark.parametrize("n", [0, 4, 12])
     def test_exact_match(self, capsys, n):

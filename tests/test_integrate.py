@@ -201,6 +201,11 @@ class TestQuadTransform:
         with pytest.raises(ValueError):
             quad_transform(lambda u: 1.0, 0.0, rule)
 
+    def test_rejects_nan_s(self):
+        # nan <= 0 is false; the check must not let nan through to a nan sum.
+        with pytest.raises(ValueError, match="^s must be positive$"):
+            quad_transform(lambda u: 1.0, math.nan, gauss_laguerre(5))
+
 
 class TestTransformCheck:
     def test_closed_value_and_the_fixed_rule(self):
@@ -221,10 +226,17 @@ class TestTransformCheck:
             (lambda s: 1 / 0, lambda u: 1.0, 2.0, "the transform at s=2.0"),
             (lambda s: math.inf, lambda u: 1.0, 2.0, "the transform at s=2.0"),
             (lambda s: 1.0, lambda u: math.exp(u * u), 0.5, "the quadrature check at s=0.5"),
-            (lambda s: 1.0, lambda u: 1.0, -1.0, "the quadrature check at s=-1.0"),
+            # g raises ValueError inside the quadrature at a positive s.
+            (lambda s: 1.0, lambda u: math.sqrt(-1.0 - u), 2.0, "the quadrature check at s=2.0"),
         ],
         ids=["closed-raises", "closed-infinite", "numeric-overflows", "numeric-refused"],
     )
     def test_non_finite_values_are_refused(self, F, g, s, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not a finite float$"):
             transform_check(F, g, s)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0])
+    def test_s_at_or_below_zero_is_refused(self, s):
+        # F is finite there, so only the check's own s > 0 rule can refuse.
+        with pytest.raises(ValueError, match=r"^s must be positive for the numeric check$"):
+            transform_check(lambda s: 1.0, lambda u: 1.0, s)

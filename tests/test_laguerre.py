@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from claguerre import laguerre
-from claguerre.alpha_calc import AlgebraError, ReducedPoly, _add_ints
+from claguerre.alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
 from claguerre.laguerre import (
     GeneratingExpansion,
     assoc_closed,
@@ -20,7 +21,8 @@ from claguerre.laguerre import (
     ode_residual,
     values_at_zero,
 )
-from claguerre.laplace import laguerre_transform, solve_laguerre_ode
+from claguerre.laplace import TransformExpr, laguerre_transform, solve_laguerre_ode
+from claguerre.tables import build_table
 
 U = ReducedPoly((0, 1))
 
@@ -363,7 +365,51 @@ class TestFloatRecurrence:
                 laguerre_column(*bad, [1.0])
 
 
+# Every entry point that takes a degree, order, exponent, derivative order,
+# pole order, series order or sample count: (id, call with the value, the
+# argument's name in the message, the least value accepted).
+_INTEGER_ARGUMENTS = [
+    ("monomial", lambda v: ReducedPoly.monomial(v), "exponent", 0),
+    ("pow", lambda v: U**v, "exponent", 0),
+    ("deriv", lambda v: U.deriv(v), "derivative order", 0),
+    ("divide_by_u", lambda v: U.divide_by_u(v), "power", 0),
+    ("d_alpha_n", lambda v: d_alpha_n(ExpPoly.exp(-1, U), v), "n", 0),
+    ("check_index-degree", lambda v: laguerre._check_index(v), "degree", 0),
+    ("check_index-order", lambda v: laguerre._check_index(0, v), "order", 0),
+    ("generating_series-m", lambda v: generating_series(v, 2), "order", 0),
+    ("generating_series-order", lambda v: generating_series(0, v), "series order", 1),
+    ("pole-order", lambda v: TransformExpr([(1, 0, v)]), "pole order", 1),
+    ("d_ds", lambda v: TransformExpr([(1, 0, 1)]).d_ds(v), "derivative order", 0),
+    ("build_table-n", lambda v: build_table(v, 0, (1.0,), 0.0, 1.0, 2), "degree", 0),
+    ("build_table-m", lambda v: build_table(1, v, (1.0,), 0.0, 1.0, 2), "order", 0),
+    ("build_table-samples", lambda v: build_table(1, 0, (1.0,), 0.0, 1.0, v), "samples", 2),
+    ("assoc_closed-n", lambda v: assoc_closed(v, 0), "degree", 0),
+    ("assoc_closed-m", lambda v: assoc_closed(0, v), "order", 0),
+    ("laguerre_pair", lambda v: laguerre_pair(v, 0, 0.5), "degree", 0),
+    ("laguerre_column", lambda v: laguerre_column(1, v, [0.5]), "order", 0),
+    ("laguerre_transform", lambda v: laguerre_transform(v), "degree", 0),
+]
+
+
 class TestIndexValidation:
+    @pytest.mark.parametrize("kind", ["bool", "float", "below"])
+    @pytest.mark.parametrize(
+        "call, what, low", [row[1:] for row in _INTEGER_ARGUMENTS],
+        ids=[row[0] for row in _INTEGER_ARGUMENTS],
+    )
+    def test_one_integer_rule(self, call, what, low, kind):
+        value = {"bool": True, "float": 2.0, "below": low - 1}[kind]
+        rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        message = f"{what} must be {rule}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    def test_a_refused_bool_order_stores_no_derivative(self):
+        f = ExpPoly.exp(-1, U)
+        with pytest.raises(ValueError):
+            d_alpha_n(f, True)
+        assert f._derivs is None
+
     def test_laguerre_index(self):
         assert laguerre_closed(3) == assoc_closed(3, 0)
         for reject in (
