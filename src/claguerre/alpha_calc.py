@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
-from operator import add, neg
+from itertools import accumulate
+from operator import add, floordiv, mul, neg, sub
 
 __all__ = [
     "AlgebraError",
@@ -744,10 +745,13 @@ def d_alpha_n(f, n: int):
 
     On an ExpPoly the factor of a rate-r term is stepped n times through
     p <- p' + r*p, on the integer numerators of the whole block, and the
-    result is normalised once.  The route stays the iterated derivative and
-    never expands (d/du + r)**n binomially: that expansion on
-    u**N * exp(-u) would recompute the closed-form Laguerre coefficients,
-    and the Rodrigues check would lose its independence.
+    result is normalised once.  Over 8 or more steps, the Rodrigues weight
+    exp(-u) is stepped on numerators scaled once by k! (:func:`_stepped`),
+    where p' - p costs one subtraction per entry, and divided back exactly,
+    as the stepped numerators are integers.  The route stays the iterated
+    derivative and never expands (d/du + r)**n binomially: that expansion
+    on u**N * exp(-u) would recompute the closed-form Laguerre
+    coefficients, and the Rodrigues check would lose its independence.
 
     A nonzero ExpPoly memoises each order n >= 1 asked of it, for as long
     as it lives: a repeated order returns the stored object, and a new one
@@ -777,19 +781,39 @@ def d_alpha_n(f, n: int):
 
 
 def _stepped(f: ExpPoly, n: int) -> ExpPoly:
-    """D^n f for n >= 1, stepped on the integer block and normalised once."""
-    # Each rate is written a/B over the common B of the rate denominators.
-    # A step then sends numerators c[k] to a*c[k] + B*(k+1)*c[k+1], with
-    # a*c[d] on top, over one more factor B of the denominator; at rate 0
-    # the n steps are the plain n-th derivative times B**n.
+    """D^n f for n >= 1, stepped on the integer block and normalised once.
+
+    Each rate is written a/B over the common B of the rate denominators.  A
+    step sends numerators c[k] to a*c[k] + B*(k+1)*c[k+1], with a*c[d] on
+    top, over one more factor B of the denominator; at rate 0 the n steps
+    are the plain n-th derivative times B**n.  At a = -1 (the Rodrigues
+    weight exp(-u) when B = 1) and n >= 8 the term is rescaled once to
+    e[k] = k! * B**k * c[k], in which a step is e[k] <- e[k+1] - e[k] with
+    -e[d] on top: subtractions only.  The stepped c[k] are integers, as the
+    step has integer coefficients, so dividing each e[k] by k! * B**k after
+    the n steps is exact.  Either way the n steps stay n derivatives;
+    (d/du + r)**n is never expanded.
+
+    The rescale and the division back cost about as much as 4 to 10 plain
+    steps over degrees 4-84, more at the higher degrees, where k! is long,
+    so shorter runs, such as the Leibniz rule's orders up to 5, step c
+    directly.
+    """
     B = math.lcm(*(b for _, b in f._keys))
     nums = []
     for (a, b), num in zip(f._keys, f._nums):
-        if a:
-            a *= B // b
+        a *= B // b
+        if a == -1 and n >= 8:
+            scale = list(accumulate(range(B, B * len(num), B), mul, initial=1))
+            num = list(map(mul, num, scale))
+            for _ in range(n):
+                num.append(0)  # e[d+1] = 0 puts -e[d] on top
+                num = list(map(sub, num[1:], num))
+            num = list(map(floordiv, num, scale))
+        elif a:
             bk = range(B, B * len(num), B)
             for _ in range(n):
-                if a == -1:  # the Rodrigues weight exp(-u): subtract, skip a*c
+                if a == -1:  # a short run at exp(-u/B): subtract, skip a*c
                     nxt = [e * d - c for c, d, e in zip(num, num[1:], bk)]
                 else:
                     nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]

@@ -225,8 +225,12 @@ class TransformExpr:
         The sum is formed exactly at Fraction(s), each rate's terms summed
         as w * P(w) at w = 1/(s - rate): the pole terms of an image like
         (s-1)**n / s**(n+1) cancel to many orders of magnitude below their
-        size, so a float sum would keep none of the value's digits.
+        size, so a float sum would keep none of the value's digits.  A nan s
+        gives nan, as the named images do, and an infinite s raises
+        OverflowError.
         """
+        if s != s:  # nan, which has no Fraction
+            return math.nan
         s = Fraction(s)
         total = self._poly(s)
         for r, p in self._block.terms:

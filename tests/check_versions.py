@@ -19,6 +19,10 @@ claguerre.cli`` from ``src/`` and compares:
 * the derivative memo of ``ExpPoly`` (``MEMO``): orders asked in a shuffled
   sequence match the same orders on a fresh twin, and an ExpPoly with a
   filled memo survives ``pickle`` at every protocol from 2 on;
+* the Rodrigues construction (``RODRIGUES``), which steps the weight
+  exp(-u) on k!-scaled integers: ``laguerre_rodrigues(n)`` equals
+  ``laguerre_closed(n)`` for n <= 80 and ``assoc_rodrigues(n, m)`` equals
+  ``assoc_closed(n, m)`` for n <= 40, m <= 4;
 * the sample table record (``RECORD``): a built table survives the public
   constructor unchanged, holds one tuple per column, and its ``rows``, read
   back from the columns, are the per-point ``laguerre_pair`` values bit for
@@ -71,6 +75,18 @@ for _ in range(40):
         g = pickle.loads(pickle.dumps(f, protocol))
         assert g == f and hash(g) == hash(f), (f, protocol)
         assert all(d_alpha_n(g, n) == d_alpha_n(f, n) for n in range(10)), (f, protocol)
+        checked += 1
+print(checked)
+"""
+RODRIGUES = """
+from claguerre.laguerre import assoc_closed, assoc_rodrigues, laguerre_closed, laguerre_rodrigues
+checked = 0
+for n in range(81):
+    assert laguerre_rodrigues(n) == laguerre_closed(n), n
+    checked += 1
+for n in range(41):
+    for m in range(5):
+        assert assoc_rodrigues(n, m) == assoc_closed(n, m), (n, m)
         checked += 1
 print(checked)
 """
@@ -187,16 +203,17 @@ def check(python: str, demos: dict) -> int:
     failed += not ok
     detail = "" if ok else f" (got {run.stdout.strip()!r}, stderr {run.stderr[-200:]!r})"
     print(f"{'PASS' if ok else 'FAIL'} {version} exact_results digest{detail}")
-    run = subprocess.run([python, "-c", MEMO], capture_output=True, text=True, env=env)
-    ok = run.returncode == 0 and run.stdout.strip().isdigit()
-    failed += not ok
-    detail = f" ({run.stdout.strip()} checks)" if ok else f" (stderr {run.stderr[-200:]!r})"
-    print(f"{'PASS' if ok else 'FAIL'} {version} derivative memo and pickle{detail}")
-    run = subprocess.run([python, "-c", RECORD], capture_output=True, text=True, env=env)
-    ok = run.returncode == 0 and run.stdout.strip().isdigit()
-    failed += not ok
-    detail = f" ({run.stdout.strip()} rows)" if ok else f" (stderr {run.stderr[-200:]!r})"
-    print(f"{'PASS' if ok else 'FAIL'} {version} sample table columns and rows{detail}")
+    # Each script prints the number of things it checked.
+    for script, name, unit in (
+        (MEMO, "derivative memo and pickle", "checks"),
+        (RODRIGUES, "Rodrigues construction equals the closed form", "checks"),
+        (RECORD, "sample table columns and rows", "rows"),
+    ):
+        run = subprocess.run([python, "-c", script], capture_output=True, text=True, env=env)
+        ok = run.returncode == 0 and run.stdout.strip().isdigit()
+        failed += not ok
+        detail = f" ({run.stdout.strip()} {unit})" if ok else f" (stderr {run.stderr[-200:]!r})"
+        print(f"{'PASS' if ok else 'FAIL'} {version} {name}{detail}")
     for demo, want in demos.items():
         run = run_demo(python, demo)
         ok = run.returncode == want.returncode == 0 and run.stdout == want.stdout

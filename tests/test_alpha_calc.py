@@ -8,7 +8,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from claguerre.alpha_calc import (
@@ -777,9 +777,21 @@ class TestIntegerRateSums:
         assert (g * h).terms[1] == (F(0), ReducedPoly((2,)))
 
 
+# Degree 20 with mixed signs and denominators, for the rate -1/B cases below.
+_DEGREE_20 = ReducedPoly([F((-1) ** k * (3 * k + 1), k % 7 + 1) for k in range(21)])
+
+
 class TestRateDerivative:
+    # The explicit cases reach Rodrigues orders at the rates -1/B that
+    # _stepped steps on k!-scaled numerators (B = 1, 2, 3).
     @settings(max_examples=150, deadline=None)
     @given(mixed_rates, st.builds(ReducedPoly, fraction_lists), st.integers(0, 6))
+    @example(F(-1), ReducedPoly.monomial(20), 40)
+    @example(F(-1), _DEGREE_20, 40)
+    @example(F(-1, 2), _DEGREE_20, 40)
+    @example(F(-1, 3), _DEGREE_20, 40)
+    @example(F(-1, 2), ReducedPoly.monomial(12), 25)
+    @example(F(-1, 3), ReducedPoly((0, F(2, 3), 0, 5)), 9)
     def test_d_alpha_n_is_iterated_p_prime_plus_rp(self, r, p, n):
         want = p
         for _ in range(n):
@@ -1013,6 +1025,8 @@ class TestDerivativeMemo:
     @seed(19)
     @settings(max_examples=200, deadline=None)
     @given(memo_inputs, order_sequences)
+    # Order 20 first, then order 40 steps on from it.
+    @example(ExpPoly.exp(-1, ReducedPoly.monomial(40)), [20, 40])
     def test_any_order_sequence_matches_a_fresh_twin(self, f, ks):
         for k in ks:
             got = d_alpha_n(f, k)

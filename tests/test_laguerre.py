@@ -56,7 +56,7 @@ class TestRodrigues:
         assert laguerre_rodrigues(1) == 1 - U
 
     def test_matches_closed_form(self):
-        for n in range(13):
+        for n in range(81):
             assert laguerre_rodrigues(n) == laguerre_closed(n)
 
 
@@ -86,7 +86,7 @@ class TestAssociated:
         assert assoc_rodrigues(3, 2) == ReducedPoly((10, -10, F(5, 2), F(-1, 6)))
 
     def test_three_routes_agree(self):
-        for n in range(9):
+        for n in range(41):
             for m in range(5):
                 closed = assoc_closed(n, m)
                 assert assoc_from_derivative(n, m) == closed
@@ -356,6 +356,20 @@ class TestFloatRecurrence:
                     v.hex() for v, _ in want]
                 assert laguerre_column(n, m, []) == []
         assert not math.isfinite(laguerre_pair(1500, 100, 1e5)[0])
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("us", [[math.nan], [0.5, math.nan, 2.0]])
+    def test_nan_is_refused_as_eval_refuses_it(self, n, us):
+        message = "^cannot evaluate at nan$"
+        with pytest.raises(ValueError, match=message):
+            assoc_closed(n, 1).eval(math.nan, 1.0)
+        with pytest.raises(ValueError, match=message):
+            laguerre_pair(n, 1, math.nan)
+        with pytest.raises(ValueError, match=message):
+            laguerre_column(n, 1, us)
+
+    def test_infinities_summing_to_nan_are_not_refused(self):
+        assert laguerre_column(1, 0, [math.inf, -math.inf]) == [-math.inf, math.inf]
 
     def test_negative_indices_are_rejected(self):
         for bad in ((-1, 0), (2, -1)):
