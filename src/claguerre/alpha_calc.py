@@ -72,6 +72,16 @@ def _check_count(value, what: str, low: int = 0) -> None:
         raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
+def _check_real(value, what: str, low: float | None = None) -> float:
+    """The one real rule: value as a float, refused when it is nan,
+    infinite or below ``low``."""
+    value = float(value)
+    if not -math.inf < value < math.inf or (low is not None and value < low):
+        rule = "a finite number" if low is None else f"a finite number >= {low}"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+    return value
+
+
 def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
     """Join (negative, magnitude text) pieces as ``a - b + c``; "0" if none."""
     text = ""
@@ -91,24 +101,11 @@ def as_alpha(alpha) -> float:
     return value
 
 
-def _finite_u(u) -> float:
-    """u as a float; a nan u raises ValueError and an infinite u
-    OverflowError."""
-    u = float(u)
-    if math.isnan(u):
-        raise ValueError("cannot evaluate at nan")
-    if math.isinf(u):
-        raise OverflowError(f"cannot evaluate at u = {u!r}")
-    return u
-
-
 def _reduced_u(x, alpha) -> float:
-    """u = x**alpha / alpha at x >= 0, checked by :func:`as_alpha` and
-    :func:`_finite_u`."""
+    """u = x**alpha / alpha, with alpha checked by :func:`as_alpha` and both
+    x >= 0 and u by :func:`_check_real`."""
     a = as_alpha(alpha)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return _finite_u(float(x) ** a / a)
+    return _check_real(_check_real(x, "x", low=0) ** a / a, "u")
 
 
 def _add_ints(a, b) -> list[int]:
@@ -338,9 +335,9 @@ class ReducedPoly:
         division is correctly rounded), so ``p(u) == float(p(Fraction(u)))``
         bit for bit; float Horner would err by about sum |c_k u**k| (Higham
         2002, sec. 5.1), far above the value for alternating coefficients.
-        A nan u raises ValueError; an infinite u, or a value beyond the
-        float range, OverflowError.  A value that :meth:`_overflows` proves
-        too large raises before the sum is formed.
+        A nan or infinite u raises ValueError, a value beyond the float
+        range OverflowError.  A value that :meth:`_overflows` proves too
+        large raises before the sum is formed.
 
         A float call costs time in proportion to the degree times the
         float's binary exponent, since the scale is q**d for the power of two
@@ -349,7 +346,7 @@ class ReducedPoly:
         takes n float steps.
         """
         if isinstance(u, float):
-            p, q = u.as_integer_ratio()
+            p, q = _check_real(u, "u").as_integer_ratio()
         else:
             u = _as_fraction(u)
             p, q = u.numerator, u.denominator
@@ -388,8 +385,8 @@ class ReducedPoly:
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0 for a given order (u = x**alpha / alpha).
-        A nan x raises ValueError and an infinite u OverflowError, as in
-        :meth:`ExpPoly.eval`."""
+        A negative or non-finite x, or an infinite u, raises ValueError, as
+        in :meth:`ExpPoly.eval`."""
         return float(self(_reduced_u(x, alpha)))
 
     # -- structure -----------------------------------------------------------
@@ -634,9 +631,9 @@ class ExpPoly:
         raise AlgebraError(f"exponential terms survive in {self}")
 
     def eval_u(self, u: float) -> float:
-        """Numeric value at u.  A nan u raises ValueError and an infinite u
-        OverflowError, also on the zero ExpPoly, which is 0.0 at finite u."""
-        u = _finite_u(u)
+        """Numeric value at u.  A nan or infinite u raises ValueError, also
+        on the zero ExpPoly, which is 0.0 at finite u."""
+        u = _check_real(u, "u")
         return sum((p(u) * math.exp(float(r) * u) for r, p in self.terms), 0.0)
 
     def eval(self, x: float, alpha) -> float:
@@ -813,10 +810,7 @@ def _stepped(f: ExpPoly, n: int) -> ExpPoly:
         elif a:
             bk = range(B, B * len(num), B)
             for _ in range(n):
-                if a == -1:  # a short run at exp(-u/B): subtract, skip a*c
-                    nxt = [e * d - c for c, d, e in zip(num, num[1:], bk)]
-                else:
-                    nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
+                nxt = [a * c + e * d for c, d, e in zip(num, num[1:], bk)]
                 nxt.append(a * num[-1])
                 num = nxt
         else:

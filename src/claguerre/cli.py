@@ -86,15 +86,11 @@ def _check_size(name: str, value: int, cap: int) -> None:
 
 
 def _cmd_eval(args) -> int:
-    from .alpha_calc import x_view_str
+    from .alpha_calc import _reduced_u, x_view_str
     from .laguerre import assoc_closed, laguerre_pair
 
     alphas = _parse_alphas(args.alpha)
-    if not math.isfinite(args.x):
-        raise ValueError("x must be finite")
-    if args.x < 0:
-        raise ValueError("x must be nonnegative")
-    values = [laguerre_pair(args.n, args.m, args.x**a / a)[0] for a in alphas]
+    values = [laguerre_pair(args.n, args.m, _reduced_u(args.x, a))[0] for a in alphas]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"L_{args.n}^{args.m} at x={args.x!r} is not a finite float")
     for a, value in zip(alphas, values):
@@ -152,13 +148,14 @@ class _GrammarHelp(str):
 def _cmd_transform(args) -> int:
     """Build every output line first, so that a usage error prints none."""
     from . import laplace
+    from .alpha_calc import _check_real
 
     alphas = _parse_alphas(args.alpha)
     if len(alphas) != 1:
         raise ValueError("transform takes a single alpha")
     alpha = alphas[0]
-    if args.s is not None and not math.isfinite(args.s):
-        raise ValueError("s must be finite")
+    if args.s is not None:
+        _check_real(args.s, "s")
 
     grammar = _grammar()
     kind, *values = args.expr

@@ -34,6 +34,7 @@ from .alpha_calc import (
     _ZERO,
     _as_fraction,
     _check_count,
+    _check_real,
     _join_signed,
     _merged,
     _rsub,
@@ -358,12 +359,8 @@ class NamedSignal(namedtuple("NamedSignal", "kind p omega")):
     def __new__(cls, kind: str, p: float = 0.0, omega: float = 1.0) -> NamedSignal:
         if kind not in _PAIRS:
             raise ValueError(f"unknown signal kind {kind!r}")
-        if p < 0:
-            raise ValueError("power must be nonnegative")
-        if not math.isfinite(p):
-            raise ValueError("power must be finite")
-        if not math.isfinite(omega):
-            raise ValueError("omega must be finite")
+        p = _check_real(p, "power", low=0)
+        omega = _check_real(omega, "omega")
         return super().__new__(cls, kind, p, omega)
 
     @property

@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import le
 
-from .alpha_calc import _check_count, as_alpha
+from .alpha_calc import _check_count, _check_real, as_alpha
 from .laguerre import laguerre_column
 
 __all__ = ["SampleTable", "build_table"]
@@ -62,15 +62,12 @@ def build_table(
     """Evaluate the (n, m) polynomial on an even x grid, one column per alpha.
 
     Every value equals ``laguerre_pair(n, m, x**alpha / alpha)[0]`` bit for
-    bit; a value that overflows to a non-finite float raises ValueError, and
-    so does a grid whose points round to repeated floats.
+    bit.  A negative x_min, a bound or top grid point that is not a finite
+    number, a value that overflows to a non-finite float and a grid whose
+    points round to repeated floats raise ValueError.
     """
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise ValueError(
-            f"x_min and x_max must be finite, got {x_min!r} and {x_max!r}"
-        )
-    if x_min < 0:
-        raise ValueError("x_min must be nonnegative")
+    x_min = _check_real(x_min, "x_min", low=0)
+    x_max = _check_real(x_max, "x_max")
     _check_count(samples, "samples", low=2)
     if x_max <= x_min:
         raise ValueError("x_max must exceed x_min")
@@ -87,10 +84,11 @@ def build_table(
             f"{samples} samples on [{x_min!r}, {x_max!r}] round to repeated "
             "x values; use fewer samples or a wider range"
         )
+    # Near the float maximum the top point can round past it.
+    _check_real(xs[-1], "x")
     columns = [laguerre_column(n, m, [x**a / a for x in xs]) for a in alphas]
     # The step check above proves x strictly increasing and every column is
-    # as long as x, so of SampleTable's checks only finiteness is left; x
-    # itself overflows when x_max is near the float maximum.
-    if not all(map(math.isfinite, chain(xs, *columns))):
+    # as long as x, so of SampleTable's checks only finiteness is left.
+    if not all(map(math.isfinite, chain.from_iterable(columns))):
         raise ValueError("table values must be finite")
     return SampleTable._make((header, (tuple(xs), *map(tuple, columns))))

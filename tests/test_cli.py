@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from claguerre import cli, laplace, verify
-from claguerre.alpha_calc import x_view_str
-from claguerre.laguerre import assoc_closed, laguerre_closed
+from claguerre.alpha_calc import ExpPoly, ReducedPoly, x_view_str
+from claguerre.laguerre import assoc_closed, laguerre_closed, laguerre_column, laguerre_pair
 from claguerre.tables import build_table
 from claguerre.verify import SuiteResult
 
@@ -100,16 +101,17 @@ class TestTable:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("n, xmax, samples", [
-        (200, "1e6", 3),
+    @pytest.mark.parametrize("n, xmax, samples, message", [
+        pytest.param(200, "1e6", 3, "table values must be finite", id="200-1e6-3"),
         # (samples - 1) * step rounds past the largest float, so x is inf.
-        (0, "1.7976931348623157e308", 4),
+        pytest.param(0, "1.7976931348623157e308", 4, "x must be a finite number, got inf",
+                     id="0-1.7976931348623157e308-4"),
     ])
-    def test_values_that_overflow_are_refused(self, capsys, n, xmax, samples):
+    def test_values_that_overflow_are_refused(self, capsys, n, xmax, samples, message):
         result = run_cli(capsys, "table", "--n", str(n), "--alpha", "1",
                          "--xmax", xmax, "--samples", str(samples))
-        assert result == (2, "", "error: table values must be finite\n")
-        with pytest.raises(ValueError, match="^table values must be finite$"):
+        assert result == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_table(n, 0, (1.0,), 0.0, float(xmax), samples)
 
     @pytest.mark.parametrize(
@@ -183,11 +185,10 @@ class TestTable:
                   "--xmin=inf", "--xmin=-inf", "--xmin=nan"],
     )
     def test_non_finite_bounds_are_named(self, capsys, bound):
-        code, out, err = run_cli(capsys, "table", "--n", "2", bound)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: x_min and x_max must be finite, got ")
-        assert len(err.splitlines()) == 1
+        option, value = bound.split("=")
+        what, rule = {"--xmin": ("x_min", " >= 0"), "--xmax": ("x_max", "")}[option]
+        message = f"error: {what} must be a finite number{rule}, got {value}\n"
+        assert run_cli(capsys, "table", "--n", "2", bound) == (2, "", message)
 
 
 class TestTransform:
@@ -429,16 +430,28 @@ class TestNegativeLookingValues:
         "argv, message",
         [
             (("table", "--n", "2", "--xmax", "-inf"),
-             "error: x_min and x_max must be finite, got 0.0 and -inf\n"),
-            (("eval", "--n", "2", "--x", "-1e5"), "error: x must be nonnegative\n"),
+             "error: x_max must be a finite number, got -inf\n"),
+            (("eval", "--n", "2", "--x", "-1e5"),
+             "error: x must be a finite number >= 0, got -100000.0\n"),
             (("transform", "one", "--s", "-1e-3"),
              "error: s = -0.001 outside the convergence region s > 0.0 for one\n"),
             (("table", "--n", "2", "--alpha", "-1e-3"),
              "error: alpha must lie in (0, 1], got -0.001\n"),
             (("transform", "power_p", "-1e-3", "--s", "2"),
-             "error: power must be nonnegative\n"),
+             "error: power must be a finite number >= 0, got -0.001\n"),
+            (("eval", "--n", "2", "--x", "-inf"),
+             "error: x must be a finite number >= 0, got -inf\n"),
+            (("eval", "--n", "2", "--x", "-nan"),
+             "error: x must be a finite number >= 0, got nan\n"),
+            (("transform", "one", "--s", "-inf"),
+             "error: s must be a finite number, got -inf\n"),
+            (("table", "--n", "2", "--xmin", "-nan"),
+             "error: x_min must be a finite number >= 0, got nan\n"),
+            (("transform", "power_p", "-inf"),
+             "error: power must be a finite number >= 0, got -inf\n"),
         ],
-        ids=["table-xmax", "eval-x", "transform-s", "table-alpha", "power_p"],
+        ids=["table-xmax", "eval-x", "transform-s", "table-alpha", "power_p",
+             "eval-x-inf", "eval-x-nan", "transform-s-inf", "table-xmin-nan", "power_p-inf"],
     )
     def test_one_line_error_as_with_an_equals_sign(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", message)
@@ -464,6 +477,60 @@ class TestArgumentRules:
     )
     def test_one_line_usage_error(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", message)
+
+
+# Every entry point that takes a real argument: (id, the call with the value
+# or the command line with "{}" for it, the argument's name in the message,
+# the least value accepted or None).
+_POLY = ReducedPoly((1, -2, 1))
+_REAL_ARGUMENTS = [
+    ("ReducedPoly-call", lambda v: _POLY(v), "u", None),
+    ("ReducedPoly-eval", lambda v: _POLY.eval(v, 0.5), "x", 0),
+    ("ExpPoly-eval_u", lambda v: ExpPoly.exp(-1, _POLY).eval_u(v), "u", None),
+    ("ExpPoly-eval", lambda v: ExpPoly.exp(-1, _POLY).eval(v, 0.5), "x", 0),
+    ("laguerre_pair", lambda v: laguerre_pair(3, 0, v), "u", None),
+    ("laguerre_column", lambda v: laguerre_column(3, 0, [0.5, v]), "u", None),
+    ("NamedSignal-power", lambda v: laplace.NamedSignal("power_p", p=v), "power", 0),
+    ("NamedSignal-omega", lambda v: laplace.NamedSignal("sin_wu", omega=v), "omega", None),
+    ("build_table-x_min", lambda v: build_table(1, 0, (1.0,), v, 1.0, 2), "x_min", 0),
+    ("build_table-x_max", lambda v: build_table(1, 0, (1.0,), 0.0, v, 2), "x_max", None),
+    ("eval-x", ("eval", "--n", "3", "--x={}"), "x", 0),
+    ("table-xmin", ("table", "--n", "3", "--xmin={}"), "x_min", 0),
+    ("table-xmax", ("table", "--n", "3", "--xmax={}"), "x_max", None),
+    ("transform-s", ("transform", "one", "--s={}"), "s", None),
+    ("transform-power", ("transform", "power_p", "{}", "--s", "2"), "power", 0),
+    ("transform-omega", ("transform", "sin_wu", "{}"), "omega", None),
+]
+_REAL_CASES = [
+    pytest.param(call, what, low, value, id=f"{name}-{label}")
+    for name, call, what, low in _REAL_ARGUMENTS
+    for label, value in [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+    + ([("below", low - 1.0)] if low is not None else [])
+]
+
+
+class TestOneRealRule:
+    # A non-finite or too small real argument is one ValueError, with one
+    # message form, in the library and at the command line.
+    @pytest.mark.parametrize("call, what, low, value", _REAL_CASES)
+    def test_one_real_rule(self, capsys, call, what, low, value):
+        rule = "a finite number" if low is None else f"a finite number >= {low}"
+        message = f"{what} must be {rule}, got {value!r}"
+        if callable(call):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
+        else:
+            argv = [token.format(value) for token in call]
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n", ["0", "3"])
+    @pytest.mark.parametrize("command", [("eval", "--x", "2"), ("table",)])
+    def test_an_infinite_u_is_refused_at_every_degree(self, capsys, command, n):
+        # u = x**alpha / alpha is inf at the least subnormal alpha; at n = 0
+        # too, where L_0 = 1 would not read u.
+        kind, *rest = command
+        result = run_cli(capsys, kind, "--n", n, "--alpha", "5e-324", *rest)
+        assert result == (2, "", "error: u must be a finite number, got inf\n")
 
 
 class TestSolve:

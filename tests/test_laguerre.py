@@ -360,16 +360,35 @@ class TestFloatRecurrence:
     @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("us", [[math.nan], [0.5, math.nan, 2.0]])
     def test_nan_is_refused_as_eval_refuses_it(self, n, us):
-        message = "^cannot evaluate at nan$"
+        message = "^u must be a finite number, got nan$"
         with pytest.raises(ValueError, match=message):
+            assoc_closed(n, 1)(math.nan)
+        with pytest.raises(ValueError, match="^x must be a finite number >= 0, got nan$"):
             assoc_closed(n, 1).eval(math.nan, 1.0)
         with pytest.raises(ValueError, match=message):
             laguerre_pair(n, 1, math.nan)
         with pytest.raises(ValueError, match=message):
             laguerre_column(n, 1, us)
 
-    def test_infinities_summing_to_nan_are_not_refused(self):
-        assert laguerre_column(1, 0, [math.inf, -math.inf]) == [-math.inf, math.inf]
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("u", [math.inf, -math.inf])
+    def test_infinities_are_refused(self, n, u):
+        # At u = inf the third step would form inf - inf, a silent nan.
+        message = f"^u must be a finite number, got {u!r}$"
+        with pytest.raises(ValueError, match=message):
+            laguerre_pair(n, 0, u)
+        for us in ([u], [0.5, u]):
+            with pytest.raises(ValueError, match=message):
+                laguerre_column(n, 0, us)
+
+    def test_infinities_summing_to_nan_are_refused(self):
+        with pytest.raises(ValueError, match="^u must be a finite number, got inf$"):
+            laguerre_column(1, 0, [math.inf, -math.inf])
+
+    def test_finite_column_whose_sum_overflows_still_runs(self):
+        us = [1e308, 1e308]
+        assert math.isinf(sum(us))
+        assert laguerre_column(1, 0, us) == [1.0 - 1e308] * 2
 
     def test_negative_indices_are_rejected(self):
         for bad in ((-1, 0), (2, -1)):

@@ -153,9 +153,12 @@ def test_memoised_gauss_rule_is_shared_and_immutable():
         (lambda: QuadratureRule((0.5, 1.0), (0.7, 0.2), 2),
          "weights must sum to 1 (zeroth moment)"),
         (lambda: NamedSignal("nope"), "unknown signal kind 'nope'"),
-        (lambda: NamedSignal("power_p", p=-1.0), "power must be nonnegative"),
-        (lambda: NamedSignal("power_p", p=float("nan")), "power must be finite"),
-        (lambda: NamedSignal("sin_wu", omega=float("inf")), "omega must be finite"),
+        (lambda: NamedSignal("power_p", p=-1.0),
+         "power must be a finite number >= 0, got -1.0"),
+        (lambda: NamedSignal("power_p", p=float("nan")),
+         "power must be a finite number >= 0, got nan"),
+        (lambda: NamedSignal("sin_wu", omega=float("inf")),
+         "omega must be a finite number, got inf"),
         (lambda: GeneratingExpansion(1, (ReducedPoly.one(),)),
          "expansion must hold order + 1 coefficients"),
         (lambda: GeneratingExpansion(1, (ReducedPoly.one(), U * U)),
