@@ -30,7 +30,7 @@ n = 5
 routes = {
     "closed coefficients": laguerre_closed(n),
     "Rodrigues formula": laguerre_rodrigues(n),
-    "transform replay": solve_laguerre_ode(n),
+    "Laplace solution": solve_laguerre_ode(n),
     "generating series": generating_series(0, n)[n],
 }
 for name, poly in routes.items():

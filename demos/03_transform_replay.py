@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""The conformable Laplace calculus and the differential-equation replay.
+"""The conformable Laplace calculus, and the differential equation solved by it.
 
 The transform sends u**k * exp(r*u) to k!/(s-r)**(k+1) and stays exact in
 partial-fraction form, so the whole s-domain derivation (first-order ODE in
-s, derived from the u-domain equation's coefficient table, binomial
-expansion, termwise inversion) can be replayed and checked step by step.
+s, derived from the u-domain equation's coefficient table, its solution as
+a series in 1/s with y(0) = 1, termwise inversion) runs and is checked step
+by step.
 """
 
 from fractions import Fraction as F
@@ -14,13 +15,16 @@ from claguerre import (
     NamedSignal,
     ReducedPoly,
     derivative_rule,
+    inverse,
     laguerre_closed,
+    laguerre_transform,
+    s_domain_residual,
     solve_laguerre_ode,
     transform,
     transform_named,
 )
 from claguerre.integrate import transform_check
-from claguerre.laplace import replay_laguerre_ode, s_domain_equation
+from claguerre.laplace import s_domain_equation
 
 u = ReducedPoly((0, 1))
 
@@ -58,12 +62,13 @@ for sig in (
     print(f"{sig.kind:>8} at s={s}: closed {closed:.10f}  quadrature {numeric:.10f}")
 
 print()
-print("== the s-domain replay ==")
+print("== the s-domain solution ==")
 n = 4
-Y, residual, y = replay_laguerre_ode(n)
-print(f"Y(s) = (s-1)^{n}/s^{n + 1} = {Y}")
 print(f"derived s-domain equation: {s_domain_equation(n)}")
-print(f"s-domain residual: {residual}")
+Y = laguerre_transform(n)
+print(f"its solution with y(0) = 1: Y(s) = {Y}")
+print(f"s-domain residual: {s_domain_residual(Y, n)}")
+y = inverse(Y).as_poly()
 print(f"inverse transform: {y}")
 print(f"matches the closed form: {y == laguerre_closed(n)}")
 assert solve_laguerre_ode(n) == laguerre_closed(n)

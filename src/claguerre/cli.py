@@ -2,7 +2,7 @@
 
 Subcommands: ``eval`` (point values), ``table`` (CSV grids for plotting),
 ``transform`` (exact partial fractions and closed forms, with optional
-numeric cross-check), ``solve`` (replay of the transform-domain derivation)
+numeric cross-check), ``solve`` (the s-domain equation solved and inverted)
 and ``verify`` (the self-check suites).  CSV goes to stdout, diagnostics to
 stderr; exit codes are 0 for success, 1 for verification failure, 2 for
 usage errors, 3 for an unexpected internal error, reported in one line, and
@@ -205,10 +205,10 @@ def _cmd_solve(args) -> int:
     from .laguerre import laguerre_closed
 
     n = args.n
-    Y, residual, solution = laplace.replay_laguerre_ode(n)
+    Y = laplace.laguerre_transform(n)
+    residual, solution = laplace.s_domain_residual(Y, n), laplace.inverse(Y).as_poly()
     print(f"n = {n}")
     print(f"s-domain equation: {laplace.s_domain_equation(n)}")
-    print(f"closed form: Y(s) = (s-1)^{n}/s^{n + 1}")
     print(f"partial fractions: Y(s) = {Y}")
     print(f"s-domain residual: {residual}{' (exact)' if residual.is_zero else ''}")
     print(f"inverse transform: y(u) = {solution}, u = x^a/a")
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="also evaluate and cross-check at this s")
     p_transform.set_defaults(handler=_cmd_transform)
 
-    p_solve = sub.add_parser("solve", help="replay the transform-domain derivation")
+    p_solve = sub.add_parser("solve", help="solve the s-domain equation and invert Y")
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.set_defaults(handler=_cmd_solve)
 

@@ -6,12 +6,12 @@ the substitution u = x**alpha / alpha (the measure x**(alpha-1) dx turns into
 du exactly).  On the exp-polynomial class the image is a rational function of
 s; it is stored in expanded partial-fraction form, pole terms c/(s-l)**m plus
 an explicit polynomial part, which keeps every manipulation exact.  The poles
-are one ExpPoly integer block read in w = 1/(s-l), the same rate-keyed form
-as the functions, so sums, derivatives in s, products by s, shifts, the
-forward transform and its inverse are integer work on one block.
+are one ExpPoly integer block read in w = 1/(s-l), the functions' own
+rate-keyed form, so the calculus on images is integer work on one block.
 
 The transform is formal: every pair is algebra regardless of convergence,
-which is how identities like exp(u) <-> 1/(s-1) are used in practice.
+which is how identities like exp(u) <-> 1/(s-1) are used in practice.  The
+Laguerre image is solved from ``s_domain_operator``, the transformed equation.
 
 The transcendental pairs (``NamedSignal``) are each written once, in
 ``_PAIRS``: the integrand, the closed image, the printed label, the signal
@@ -41,7 +41,7 @@ from .alpha_calc import (
     _sub,
     as_alpha,
 )
-from .laguerre import _check_index, laguerre_ode
+from .laguerre import laguerre_ode
 
 __all__ = [
     "NamedSignal",
@@ -51,7 +51,6 @@ __all__ = [
     "derivative_rule",
     "inverse",
     "laguerre_transform",
-    "replay_laguerre_ode",
     "s_domain_equation",
     "s_domain_operator",
     "s_domain_residual",
@@ -226,13 +225,9 @@ class TransformExpr:
         The sum is formed exactly at Fraction(s), each rate's terms summed
         as w * P(w) at w = 1/(s - rate): the pole terms of an image like
         (s-1)**n / s**(n+1) cancel to many orders of magnitude below their
-        size, so a float sum would keep none of the value's digits.  A nan s
-        gives nan, as the named images do, and an infinite s raises
-        OverflowError.
-        """
-        if s != s:  # nan, which has no Fraction
-            return math.nan
-        s = Fraction(s)
+        size, so a float sum would keep none of the value's digits.  A nan or
+        infinite float s is a ValueError; an int or Fraction s is taken exactly."""
+        s = Fraction(_check_real(s, "s") if isinstance(s, float) else s)
         total = self._poly(s)
         for r, p in self._block.terms:
             w = 1 / (s - r)
@@ -399,10 +394,28 @@ def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
 
 
 def laguerre_transform(n: int) -> TransformExpr:
-    """(s-1)**n / s**(n+1), expanded exactly into sum_k (-1)**k C(n,k)/s**(k+1)."""
-    _check_index(n)
-    poles = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    return TransformExpr._make(ExpPoly._from_block(((0, 1),), (poles,), 1), _ZERO)
+    """Y(s) = sum_k a_k / s**(k+1) solved from Q_0*Y + Q_1*Y' = 0, the
+    :func:`s_domain_operator` equation; it is (s-1)**n / s**(n+1).
+
+    a_0 = y(0) = 1 is the paper's normalisation, an input.  With q1[0] = 0,
+    s**-k gives (q0[1] - (k+1)*q1[2])*a_k + (q0[0] - k*q1[1])*a_(k-1) = 0 and
+    s**0 asks q0[1] = q1[2].  The sum ends at the pole order q0[0]/q1[1], the
+    indicial root at s = 0 (Ince, *Ordinary Differential Equations*, 1926);
+    each a_k is an exact division.  Any other operator is an AlgebraError."""
+    Q = [q + (0,) * (3 - len(q)) for q in s_domain_operator(n)]
+    if len(Q) != 2 or Q[0][2:] != (0,) or Q[1][3:] or Q[1][0]:
+        raise AlgebraError(f"not a first-order s-domain equation: {s_domain_equation(n)}")
+    (b0, b1, _), (_, c1, c2) = Q
+    poles = b0 // c1 if c1 and c2 and not b0 % c1 else 0
+    if b1 != c2 or poles < 1:
+        raise AlgebraError(f"no expansion with y(0) = 1 solves {s_domain_equation(n)}")
+    a = [1]
+    for k in range(1, poles):
+        a_k, rest = divmod((b0 - k * c1) * a[-1], k * c2)
+        if rest:
+            raise AlgebraError(f"a_{k} is not an integer for {s_domain_equation(n)}")
+        a.append(a_k)
+    return TransformExpr._make(ExpPoly._from_block(((0, 1),), (a,), 1), _ZERO)
 
 
 def s_domain_operator(n: int) -> tuple[tuple[int, ...], ...]:
@@ -442,17 +455,6 @@ def s_domain_equation(n: int) -> str:
     return " + ".join(terms) + " = 0"
 
 
-def replay_laguerre_ode(n: int) -> tuple[TransformExpr, TransformExpr, ReducedPoly]:
-    """The s-domain solution of the defining equation, stage by stage: Y(s) =
-    (s-1)**n / s**(n+1) expanded exactly, its s-domain residual, and its
-    termwise inverse sum_k (-1)**k C(n,k) u**k / k!."""
-    Y = laguerre_transform(n)
-    return Y, s_domain_residual(Y, n), inverse(Y).as_poly()
-
-
 def solve_laguerre_ode(n: int) -> ReducedPoly:
-    """The replay's solution; AlgebraError if its residual is nonzero."""
-    _, residual, solution = replay_laguerre_ode(n)
-    if not residual.is_zero:
-        raise AlgebraError(f"s-domain residual is nonzero: {residual}")
-    return solution
+    """y(u) with y(0) = 1, the termwise inverse of :func:`laguerre_transform`."""
+    return inverse(laguerre_transform(n)).as_poly()

@@ -4,7 +4,7 @@ Standard library only, so it runs where pytest is not installed; pytest
 does not collect it.  For each interpreter it runs ``python -m
 claguerre.cli`` from ``src/`` and compares:
 
-* ``solve --n {0,1,5,12}`` and ``verify --scope all`` with their golden
+* ``solve --n {0,1,5,12,40}`` and ``verify --scope all`` with their golden
   files in ``tests/golden/``;
 * the cases of ``test_cli.TestNegativeLookingValues`` (read from that file,
   so they are written once), both as ``--opt value`` and ``--opt=value``:
@@ -23,6 +23,9 @@ claguerre.cli`` from ``src/`` and compares:
   exp(-u) on k!-scaled integers: ``laguerre_rodrigues(n)`` equals
   ``laguerre_closed(n)`` for n <= 80 and ``assoc_rodrigues(n, m)`` equals
   ``assoc_closed(n, m)`` for n <= 40, m <= 4;
+* the Laplace image (``TRANSFORM``), solved from the s-domain equation:
+  ``laguerre_transform(n)`` equals the binomial expansion
+  sum_k (-1)**k C(n, k) / s**(k+1) for n <= 200;
 * the sample table record (``RECORD``): a built table survives the public
   constructor unchanged, holds one tuple per column, and its ``rows``, read
   back from the columns, are the per-point ``laguerre_pair`` values bit for
@@ -90,6 +93,14 @@ for n in range(41):
         checked += 1
 print(checked)
 """
+TRANSFORM = """
+import math
+from claguerre.laplace import TransformExpr, laguerre_transform
+for n in range(201):
+    want = TransformExpr(((-1) ** k * math.comb(n, k), 0, k + 1) for k in range(n + 1))
+    assert laguerre_transform(n) == want, n
+print(n + 1)
+"""
 RECORD = """
 from claguerre.laguerre import laguerre_pair
 from claguerre.tables import SampleTable, build_table
@@ -137,7 +148,7 @@ def import_probe() -> tuple[str, list[tuple[str, ...]]]:
 
 def expectations():
     """(name, argv, exit code, stdout, stderr) for every check."""
-    for n in (0, 1, 5, 12):
+    for n in (0, 1, 5, 12, 40):
         golden = (GOLDEN / f"solve_n{n}.txt").read_text()
         yield f"solve --n {n}", ("solve", "--n", str(n)), 0, golden, ""
     golden = (GOLDEN / "verify_all.txt").read_text()
@@ -207,6 +218,7 @@ def check(python: str, demos: dict) -> int:
     for script, name, unit in (
         (MEMO, "derivative memo and pickle", "checks"),
         (RODRIGUES, "Rodrigues construction equals the closed form", "checks"),
+        (TRANSFORM, "solved Laplace image equals the binomial expansion", "checks"),
         (RECORD, "sample table columns and rows", "rows"),
     ):
         run = subprocess.run([python, "-c", script], capture_output=True, text=True, env=env)

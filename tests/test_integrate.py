@@ -226,18 +226,21 @@ class TestTransformCheck:
         [
             (lambda s: 1 / 0, lambda u: 1.0, 2.0, "the transform at s=2.0"),
             (lambda s: math.inf, lambda u: 1.0, 2.0, "the transform at s=2.0"),
-            # TransformExpr gives nan at a nan s, as the named images do.
-            (laguerre_transform(3), lambda u: 1.0, math.nan, "the transform at s=nan"),
             (lambda s: 1.0, lambda u: math.exp(u * u), 0.5, "the quadrature check at s=0.5"),
             # g raises ValueError inside the quadrature at a positive s.
             (lambda s: 1.0, lambda u: math.sqrt(-1.0 - u), 2.0, "the quadrature check at s=2.0"),
         ],
-        ids=["closed-raises", "closed-infinite", "closed-at-nan", "numeric-overflows",
-             "numeric-refused"],
+        ids=["closed-raises", "closed-infinite", "numeric-overflows", "numeric-refused"],
     )
     def test_non_finite_values_are_refused(self, F, g, s, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not a finite float$"):
             transform_check(F, g, s)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_s_meets_the_real_rule(self, s):
+        # TransformExpr refuses a non-finite s before the check reads it.
+        with pytest.raises(ValueError, match=rf"^s must be a finite number, got {s!r}$"):
+            transform_check(laguerre_transform(3), lambda u: 1.0, s)
 
     @pytest.mark.parametrize("s", [-1.0, 0.0])
     def test_s_at_or_below_zero_is_refused(self, s):

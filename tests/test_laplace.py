@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claguerre import laplace
+from claguerre import cli, laplace, verify
 from claguerre.alpha_calc import AlgebraError, ExpPoly, ReducedPoly
 from claguerre.integrate import gauss_laguerre, quad_transform
 from claguerre.laguerre import laguerre_closed
@@ -18,7 +18,6 @@ from claguerre.laplace import (
     derivative_rule,
     inverse,
     laguerre_transform,
-    replay_laguerre_ode,
     s_domain_equation,
     s_domain_operator,
     s_domain_residual,
@@ -295,20 +294,62 @@ class TestSolve:
         for n in range(13):
             assert solve_laguerre_ode(n) == laguerre_closed(n)
 
-    def test_replay_stages(self):
-        Y, residual, solution = replay_laguerre_ode(3)
-        assert Y == laguerre_transform(3)
-        assert residual.is_zero
-        assert solution == laguerre_closed(3)
+    def test_replay_stages(self, monkeypatch):
+        # The stages solve prints: the derived image, its residual and its
+        # inverse; solve_laguerre_ode is that inverse.
+        Y = laguerre_transform(3)
+        assert s_domain_residual(Y, 3).is_zero
+        assert inverse(Y).as_poly() == laguerre_closed(3)
+        seen = []
+        wrong = ExpPoly.from_poly(laguerre_closed(2))
+        monkeypatch.setattr(laplace, "inverse", lambda T: seen.append(T) or wrong)
+        assert solve_laguerre_ode(3) == laguerre_closed(2)
+        assert seen == [Y]
 
     def test_nonzero_residual_raises(self, monkeypatch):
-        Y, _, solution = replay_laguerre_ode(3)
-        monkeypatch.setattr(
-            laplace, "replay_laguerre_ode",
-            lambda n: (Y, TransformExpr([(1, 0, 2)]), solution),
-        )
-        with pytest.raises(AlgebraError, match=r"s-domain residual is nonzero: 1/s\^2"):
+        # With P_1 = (2, -1) the s**0 coefficient of the residual is a_0,
+        # which no expansion with y(0) = 1 can cancel.
+        monkeypatch.setattr(laplace, "laguerre_ode", lambda n: ((n,), (2, -1), (0, 1)))
+        with pytest.raises(
+            AlgebraError, match=r"^no expansion with y\(0\) = 1 solves \(s - s\^2\)\*Y'\(s\)"
+        ):
             solve_laguerre_ode(3)
+
+
+# laguerre_ode's (n,), (1 + m, -1), (0, 1) with one entry changed, at m = 0.
+WRONG_EQUATIONS = {
+    "P0=n+1": lambda n: ((n + 1,), (1, -1), (0, 1)),
+    "P0=-n": lambda n: ((-n,), (1, -1), (0, 1)),
+    "P1=(2,-1)": lambda n: ((n,), (2, -1), (0, 1)),
+    "P1=(1,1)": lambda n: ((n,), (1, 1), (0, 1)),
+    "P1=(1,-2)": lambda n: ((n,), (1, -2), (0, 1)),
+    "P2=(0,2)": lambda n: ((n,), (1, -1), (0, 2)),
+    "P2=(1,1)": lambda n: ((n,), (1, -1), (1, 1)),
+}
+
+
+class TestDerivation:
+    def test_a_fractional_coefficient_is_refused(self, monkeypatch):
+        # (2 - 2s)*Y + (s - 2s^2)*Y' = 0 is solved by (s + 1/2)/s^2: a_1 = 1/2.
+        monkeypatch.setattr(laplace, "s_domain_operator", lambda n: ((2, -2), (0, 1, -2)))
+        with pytest.raises(AlgebraError, match=r"^a_1 is not an integer for "):
+            laguerre_transform(0)
+
+    @pytest.mark.parametrize("wrong", WRONG_EQUATIONS.values(), ids=WRONG_EQUATIONS)
+    def test_a_wrong_equation_is_caught(self, capsys, monkeypatch, wrong):
+        # The derivation ends, and gives no image or another one; solve then
+        # exits 1 or 3 and the triple-construction suite fails.
+        images = [laguerre_transform(n) for n in range(1, 13)]
+        monkeypatch.setattr(laplace, "laguerre_ode", wrong)
+        for n, image in enumerate(images, 1):
+            try:
+                assert laguerre_transform(n) != image, n
+            except AlgebraError:
+                pass
+        assert cli.main(["solve", "--n", "4"]) in (1, 3)
+        assert "match: exact" not in capsys.readouterr().out
+        with pytest.raises((AssertionError, AlgebraError)):
+            dict(verify.SUITES["laguerre"])["triple-construction"]()
 
 
 class TestRendering:
@@ -587,7 +628,7 @@ class TestPerRateModel:
         assert back == p
 
     def test_laguerre_transform(self):
-        for n in range(0, 41, 5):
+        for n in range(301):
             ref = RefTransform(
                 ((-1) ** k * math.comb(n, k), 0, k + 1) for k in range(n + 1)
             )
