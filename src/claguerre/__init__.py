@@ -2,15 +2,16 @@
 
 The package is organized around the reduced variable u = x**alpha / alpha:
 
+* :mod:`claguerre.recurrence` is the float layer: argument rules and recurrence,
 * :mod:`claguerre.alpha_calc` holds the exact polynomial and
   exp-polynomial algebra and the conformable derivative,
 * :mod:`claguerre.laguerre` builds the plain and associated polynomials
-  along several independent routes, and evaluates them in floats by the
-  three-term recurrence,
+  along several independent routes,
 * :mod:`claguerre.laplace` is the transform calculus used to solve the
   defining differential equation,
 * :mod:`claguerre.integrate` integrates against the conformable measure,
   exactly and by Gauss-Laguerre quadrature,
+* :mod:`claguerre.tables` samples the recurrence into CSV tables,
 * :mod:`claguerre.verify` re-checks every identity and backs the
   ``claguerre verify`` subcommand.
 
@@ -71,8 +72,8 @@ _EXPORTS = {
     ),
     "tables": ("SampleTable", "build_table"),
 }
-_SUBMODULES = ("alpha_calc", "cli", "integrate", "laguerre", "laplace", "tables",
-               "verify")
+_SUBMODULES = ("alpha_calc", "cli", "integrate", "laguerre", "laplace", "recurrence",
+               "tables", "verify")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -34,6 +34,8 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, floordiv, mul, neg, sub
 
+from .recurrence import _check_count, _check_real, _reduced_u, as_alpha
+
 __all__ = [
     "AlgebraError",
     "ExpPoly",
@@ -64,24 +66,6 @@ def _as_fraction(value) -> Fraction:
     )
 
 
-def _check_count(value, what: str, low: int = 0) -> None:
-    """The one integer rule: refuse a value that is not an int (a bool is
-    not one) or lies below ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
-        raise ValueError(f"{what} must be {rule}, got {value!r}")
-
-
-def _check_real(value, what: str, low: float | None = None) -> float:
-    """The one real rule: value as a float, refused when it is nan,
-    infinite or below ``low``."""
-    value = float(value)
-    if not -math.inf < value < math.inf or (low is not None and value < low):
-        rule = "a finite number" if low is None else f"a finite number >= {low}"
-        raise ValueError(f"{what} must be {rule}, got {value!r}")
-    return value
-
-
 def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
     """Join (negative, magnitude text) pieces as ``a - b + c``; "0" if none."""
     text = ""
@@ -91,21 +75,6 @@ def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
         else:
             text = ("-" if neg else "") + body
     return text or "0"
-
-
-def as_alpha(alpha) -> float:
-    """The derivative order as a float, checked to lie in (0, 1]."""
-    value = float(alpha)
-    if not (0.0 < value <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {value!r}")
-    return value
-
-
-def _reduced_u(x, alpha) -> float:
-    """u = x**alpha / alpha, with alpha checked by :func:`as_alpha` and both
-    x >= 0 and u by :func:`_check_real`."""
-    a = as_alpha(alpha)
-    return _check_real(_check_real(x, "x", low=0) ** a / a, "u")
 
 
 def _add_ints(a, b) -> list[int]:

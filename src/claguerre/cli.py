@@ -15,8 +15,9 @@ library inside a handler.  ``main`` turns each one into a single
 ``error: <message>`` line on stderr and exit 2; no handler catches it.
 
 Each command imports the library modules it runs inside its handler, so
-``eval`` loads only ``alpha_calc`` and ``laguerre`` and only ``verify``
-loads the suites.
+``table`` loads only the float layer, ``recurrence``, and ``tables``;
+``eval`` adds ``alpha_calc`` and ``laguerre`` for its exact form, and only
+``verify`` loads the suites.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
-    from .alpha_calc import as_alpha
+    from .recurrence import as_alpha
 
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
@@ -86,8 +87,9 @@ def _check_size(name: str, value: int, cap: int) -> None:
 
 
 def _cmd_eval(args) -> int:
-    from .alpha_calc import _reduced_u, x_view_str
-    from .laguerre import assoc_closed, laguerre_pair
+    from .alpha_calc import x_view_str
+    from .laguerre import assoc_closed
+    from .recurrence import _reduced_u, laguerre_pair
 
     alphas = _parse_alphas(args.alpha)
     values = [laguerre_pair(args.n, args.m, _reduced_u(args.x, a))[0] for a in alphas]
@@ -148,7 +150,7 @@ class _GrammarHelp(str):
 def _cmd_transform(args) -> int:
     """Build every output line first, so that a usage error prints none."""
     from . import laplace
-    from .alpha_calc import _check_real
+    from .recurrence import _check_real
 
     alphas = _parse_alphas(args.alpha)
     if len(alphas) != 1:
@@ -171,7 +173,7 @@ def _cmd_transform(args) -> int:
                          f"value for {spelt}: {values[0]!r}") from None
 
     if kind == "laguerre":
-        from .laguerre import laguerre_pair
+        from .recurrence import laguerre_pair
 
         n = params["n"]
         _check_size("n", n, MAX_N)

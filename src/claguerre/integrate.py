@@ -6,7 +6,7 @@ choice in the package: the x-space weight is singular at 0 for alpha < 1,
 while the u-space integrand is smooth, so quadrature never sees the branch
 point.  Exact rational moments are the primary oracle; a Gauss-Laguerre rule
 built here from scratch is the independent numeric one.  Its nodes come from
-Newton on the three-term recurrence of :func:`claguerre.laguerre.laguerre_pair`,
+Newton on the three-term recurrence of :func:`claguerre.recurrence.laguerre_pair`,
 started at the classical asymptotic guesses, and each finished rule is
 memoised per order on first use.
 """
@@ -18,8 +18,9 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 
-from .alpha_calc import ExpPoly, as_alpha
-from .laguerre import laguerre_closed, laguerre_pair
+from .alpha_calc import ExpPoly
+from .laguerre import laguerre_closed
+from .recurrence import as_alpha, laguerre_pair
 
 __all__ = [
     "DivergenceError",
@@ -136,7 +137,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     not strictly increasing, raise RootFindingError; N distinct zeros of a
     degree-N polynomial are all of its zeros.  Weights use the standard
     formula x / ((N+1) * L_{N+1}(x))**2.  Every value of L_N, L_{N-1} and
-    L_{N+1} comes from :func:`claguerre.laguerre.laguerre_pair`, the
+    L_{N+1} comes from :func:`claguerre.recurrence.laguerre_pair`, the
     library's one float evaluator.  The rule is frozen, so every call with
     the same order returns the same shared object.
     """

@@ -12,12 +12,9 @@ separate so they can cross-check one another exactly:
 A fifth route, termwise inversion of the s-domain solution of the defining
 differential equation, lives in :mod:`claguerre.laplace`.
 
-Fast float values come from the forward three-term recurrence in u
-(``laguerre_pair`` for one point, ``laguerre_column`` for a grid): n float
-steps per point, where :meth:`ReducedPoly.eval` rounds the exact value once
-at big-integer cost, and it never reads the monomial coefficients, so the
-two check each other.  The conformable polynomial is the classical L_n^m at
-u = x**alpha / alpha, so the same recurrence serves every alpha.
+Fast float values, ``laguerre_pair`` and ``laguerre_column``, come from the
+three-term recurrence of :mod:`claguerre.recurrence`, which never reads the
+monomial coefficients, so the two check each other.
 
 With constant term 1 for the plain family, the polynomials solve the one
 copy of the defining equation, ``laguerre_ode``, and are orthonormal against
@@ -26,12 +23,11 @@ exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
-from math import comb, factorial, inf, isfinite, perm
+from math import comb, factorial, perm
 
-from .alpha_calc import (AlgebraError, ExpPoly, ReducedPoly, _add_ints, _check_count,
-                         _check_real, d_alpha_n)
+from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
+from .recurrence import _check_count, _check_index, laguerre_column, laguerre_pair
 
 __all__ = [
     "GeneratingExpansion",
@@ -47,12 +43,6 @@ __all__ = [
     "ode_residual",
     "values_at_zero",
 ]
-
-
-def _check_index(n: int, m: int = 0) -> None:
-    """Reject a degree n or an order m that is not a nonnegative integer."""
-    _check_count(n, "degree")
-    _check_count(m, "order")
 
 
 def laguerre_closed(n: int) -> ReducedPoly:
@@ -101,70 +91,6 @@ def assoc_rodrigues(n: int, m: int) -> ReducedPoly:
     seed = ExpPoly.exp(-1, ReducedPoly.monomial(n + m))
     flattened = d_alpha_n(seed, n).shift_rate(1).as_poly()
     return flattened.divide_by_u(m) * Fraction(1, factorial(n))
-
-
-def laguerre_pair(n: int, m: int, u: float) -> tuple[float, float]:
-    """(L_n^m(u), L_{n-1}^m(u)) in floats, by the three-term recurrence.
-
-    (k+1) L_{k+1} = (2k+1+m-u) L_k - (k+m) L_{k-1}, started from L_0 = 1
-    and L_1 = 1 + m - u (Abramowitz & Stegun 22.7.12); at n = 0 the pair is
-    (1, 0).  The forward recurrence is stable for u >= 0 (Gautschi,
-    *Orthogonal Polynomials: Computation and Approximation*, 2004): the
-    error stays within a few ulps of the A&S 22.14.13 envelope
-    C(n+m, n) exp(u/2).  It is chosen for speed (n float steps, where
-    :meth:`ReducedPoly.eval` works on big integers) and for independence
-    from the monomial coefficients, which it never reads.  The value at
-    u = x**alpha / alpha is the conformable polynomial of order alpha.  The
-    second value feeds the derivative u L' = n (L - L_{n-1}) (m = 0) that
-    Newton uses in :func:`claguerre.integrate.gauss_laguerre`.  A nan or
-    infinite u raises ValueError, as in :meth:`ReducedPoly.eval`; at
-    u = inf the recurrence would form inf - inf.
-    """
-    _check_index(n, m)
-    if not -inf < u < inf:
-        _check_real(u, "u")
-    if n == 0:
-        return 1.0, 0.0
-    # Step k uses a = 2k+1+m, c = k+m and d = k+1 as floats, stepped by
-    # exact additions (integers below 2**53), so every operation is float by
-    # float and the bits equal those of the int-constant form.
-    prev, cur = 1.0, 1.0 + m - u
-    a, c = 1.0 + m, float(m)
-    for d in map(float, range(2, n + 1)):
-        a += 2.0
-        c += 1.0
-        prev, cur = cur, ((a - u) * cur - c * prev) / d
-    return cur, prev
-
-
-def laguerre_column(n: int, m: int, us: Sequence[float]) -> list[float]:
-    """[L_n^m(u) for u in us], one recurrence step over the whole column
-    per pass.
-
-    Each step is the expression of :func:`laguerre_pair`, term for term, so
-    every entry equals ``laguerre_pair(n, m, u)[0]`` bit for bit.  On a grid
-    this is faster than one scalar call per point: on 40 table-sweep-like
-    grids (n <= 8, 200-2000 points, 1-4 alphas) it took 49 ms against
-    125 ms (best of 25, Python 3.11.7).  On one point the scalar form is
-    faster, as it builds no lists.  A nan or infinite u in ``us`` raises
-    ValueError.
-    """
-    _check_index(n, m)
-    # A non-finite u makes the sum non-finite, so a column without one costs
-    # one C-level pass (a third of the time of a per-point check); only a
-    # sum that fails, which finite u can also overflow, is scanned.
-    if not isfinite(sum(us)):
-        for u in us:
-            _check_real(u, "u")
-    if n == 0:
-        return [1.0] * len(us)
-    prev, cur = [1.0] * len(us), [1.0 + m - u for u in us]
-    a, c = 1.0 + m, float(m)
-    for d in map(float, range(2, n + 1)):
-        a += 2.0
-        c += 1.0
-        prev, cur = cur, [((a - u) * y - c * p) / d for u, y, p in zip(us, cur, prev)]
-    return cur
 
 
 def laguerre_ode(n: int, m: int = 0) -> tuple[tuple[int, ...], ...]:

@@ -33,15 +33,13 @@ from .alpha_calc import (
     _EMPTY,
     _ZERO,
     _as_fraction,
-    _check_count,
-    _check_real,
     _join_signed,
     _merged,
     _rsub,
     _sub,
-    as_alpha,
 )
 from .laguerre import laguerre_ode
+from .recurrence import _check_count, _check_real, as_alpha
 
 __all__ = [
     "NamedSignal",

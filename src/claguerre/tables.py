@@ -1,13 +1,13 @@
 """Sample tables for plotting: evaluation grids rendered as CSV.
 
-Values come from the three-term recurrence of
-:func:`claguerre.laguerre.laguerre_column`, run one alpha column at a time:
-the alphas are validated once per table, the indices once per column, and
-u = x**alpha / alpha is computed once per (x, alpha), so the per-point cost
-is the recurrence alone.  The record keeps the columns that the recurrence
-computes, x first, and renders from them; ``SampleTable.rows`` builds the
-row tuples on each access.  Output is deterministic byte for byte: floats
-print in shortest round-trip form and rows end with a bare linefeed.
+Values come from :func:`claguerre.recurrence.laguerre_column`, one alpha
+column at a time, and the argument rules from the same float layer, so no
+exact algebra loads.  Alphas are checked once per table, indices once per
+column and u = x**alpha / alpha once per (x, alpha): the per-point cost is
+the recurrence alone.  The record keeps the computed columns, x first, and
+renders from them; ``SampleTable.rows`` builds the row tuples on each
+access.  Output is deterministic byte for byte: floats print in shortest
+round-trip form and rows end with a bare linefeed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import le
 
-from .alpha_calc import _check_count, _check_real, as_alpha
-from .laguerre import laguerre_column
+from .recurrence import _check_count, _check_real, as_alpha, laguerre_column
 
 __all__ = ["SampleTable", "build_table"]
 

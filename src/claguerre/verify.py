@@ -32,11 +32,11 @@ from .laguerre import (
     generating_series,
     laguerre_closed,
     laguerre_ode,
-    laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
     values_at_zero,
 )
+from .recurrence import laguerre_pair
 from .tables import build_table
 
 __all__ = [
@@ -397,7 +397,11 @@ def _suite_named_pairs() -> str:
 
 def _suite_s_domain_residual() -> str:
     for n in range(13):
-        residual = laplace.s_domain_residual(laplace.laguerre_transform(n), n)
+        # a Y solved from a wrong operator still has a zero residual
+        Y = laplace.laguerre_transform(n)
+        _ensure(Y == laplace.transform(laguerre_closed(n)),
+                lambda: f"solved image {Y} is not the transform of L_{n}")
+        residual = laplace.s_domain_residual(Y, n)
         _ensure(residual.is_zero, lambda: f"nonzero residual {residual} at n={n}")
     rng = random.Random(_SEED + 10)  # L{sum_j P_j y^(j)} is the residual of L{y}
     for i in range(26):
@@ -405,8 +409,9 @@ def _suite_s_domain_residual() -> str:
         lhs = sum(ReducedPoly(P) * d_alpha_n(y, j) for j, P in enumerate(laguerre_ode(n)))
         _ensure(laplace.transform(lhs) == laplace.s_domain_residual(laplace.transform(y), n),
                 lambda: f"residual is not the transformed equation at n={n} for {y}")
-    return ("n <= 12, expanded (s-1)^n/s^(n+1) annihilates the operator; on 26 "
-            "random exp-polynomials it is the transformed equation, exact")
+    return ("n <= 12, the solved image is the transform of the closed form and "
+            "annihilates the operator; on 26 random exp-polynomials it is the "
+            "transformed equation, exact")
 
 
 # -- integrate ----------------------------------------------------------------

@@ -14,6 +14,9 @@ claguerre.cli`` from ``src/`` and compares:
 * each command of ``test_cli.TestImports``' table, run under ``-S`` (no
   site hook) through that class's import probe: exit 0, and none of
   ``dataclasses``, ``inspect`` or ``typing`` in ``sys.modules`` afterwards;
+* ``import claguerre.tables`` under ``-S`` through ``test_cli._TABLES_PROBE``:
+  it loads the claguerre modules of ``test_cli._TABLES_LOADS``, the float
+  layer and ``tables``, and neither ``fractions`` nor ``decimal``;
 * the SHA-256 of ``exact_results()`` from ``test_exact_golden.py``, which
   needs no pytest, with ``golden/exact_results.sha256``;
 * the derivative memo of ``ExpPoly`` (``MEMO``): orders asked in a shuffled
@@ -208,6 +211,16 @@ def check(python: str, demos: dict) -> int:
         detail = "" if ok else f" (probe {got}, stderr {run.stderr[-200:]!r})"
         print(f"{'PASS' if ok else 'FAIL'} {version} -S {' '.join(argv)} loads no "
               f"dataclasses, inspect or typing{detail}")
+    run = subprocess.run(
+        [python, "-S", "-c", cli_test_literal("_TABLES_PROBE")],
+        capture_output=True, text=True, env=env, cwd=SRC,
+    )
+    got = json.loads(run.stdout) if run.returncode == 0 else None
+    ok = got == cli_test_literal("_TABLES_LOADS")
+    failed += not ok
+    detail = "" if ok else f" (probe {got}, stderr {run.stderr[-200:]!r})"
+    print(f"{'PASS' if ok else 'FAIL'} {version} -S import claguerre.tables loads only "
+          f"the float layer{detail}")
     env["PYTHONPATH"] = os.pathsep.join((str(SRC), str(TESTS)))
     run = subprocess.run([python, "-c", DIGEST], capture_output=True, text=True, env=env)
     ok = run.stdout.strip() == (GOLDEN / "exact_results.sha256").read_text().strip()

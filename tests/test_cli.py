@@ -606,16 +606,18 @@ class TestVerify:
 # ``claguerre`` and ``claguerre.cli``.  The probe runs under ``-S``: a site
 # hook may import ``typing`` itself, which would hide one that claguerre loads.
 _LOADED_BY = [
-    (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre"}),
-    (("table", "--n", "3", "--samples", "5"), {"alpha_calc", "laguerre", "tables"}),
+    (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre", "recurrence"}),
+    (("table", "--n", "3", "--samples", "5"), {"recurrence", "tables"}),
     (("transform", "laguerre", "5", "--s", "2"),
-     {"alpha_calc", "integrate", "laguerre", "laplace"}),
+     {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
     (("transform", "sin_wu", "2", "--s", "1.5"),
-     {"alpha_calc", "integrate", "laguerre", "laplace"}),
-    (("solve", "--n", "4"), {"alpha_calc", "laguerre", "laplace"}),
+     {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
+    (("solve", "--n", "4"), {"alpha_calc", "laguerre", "laplace", "recurrence"}),
     (("verify", "--scope", "all"),
-     {"alpha_calc", "integrate", "laguerre", "laplace", "tables", "verify"}),
+     {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence", "tables", "verify"}),
 ]
+# The probe prints the exit code, the claguerre modules before and after the
+# command, and which of the heavy and the exact-arithmetic modules it loaded.
 _IMPORT_PROBE = """\
 import json, sys
 import claguerre.cli
@@ -624,8 +626,18 @@ def ours():
 before = ours()
 code = claguerre.cli.main(sys.argv[1:])
 print(json.dumps([code, before, ours(),
-                  [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules]]))
+                  [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
+                  [m for m in ("decimal", "fractions") if m in sys.modules]]))
 """
+# ``import claguerre.tables`` alone, under ``-S``: the claguerre modules it
+# loads and which exact-arithmetic modules; the float layer needs neither.
+_TABLES_PROBE = """\
+import json, sys
+import claguerre.tables
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "claguerre"),
+                  [m for m in ("decimal", "fractions") if m in sys.modules]]))
+"""
+_TABLES_LOADS = [["claguerre", "claguerre.recurrence", "claguerre.tables"], []]
 
 
 def _probe_imports(argv):
@@ -643,14 +655,26 @@ class TestImports:
              "verify-all"],
     )
     def test_each_command_loads_only_what_it_runs(self, argv, expected):
-        code, before, after, heavy = _probe_imports(argv)
+        code, before, after, heavy, _ = _probe_imports(argv)
         assert code == 0
         assert before == ["claguerre", "claguerre.cli"]
         assert after == sorted(before + [f"claguerre.{m}" for m in expected])
         assert heavy == []
 
+    def test_table_loads_no_exact_arithmetic(self):
+        code, _, _, _, exact = _probe_imports(("table", "--n", "3", "--samples", "5"))
+        assert code == 0
+        assert exact == []
+
+    def test_the_tables_module_loads_only_the_float_layer(self):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _TABLES_PROBE], capture_output=True,
+            text=True, env=CHILD_ENV, check=True,
+        )
+        assert json.loads(proc.stdout) == _TABLES_LOADS
+
     def test_a_rejected_command_line_loads_no_library_module(self):
-        code, before, after, heavy = _probe_imports(("eval", "--n", "abc", "--x", "1"))
+        code, before, after, heavy, _ = _probe_imports(("eval", "--n", "abc", "--x", "1"))
         assert code == 2
         assert before == after == ["claguerre", "claguerre.cli"]
         assert heavy == []

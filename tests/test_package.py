@@ -46,8 +46,8 @@ def test_star_import_binds_every_public_name():
 
 
 @pytest.mark.parametrize(
-    "name", ["alpha_calc", "cli", "integrate", "laguerre", "laplace", "tables",
-             "verify"],
+    "name", ["alpha_calc", "cli", "integrate", "laguerre", "laplace", "recurrence",
+             "tables", "verify"],
 )
 def test_submodules_are_attributes(name):
     assert getattr(claguerre, name) is importlib.import_module(f"claguerre.{name}")

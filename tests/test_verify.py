@@ -124,6 +124,16 @@ def test_s_domain_residual_catches_a_residual_times_s(monkeypatch):
     assert failed[0].detail.startswith("residual is not the transformed equation at n=0")
 
 
+def test_s_domain_residual_catches_a_wrong_equation(monkeypatch):
+    # Y is solved from the operator, so its residual vanishes for any
+    # equation; only the transform of the closed form sees P_0 = n + 1
+    monkeypatch.setattr(verify.laplace, "laguerre_ode",
+                        lambda n, m=0: ((n + 1,), (1 + m, -1), (0, 1)))
+    failed = [e for e in run_suites("laplace") if not e.passed]
+    assert [e.name for e in failed] == ["laplace/s-domain-residual"]
+    assert failed[0].detail == "solved image 1/s - 1/s^2 is not the transform of L_0"
+
+
 def test_classical_recurrence_small_values():
     # L_2(x) = 1 - 2x + x^2/2 and L_1^1(x) = 2 - x, directly
     assert laguerre_pair(2, 0, 1.0)[0] == pytest.approx(-0.5)
