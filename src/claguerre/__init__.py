@@ -10,14 +10,18 @@ The package is organized around the reduced variable u = x**alpha / alpha:
 * :mod:`claguerre.laplace` is the transform calculus used to solve the
   defining differential equation,
 * :mod:`claguerre.integrate` integrates against the conformable measure,
-  exactly and by Gauss-Laguerre quadrature,
+  exactly and by Gauss-Laguerre quadrature, and holds the named
+  transform pairs that its quadrature checks,
 * :mod:`claguerre.tables` samples the recurrence into CSV tables,
 * :mod:`claguerre.verify` re-checks every identity and backs the
   ``claguerre verify`` subcommand.
 
 Importing the package loads none of them.  A submodule loads the first time
 it, or one of the names in ``__all__``, is read from the package (PEP 562),
-so a ``claguerre`` command compiles only the modules it runs.
+so a ``claguerre`` command compiles only the modules it runs.  Each name
+resolves through the module that defines it: the float-layer names through
+``recurrence`` and the named pairs through ``integrate``, so reading one of
+them compiles no exact algebra.
 """
 
 import importlib
@@ -29,7 +33,6 @@ _EXPORTS = {
         "AlgebraError",
         "ExpPoly",
         "ReducedPoly",
-        "as_alpha",
         "d_alpha",
         "d_alpha_n",
         "d_alpha_numeric",
@@ -37,6 +40,7 @@ _EXPORTS = {
     ),
     "integrate": (
         "DivergenceError",
+        "NamedSignal",
         "QuadratureRule",
         "RootFindingError",
         "gauss_laguerre",
@@ -44,6 +48,7 @@ _EXPORTS = {
         "orthonormality",
         "quad_dalpha",
         "quad_transform",
+        "transform_named",
     ),
     "laguerre": (
         "GeneratingExpansion",
@@ -52,14 +57,11 @@ _EXPORTS = {
         "assoc_rodrigues",
         "generating_series",
         "laguerre_closed",
-        "laguerre_column",
-        "laguerre_pair",
         "laguerre_rodrigues",
         "ode_residual",
         "values_at_zero",
     ),
     "laplace": (
-        "NamedSignal",
         "NonInvertibleError",
         "TransformExpr",
         "derivative_rule",
@@ -68,8 +70,8 @@ _EXPORTS = {
         "s_domain_residual",
         "solve_laguerre_ode",
         "transform",
-        "transform_named",
     ),
+    "recurrence": ("as_alpha", "laguerre_column", "laguerre_pair"),
     "tables": ("SampleTable", "build_table"),
 }
 _SUBMODULES = ("alpha_calc", "cli", "integrate", "laguerre", "laplace", "recurrence",

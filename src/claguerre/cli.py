@@ -15,9 +15,11 @@ library inside a handler.  ``main`` turns each one into a single
 ``error: <message>`` line on stderr and exit 2; no handler catches it.
 
 Each command imports the library modules it runs inside its handler, so
-``table`` loads only the float layer, ``recurrence``, and ``tables``;
-``eval`` adds ``alpha_calc`` and ``laguerre`` for its exact form, and only
-``verify`` loads the suites.
+``table`` loads only the float layer, ``recurrence``, and ``tables``; a
+named ``transform`` loads the float layer and ``integrate``, which holds the
+pairs and their quadrature check; ``eval`` adds ``alpha_calc`` and
+``laguerre`` for its exact form, ``transform laguerre`` and ``solve`` add
+``laplace``, and only ``verify`` loads the suites.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ def _cmd_table(args) -> int:
 
 def _grammar() -> dict:
     """kind -> (the parameter it reads, how a token spells it, its type) for
-    each transform expression: the pairs ``laplace`` names, then ``laguerre
+    each transform expression: the pairs ``integrate`` names, then ``laguerre
     <n>``.  p is required; a missing w takes the NamedSignal default."""
-    from .laplace import _PAIRS
+    from .integrate import _PAIRS
 
     spelling = {None: "", "p": "<p>", "omega": "[w]"}
     grammar = {k: (pair.field, spelling[pair.field], float) for k, pair in _PAIRS.items()}
@@ -140,7 +142,7 @@ def _grammar() -> dict:
 class _GrammarHelp(str):
     """A help template whose ``%(grammar)s`` lists the transform expressions;
     argparse applies ``%`` only when it prints help, so only then is
-    ``laplace`` loaded for it."""
+    ``integrate`` loaded for it."""
 
     def __mod__(self, params):
         text = ", ".join(f"{k} {spelt}".rstrip() for k, (_, spelt, _) in _grammar().items())
@@ -149,7 +151,7 @@ class _GrammarHelp(str):
 
 def _cmd_transform(args) -> int:
     """Build every output line first, so that a usage error prints none."""
-    from . import laplace
+    from . import integrate
     from .recurrence import _check_real
 
     alphas = _parse_alphas(args.alpha)
@@ -173,26 +175,25 @@ def _cmd_transform(args) -> int:
                          f"value for {spelt}: {values[0]!r}") from None
 
     if kind == "laguerre":
+        from .laplace import laguerre_transform
         from .recurrence import laguerre_pair
 
         n = params["n"]
         _check_size("n", n, MAX_N)
-        F = laplace.laguerre_transform(n)
+        F = laguerre_transform(n)
         lines = [f"Y(s) = (s-1)^{n}/s^{n + 1}", f"partial fractions: {F}"]
         # The inverse is the classical L_n(u); the recurrence evaluates it
         # in n float steps, independently of the partial fractions printed.
         g = lambda u: laguerre_pair(n, 0, u)[0]
         degree = n  # the check rule must integrate g exactly
     else:
-        sig = laplace.NamedSignal(kind, **params)
-        F = laplace.transform_named(sig, alpha)
+        sig = integrate.NamedSignal(kind, **params)
+        F = integrate.transform_named(sig, alpha)
         lines = [f"transform: {sig.describe(alpha)}"]
         g, degree = sig.reduced(alpha), None
 
     if args.s is not None:
-        from .integrate import transform_check
-
-        closed, numeric = transform_check(F, g, args.s, degree)
+        closed, numeric = integrate.transform_check(F, g, args.s, degree)
         lines += [
             f"value at s={args.s!r}: {closed:.12g}",
             f"quadrature check: {numeric:.12g} (|diff| = {abs(numeric - closed):.3e})",

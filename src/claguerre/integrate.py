@@ -9,6 +9,18 @@ built here from scratch is the independent numeric one.  Its nodes come from
 Newton on the three-term recurrence of :func:`claguerre.recurrence.laguerre_pair`,
 started at the classical asymptotic guesses, and each finished rule is
 memoised per order on first use.
+
+The transcendental pairs are here too, each written once in ``_PAIRS``: the
+integrand, the closed image, the printed label, the signal field the pair
+reads and its convergence edge.  ``NamedSignal``, ``transform_named`` and the
+``transform`` command only read that table, and ``transform_check`` checks
+each image against its integrand.
+
+The module is float work: at import it loads only ``math``, ``collections``
+and the float layer :mod:`claguerre.recurrence`, so ``claguerre transform
+<signal> --s`` compiles no exact algebra.  The two exact functions,
+``moment_exact`` and ``orthonormality``, import ``fractions`` and the exact
+modules on their first call.
 """
 
 from __future__ import annotations
@@ -16,14 +28,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from fractions import Fraction
 
-from .alpha_calc import ExpPoly
-from .laguerre import laguerre_closed
-from .recurrence import as_alpha, laguerre_pair
+from .recurrence import _check_real, as_alpha, laguerre_pair
 
 __all__ = [
     "DivergenceError",
+    "NamedSignal",
     "QuadratureRule",
     "RootFindingError",
     "TRANSFORM_CHECK_ORDER",
@@ -33,6 +43,7 @@ __all__ = [
     "quad_dalpha",
     "quad_transform",
     "transform_check",
+    "transform_named",
 ]
 
 
@@ -44,6 +55,21 @@ class RootFindingError(RuntimeError):
     """Newton missed a node of a rule (indicates an implementation bug)."""
 
 
+# The exact names that moment_exact and orthonormality read, bound by their
+# first call rather than at import.  An import statement on every call cost
+# about 5 us per orthonormality op, 3% of the exact-core benchmark's median
+# op (2-vCPU Linux host, Python 3.11.7).
+Fraction = ExpPoly = laguerre_closed = None
+
+
+def _import_exact() -> None:
+    global Fraction, ExpPoly, laguerre_closed
+    from fractions import Fraction
+
+    from .alpha_calc import ExpPoly
+    from .laguerre import laguerre_closed
+
+
 def moment_exact(f: ExpPoly) -> Fraction:
     """Exact integral of an exp-polynomial over [0, inf) in u-space.
 
@@ -51,6 +77,8 @@ def moment_exact(f: ExpPoly) -> Fraction:
     for r < 0.  The value is the conformable integral of the rendered
     function for every order alpha at once; the substitution absorbs alpha.
     """
+    if ExpPoly is None:
+        _import_exact()
     f = ExpPoly._coerce(f)
     if f is None:
         raise TypeError("ExpPoly expected")
@@ -74,6 +102,8 @@ def moment_exact(f: ExpPoly) -> Fraction:
 
 def orthonormality(n: int, m_index: int) -> Fraction:
     """Exact value of the weighted product integral; 1 on the diagonal, else 0."""
+    if ExpPoly is None:
+        _import_exact()
     product = laguerre_closed(n) * laguerre_closed(m_index)
     return moment_exact(ExpPoly.exp(-1, product))
 
@@ -224,3 +254,101 @@ def transform_check(F, g, s: float, degree: int | None = None) -> tuple[float, f
     if not math.isfinite(numeric):
         raise ValueError(f"the quadrature check at s={s!r} is not a finite float")
     return closed, numeric
+
+
+def _over_squares(top: float, w: float, s: float) -> float:
+    """top / (w^2 + s^2).  Where the sum of squares overflows, w and s are
+    first scaled by max(|w|, |s|), so an image in the float range survives;
+    elsewhere the expression is the plain one."""
+    d = w * w + s * s
+    if math.isfinite(d):
+        return top / d
+    c = max(abs(w), abs(s))
+    w, s = w / c, s / c
+    return top / c / (w * w + s * s) / c
+
+
+# A named pair, read with a = alpha and v = the value of its NamedSignal
+# ``field``: integrand(a, v) is g(u), image(a, v, s) is F(s) with no region
+# check, label(a, v) prints F, and s_min is the edge of the region s > s_min.
+# Gamma comes from math.gamma, below 1e-12 relative error on [1, 30].  The
+# sine image w/(w^2 + s^2) is what the defining integral gives; at w = 1 it
+# is the tabulated 1/(w^2 + s^2).
+_Pair = namedtuple("_Pair", "integrand image label field s_min", defaults=(None, 0.0))
+_PAIRS = {
+    "one": _Pair(lambda a, v: lambda u: 1.0, lambda a, v, s: 1.0 / s, lambda a, v: "1/s"),
+    "power_p": _Pair(
+        lambda a, p: lambda u: (a * u) ** (p / a),
+        lambda a, p, s: a ** (p / a) * math.gamma(1.0 + p / a) / s ** (1.0 + p / a),
+        lambda a, p: f"a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = {p}, a = {a}]",
+        field="p",
+    ),
+    "exp_u": _Pair(lambda a, v: math.exp, lambda a, v, s: 1.0 / (s - 1.0),
+                   lambda a, v: "1/(s - 1)", s_min=1.0),
+    "sin_wu": _Pair(
+        lambda a, w: lambda u: math.sin(w * u),
+        lambda a, w, s: _over_squares(w, w, s),
+        lambda a, w: f"w/(w^2 + s^2)  [w = {w}]",
+        field="omega",
+    ),
+    "cos_wu": _Pair(
+        lambda a, w: lambda u: math.cos(w * u),
+        lambda a, w, s: _over_squares(s, w, s),
+        lambda a, w: f"s/(w^2 + s^2)  [w = {w}]",
+        field="omega",
+    ),
+}
+
+
+class NamedSignal(namedtuple("NamedSignal", "kind p omega")):
+    """A transcendental signal with a closed-form transform.
+
+    Kinds: ``one``, ``power_p`` (x**p with p >= 0), ``exp_u``, ``sin_wu``
+    and ``cos_wu`` (sine and cosine of omega*u), each defined once in
+    ``_PAIRS``.  The trigonometric pair is kept out of the exact core on
+    purpose; it would need complex rates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: float = 0.0, omega: float = 1.0) -> NamedSignal:
+        if kind not in _PAIRS:
+            raise ValueError(f"unknown signal kind {kind!r}")
+        # + 0.0 turns a -0.0 into 0.0, so a zero parameter prints unsigned
+        p = _check_real(p, "power", low=0) + 0.0
+        omega = _check_real(omega, "omega") + 0.0
+        return super().__new__(cls, kind, p, omega)
+
+    @property
+    def s_min(self) -> float:
+        """Lower edge of the convergence region."""
+        return _PAIRS[self.kind].s_min
+
+    def _args(self, alpha) -> tuple:
+        """(a, v) for the kind's pair: alpha, checked, and its field's value."""
+        field = _PAIRS[self.kind].field
+        return as_alpha(alpha), getattr(self, field) if field else None
+
+    def reduced(self, alpha) -> Callable[[float], float]:
+        """The signal as a function of u (the defining integrand ingredient)."""
+        return _PAIRS[self.kind].integrand(*self._args(alpha))
+
+    def describe(self, alpha) -> str:
+        return _PAIRS[self.kind].label(*self._args(alpha))
+
+
+def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
+    """Closed-form transform of a named signal, as a numeric function of s.
+
+    Nothing is evaluated before a call, so an image too large for a float
+    raises at the s it is called with."""
+    image, args, s_min = _PAIRS[sig.kind].image, sig._args(alpha), sig.s_min
+
+    def F(s: float) -> float:
+        if s <= s_min:
+            raise ValueError(
+                f"s = {s} outside the convergence region s > {s_min} for {sig.kind}"
+            )
+        return image(*args, s)
+
+    return F

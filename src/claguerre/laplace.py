@@ -13,17 +13,17 @@ The transform is formal: every pair is algebra regardless of convergence,
 which is how identities like exp(u) <-> 1/(s-1) are used in practice.  The
 Laguerre image is solved from ``s_domain_operator``, the transformed equation.
 
-The transcendental pairs (``NamedSignal``) are each written once, in
-``_PAIRS``: the integrand, the closed image, the printed label, the signal
-field the pair reads and its convergence edge.  ``NamedSignal``,
-``transform_named`` and the ``transform`` command only read that table.
+The transcendental pairs (``NamedSignal``, ``transform_named``) are float
+work with no exact image, so they live in :mod:`claguerre.integrate` beside
+the quadrature that checks them; they are re-exported here as the same
+objects.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .alpha_calc import (
@@ -38,8 +38,9 @@ from .alpha_calc import (
     _rsub,
     _sub,
 )
+from .integrate import NamedSignal, transform_named
 from .laguerre import laguerre_ode
-from .recurrence import _check_count, _check_real, as_alpha
+from .recurrence import _check_count, _check_real
 
 __all__ = [
     "NamedSignal",
@@ -292,103 +293,6 @@ def inverse(T: TransformExpr) -> ExpPoly:
 def derivative_rule(T: TransformExpr, f0) -> TransformExpr:
     """Image of the conformable derivative: s*F(s) - f(0)."""
     return T.mul_s() - _as_fraction(f0)
-
-
-def _over_squares(top: float, w: float, s: float) -> float:
-    """top / (w^2 + s^2).  Where the sum of squares overflows, w and s are
-    first scaled by max(|w|, |s|), so an image in the float range survives;
-    elsewhere the expression is the plain one."""
-    d = w * w + s * s
-    if math.isfinite(d):
-        return top / d
-    c = max(abs(w), abs(s))
-    w, s = w / c, s / c
-    return top / c / (w * w + s * s) / c
-
-
-# A named pair, read with a = alpha and v = the value of its NamedSignal
-# ``field``: integrand(a, v) is g(u), image(a, v, s) is F(s) with no region
-# check, label(a, v) prints F, and s_min is the edge of the region s > s_min.
-# Gamma comes from math.gamma, below 1e-12 relative error on [1, 30].  The
-# sine image w/(w^2 + s^2) is what the defining integral gives; at w = 1 it
-# is the tabulated 1/(w^2 + s^2).
-_Pair = namedtuple("_Pair", "integrand image label field s_min", defaults=(None, 0.0))
-_PAIRS = {
-    "one": _Pair(lambda a, v: lambda u: 1.0, lambda a, v, s: 1.0 / s, lambda a, v: "1/s"),
-    "power_p": _Pair(
-        lambda a, p: lambda u: (a * u) ** (p / a),
-        lambda a, p, s: a ** (p / a) * math.gamma(1.0 + p / a) / s ** (1.0 + p / a),
-        lambda a, p: f"a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = {p}, a = {a}]",
-        field="p",
-    ),
-    "exp_u": _Pair(lambda a, v: math.exp, lambda a, v, s: 1.0 / (s - 1.0),
-                   lambda a, v: "1/(s - 1)", s_min=1.0),
-    "sin_wu": _Pair(
-        lambda a, w: lambda u: math.sin(w * u),
-        lambda a, w, s: _over_squares(w, w, s),
-        lambda a, w: f"w/(w^2 + s^2)  [w = {w}]",
-        field="omega",
-    ),
-    "cos_wu": _Pair(
-        lambda a, w: lambda u: math.cos(w * u),
-        lambda a, w, s: _over_squares(s, w, s),
-        lambda a, w: f"s/(w^2 + s^2)  [w = {w}]",
-        field="omega",
-    ),
-}
-
-
-class NamedSignal(namedtuple("NamedSignal", "kind p omega")):
-    """A transcendental signal with a closed-form transform.
-
-    Kinds: ``one``, ``power_p`` (x**p with p >= 0), ``exp_u``, ``sin_wu``
-    and ``cos_wu`` (sine and cosine of omega*u), each defined once in
-    ``_PAIRS``.  The trigonometric pair is kept out of the exact core on
-    purpose; it would need complex rates.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, p: float = 0.0, omega: float = 1.0) -> NamedSignal:
-        if kind not in _PAIRS:
-            raise ValueError(f"unknown signal kind {kind!r}")
-        p = _check_real(p, "power", low=0)
-        omega = _check_real(omega, "omega")
-        return super().__new__(cls, kind, p, omega)
-
-    @property
-    def s_min(self) -> float:
-        """Lower edge of the convergence region."""
-        return _PAIRS[self.kind].s_min
-
-    def _args(self, alpha) -> tuple:
-        """(a, v) for the kind's pair: alpha, checked, and its field's value."""
-        field = _PAIRS[self.kind].field
-        return as_alpha(alpha), getattr(self, field) if field else None
-
-    def reduced(self, alpha) -> Callable[[float], float]:
-        """The signal as a function of u (the defining integrand ingredient)."""
-        return _PAIRS[self.kind].integrand(*self._args(alpha))
-
-    def describe(self, alpha) -> str:
-        return _PAIRS[self.kind].label(*self._args(alpha))
-
-
-def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
-    """Closed-form transform of a named signal, as a numeric function of s.
-
-    Nothing is evaluated before a call, so an image too large for a float
-    raises at the s it is called with."""
-    image, args, s_min = _PAIRS[sig.kind].image, sig._args(alpha), sig.s_min
-
-    def F(s: float) -> float:
-        if s <= s_min:
-            raise ValueError(
-                f"s = {s} outside the convergence region s > {s_min} for {sig.kind}"
-            )
-        return image(*args, s)
-
-    return F
 
 
 def laguerre_transform(n: int) -> TransformExpr:

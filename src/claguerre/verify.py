@@ -365,19 +365,19 @@ def _named_pair_cases():
     """(signal, alpha, s grid, tolerance of the quadrature check) per pair."""
     grid = (1.0, 2.0, 3.0, 5.0, 8.0)
     powers = tuple(
-        (laplace.NamedSignal("power_p", p=k * alpha), alpha, grid, 1e-8)
+        (integrate.NamedSignal("power_p", p=k * alpha), alpha, grid, 1e-8)
         for alpha in (0.5, 1.0)
         for k in range(6)
     )
     return (
-        (laplace.NamedSignal("one"), 0.75, (0.5, 1.0, 2.0, 4.0, 8.0), 1e-8),
+        (integrate.NamedSignal("one"), 0.75, (0.5, 1.0, 2.0, 4.0, 8.0), 1e-8),
         *powers,
-        (laplace.NamedSignal("exp_u"), 0.5, (1.5, 2.0, 3.0, 5.0, 8.0), 1e-8),
-        (laplace.NamedSignal("sin_wu", omega=1.0), 0.5, (1.0, 1.5, 2.0, 4.0, 8.0), 1e-6),
-        (laplace.NamedSignal("cos_wu", omega=1.0), 0.5, (1.0, 1.5, 2.0, 4.0, 8.0), 1e-6),
+        (integrate.NamedSignal("exp_u"), 0.5, (1.5, 2.0, 3.0, 5.0, 8.0), 1e-8),
+        (integrate.NamedSignal("sin_wu", omega=1.0), 0.5, (1.0, 1.5, 2.0, 4.0, 8.0), 1e-6),
+        (integrate.NamedSignal("cos_wu", omega=1.0), 0.5, (1.0, 1.5, 2.0, 4.0, 8.0), 1e-6),
         # w^2 + s^2 overflows, so these take the scaled branch of the image
-        (laplace.NamedSignal("sin_wu", omega=1e200), 0.5, (1e200,), 1e-6),
-        (laplace.NamedSignal("cos_wu", omega=1e200), 0.5, (1e200,), 1e-6),
+        (integrate.NamedSignal("sin_wu", omega=1e200), 0.5, (1e200,), 1e-6),
+        (integrate.NamedSignal("cos_wu", omega=1e200), 0.5, (1e200,), 1e-6),
     )
 
 
@@ -385,7 +385,7 @@ def _suite_named_pairs() -> str:
     # the check is the one ``transform --s`` prints
     checks = 0
     for sig, alpha, grid, tol in _named_pair_cases():
-        F = laplace.transform_named(sig, alpha)
+        F = integrate.transform_named(sig, alpha)
         g = sig.reduced(alpha)
         for s in grid:
             closed, numeric = integrate.transform_check(F, g, s)

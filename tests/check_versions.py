@@ -12,8 +12,10 @@ claguerre.cli`` from ``src/`` and compares:
 * the SHA-256 of the stdout of each ``table`` command of
   ``test_cli._TABLE_DIGESTS`` with the digest recorded there;
 * each command of ``test_cli.TestImports``' table, run under ``-S`` (no
-  site hook) through that class's import probe: exit 0, and none of
-  ``dataclasses``, ``inspect`` or ``typing`` in ``sys.modules`` afterwards;
+  site hook) through that class's import probe: exit 0, exactly the
+  claguerre modules the table lists, none of ``dataclasses``, ``inspect``
+  or ``typing`` in ``sys.modules`` afterwards, and, for a command that
+  loads no ``alpha_calc``, neither ``fractions`` nor ``decimal``;
 * ``import claguerre.tables`` under ``-S`` through ``test_cli._TABLES_PROBE``:
   it loads the claguerre modules of ``test_cli._TABLES_LOADS``, the float
   layer and ``tables``, and neither ``fractions`` nor ``decimal``;
@@ -143,10 +145,10 @@ def cli_test_literal(name: str):
     raise LookupError(f"{name} not found in test_cli.py")
 
 
-def import_probe() -> tuple[str, list[tuple[str, ...]]]:
-    """The probe script of ``TestImports`` and the command lines it runs."""
-    table = cli_test_literal("_LOADED_BY")
-    return cli_test_literal("_IMPORT_PROBE"), [argv for argv, _ in table]
+def import_probe() -> tuple[str, list[tuple[tuple[str, ...], set[str]]]]:
+    """The probe script of ``TestImports`` and its (command line, claguerre
+    submodules it loads) table."""
+    return cli_test_literal("_IMPORT_PROBE"), cli_test_literal("_LOADED_BY")
 
 
 def expectations():
@@ -199,18 +201,23 @@ def check(python: str, demos: dict) -> int:
         detail = "" if ok else f" (exit {run.returncode}, stderr {run.stderr[-200:]!r})"
         print(f"{'PASS' if ok else 'FAIL'} {version} table {' '.join(argv)} digest{detail}")
     probe, commands = import_probe()
-    for argv in commands:
+    for argv, expected in commands:
         run = subprocess.run(
             [python, "-S", "-c", probe, *argv],
             capture_output=True, text=True, env=env, cwd=SRC,
         )
-        # The probe prints [exit code, modules before, after, heavy modules].
+        # The probe prints [exit code, modules before, after, heavy modules,
+        # exact-arithmetic modules].
         got = json.loads(run.stdout.splitlines()[-1]) if run.returncode == 0 else None
-        ok = got is not None and got[0] == 0 and got[3] == []
+        want = sorted(["claguerre", "claguerre.cli", *(f"claguerre.{m}" for m in expected)])
+        ok = got is not None and got[0] == 0 and got[2] == want and got[3] == [] and (
+            "alpha_calc" in expected or got[4] == [])
         failed += not ok
         detail = "" if ok else f" (probe {got}, stderr {run.stderr[-200:]!r})"
-        print(f"{'PASS' if ok else 'FAIL'} {version} -S {' '.join(argv)} loads no "
-              f"dataclasses, inspect or typing{detail}")
+        exact = "" if "alpha_calc" in expected else ", fractions, decimal"
+        print(f"{'PASS' if ok else 'FAIL'} {version} -S {' '.join(argv)} loads "
+              f"{', '.join(sorted(expected))} and no dataclasses, inspect, typing"
+              f"{exact}{detail}")
     run = subprocess.run(
         [python, "-S", "-c", cli_test_literal("_TABLES_PROBE")],
         capture_output=True, text=True, env=env, cwd=SRC,

@@ -240,6 +240,20 @@ class TestTransform:
         assert code == 0
         assert "value at s=1.0: 1e-200\n" in out
 
+    @pytest.mark.parametrize(
+        "tokens, stdout",
+        [
+            (("sin_wu", "-0.0", "--s", "1"),
+             "transform: w/(w^2 + s^2)  [w = 0.0]\nvalue at s=1.0: 0\n"
+             "quadrature check: 0 (|diff| = 0.000e+00)\n"),
+            (("power_p", "-0", "--alpha", "0.5"),
+             "transform: a^(p/a) * Gamma(1 + p/a) / s^(1 + p/a)  [p = 0.0, a = 0.5]\n"),
+        ],
+        ids=["sin_wu", "power_p"],
+    )
+    def test_a_negative_zero_parameter_prints_unsigned(self, capsys, tokens, stdout):
+        assert run_cli(capsys, "transform", *tokens) == (0, stdout, "")
+
     def test_unknown_expression(self, capsys):
         code, _, err = run_cli(capsys, "transform", "sinh_u")
         assert code == 2
@@ -610,21 +624,32 @@ _LOADED_BY = [
     (("table", "--n", "3", "--samples", "5"), {"recurrence", "tables"}),
     (("transform", "laguerre", "5", "--s", "2"),
      {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
-    (("transform", "sin_wu", "2", "--s", "1.5"),
+    (("transform", "one", "--s", "2"), {"integrate", "recurrence"}),
+    (("transform", "power_p", "1.5", "--alpha", "0.5", "--s", "2"),
+     {"integrate", "recurrence"}),
+    (("transform", "exp_u", "--s", "2"), {"integrate", "recurrence"}),
+    (("transform", "sin_wu", "2", "--s", "1.5"), {"integrate", "recurrence"}),
+    (("transform", "cos_wu", "--s", "2"), {"integrate", "recurrence"}),
+    (("transform", "power_p", "1.5", "--alpha", "0.5"), {"integrate", "recurrence"}),
+    (("transform", "-h"), {"integrate", "recurrence"}),
+    (("solve", "--n", "4"),
      {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
-    (("solve", "--n", "4"), {"alpha_calc", "laguerre", "laplace", "recurrence"}),
     (("verify", "--scope", "all"),
      {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence", "tables", "verify"}),
 ]
 # The probe prints the exit code, the claguerre modules before and after the
-# command, and which of the heavy and the exact-arithmetic modules it loaded.
+# command, and which of the heavy and the exact-arithmetic modules it loaded;
+# a help request's exit code comes from its SystemExit.
 _IMPORT_PROBE = """\
 import json, sys
 import claguerre.cli
 def ours():
     return sorted(m for m in sys.modules if m.split(".")[0] == "claguerre")
 before = ours()
-code = claguerre.cli.main(sys.argv[1:])
+try:
+    code = claguerre.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 print(json.dumps([code, before, ours(),
                   [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
                   [m for m in ("decimal", "fractions") if m in sys.modules]]))
@@ -651,15 +676,18 @@ def _probe_imports(argv):
 class TestImports:
     @pytest.mark.parametrize(
         "argv, expected", _LOADED_BY,
-        ids=["eval", "table", "transform-laguerre", "transform-named", "solve",
-             "verify-all"],
+        ids=["eval", "table", "transform-laguerre", "transform-one", "transform-power_p",
+             "transform-exp_u", "transform-named", "transform-cos_wu",
+             "transform-named-without-s", "transform-help", "solve", "verify-all"],
     )
     def test_each_command_loads_only_what_it_runs(self, argv, expected):
-        code, before, after, heavy, _ = _probe_imports(argv)
+        code, before, after, heavy, exact = _probe_imports(argv)
         assert code == 0
         assert before == ["claguerre", "claguerre.cli"]
         assert after == sorted(before + [f"claguerre.{m}" for m in expected])
         assert heavy == []
+        if "alpha_calc" not in expected:  # a float-only command
+            assert exact == []
 
     def test_table_loads_no_exact_arithmetic(self):
         code, _, _, _, exact = _probe_imports(("table", "--n", "3", "--samples", "5"))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from claguerre.laplace import _PAIRS
+from claguerre.integrate import _PAIRS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claguerre import cli, laplace, verify
+from claguerre import cli, integrate, laplace, verify
 from claguerre.alpha_calc import AlgebraError, ExpPoly, ReducedPoly
 from claguerre.integrate import gauss_laguerre, quad_transform
 from claguerre.laguerre import laguerre_closed
@@ -196,6 +196,10 @@ class TestSubtraction:
 
 
 class TestNamedSignals:
+    def test_laplace_reexports_the_pairs_of_integrate(self):
+        assert laplace.NamedSignal is integrate.NamedSignal
+        assert laplace.transform_named is integrate.transform_named
+
     def test_unit_value(self):
         F_s = transform_named(NamedSignal("one"), 1.0)
         assert F_s(2.0) == pytest.approx(0.5)

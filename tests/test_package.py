@@ -13,16 +13,18 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Each public name and the submodule that defines it.
 PUBLIC = {
-    "alpha_calc": "AlgebraError ExpPoly ReducedPoly as_alpha d_alpha d_alpha_n "
+    "alpha_calc": "AlgebraError ExpPoly ReducedPoly d_alpha d_alpha_n "
                   "d_alpha_numeric x_view_str",
-    "integrate": "DivergenceError QuadratureRule RootFindingError gauss_laguerre "
-                 "moment_exact orthonormality quad_dalpha quad_transform",
+    "integrate": "DivergenceError NamedSignal QuadratureRule RootFindingError "
+                 "gauss_laguerre moment_exact orthonormality quad_dalpha quad_transform "
+                 "transform_named",
     "laguerre": "GeneratingExpansion assoc_closed assoc_from_derivative assoc_rodrigues "
-                "generating_series laguerre_closed laguerre_column laguerre_pair "
-                "laguerre_rodrigues ode_residual values_at_zero",
-    "laplace": "NamedSignal NonInvertibleError TransformExpr "
+                "generating_series laguerre_closed laguerre_rodrigues ode_residual "
+                "values_at_zero",
+    "laplace": "NonInvertibleError TransformExpr "
                "derivative_rule inverse laguerre_transform s_domain_residual "
-               "solve_laguerre_ode transform transform_named",
+               "solve_laguerre_ode transform",
+    "recurrence": "as_alpha laguerre_column laguerre_pair",
     "tables": "SampleTable build_table",
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
@@ -71,3 +73,19 @@ def test_importing_the_package_loads_no_submodule():
         env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.stdout == "[] 0.1.0\n"
+
+
+def test_float_names_load_no_exact_algebra():
+    # the float layer and the named pairs resolve through their float-only homes
+    names = ("as_alpha", "laguerre_pair", "laguerre_column", "NamedSignal",
+             "transform_named")
+    code = (
+        f"import sys, claguerre; [getattr(claguerre, n) for n in {names!r}]; "
+        "print(sorted(m for m in sys.modules if m.startswith('claguerre.')), "
+        "[m for m in ('decimal', 'fractions') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.stdout == "['claguerre.integrate', 'claguerre.recurrence'] []\n"

@@ -78,7 +78,7 @@ def test_named_pairs_catch_an_unscaled_overflow_branch(monkeypatch):
         w, s = w / c, s / c
         return top / c / (w * w + s * s)
 
-    monkeypatch.setattr(verify.laplace, "_over_squares", unscaled)
+    monkeypatch.setattr(integrate, "_over_squares", unscaled)
     failed = [e for e in run_suites("laplace") if not e.passed]
     assert [e.name for e in failed] == ["laplace/named-pair-quadrature"]
     assert failed[0].detail.startswith(
