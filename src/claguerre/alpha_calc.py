@@ -40,7 +40,6 @@ __all__ = [
     "AlgebraError",
     "ExpPoly",
     "ReducedPoly",
-    "as_alpha",
     "d_alpha",
     "d_alpha_n",
     "d_alpha_numeric",
@@ -311,8 +310,8 @@ class ReducedPoly:
         A float call costs time in proportion to the degree times the
         float's binary exponent, since the scale is q**d for the power of two
         q = 2**e in u's exact ratio: at degree 1500 it takes seconds near
-        u = 1e-300.  For Laguerre values, :func:`claguerre.laguerre.laguerre_pair`
-        takes n float steps.
+        u = 1e-300.  For Laguerre values,
+        :func:`claguerre.recurrence.laguerre_pair` takes n float steps.
         """
         if isinstance(u, float):
             p, q = _check_real(u, "u").as_integer_ratio()

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
-from .recurrence import _check_count, _check_index, laguerre_column, laguerre_pair
+from .recurrence import _check_count, _check_index
 
 __all__ = [
     "GeneratingExpansion",
@@ -36,8 +36,6 @@ __all__ = [
     "assoc_rodrigues",
     "generating_series",
     "laguerre_closed",
-    "laguerre_column",
-    "laguerre_pair",
     "laguerre_ode",
     "laguerre_rodrigues",
     "ode_residual",

@@ -12,13 +12,21 @@ import pytest
 
 from claguerre import cli, laplace, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly, x_view_str
-from claguerre.laguerre import assoc_closed, laguerre_closed, laguerre_column, laguerre_pair
+from claguerre.laguerre import assoc_closed, laguerre_closed
+from claguerre.recurrence import laguerre_column, laguerre_pair
 from claguerre.tables import build_table
 from claguerre.verify import SuiteResult
+import check_versions
+import test_contract
+from test_contract import (
+    LOADED_BY, NEGATIVE_LOOKING, SOLVE_GOLDEN_N, TABLE_DIGESTS, assert_loads, probe_args,
+    spellings,
+)
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
+GOLDEN = TESTS / "golden"
 LAGUERRE_S = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0)
 # Child interpreters find the package from a fresh checkout, as pytest does.
 CHILD_ENV = dict(
@@ -81,21 +89,8 @@ class TestEval:
         assert f"L_50^0(alpha=1.0, x=50.0) = {exact:.12g}\n" in out
 
 
-# SHA-256 of the stdout of `table` for these arguments: a change to the bits
-# of any value or to the CSV layout fails here.  tests/check_versions.py runs
-# the same cases on the other Pythons.
-_TABLE_DIGESTS = [
-    (("--n", "5"), "3407bc9809d44bbdb82adf0b43e415eff12982a26b358c260d751f8d42111908"),
-    (("--n", "0"), "9baea929572b901ad59ad59bc066d6266cda5ded6a992c77704a03b014ec0463"),
-    (("--n", "8", "--m", "2", "--samples", "2000"),
-     "3a693405fe71a47947414e3d5e9560790f7ba4c466fb49973733854c231dfe6e"),
-    (("--n", "0", "--alpha", "1", "--xmin", "1e16", "--xmax", "1.0000000000000006e16",
-      "--samples", "4"), "bf0edf24c710bf4b7e8ad6175dc2f277dbd966459fb4e805be900b527a196965"),
-]
-
-
 class TestTable:
-    @pytest.mark.parametrize("argv, digest", _TABLE_DIGESTS)
+    @pytest.mark.parametrize("argv, digest", TABLE_DIGESTS)
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, "table", *argv)
         assert (code, err) == (0, "")
@@ -438,40 +433,11 @@ class TestNonFiniteInput:
 
 
 class TestNegativeLookingValues:
-    # argparse's own pattern for negative numbers misses exponents, -inf and
-    # -nan; each of these must reach the command's own check.
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (("table", "--n", "2", "--xmax", "-inf"),
-             "error: x_max must be a finite number, got -inf\n"),
-            (("eval", "--n", "2", "--x", "-1e5"),
-             "error: x must be a finite number >= 0, got -100000.0\n"),
-            (("transform", "one", "--s", "-1e-3"),
-             "error: s = -0.001 outside the convergence region s > 0.0 for one\n"),
-            (("table", "--n", "2", "--alpha", "-1e-3"),
-             "error: alpha must lie in (0, 1], got -0.001\n"),
-            (("transform", "power_p", "-1e-3", "--s", "2"),
-             "error: power must be a finite number >= 0, got -0.001\n"),
-            (("eval", "--n", "2", "--x", "-inf"),
-             "error: x must be a finite number >= 0, got -inf\n"),
-            (("eval", "--n", "2", "--x", "-nan"),
-             "error: x must be a finite number >= 0, got nan\n"),
-            (("transform", "one", "--s", "-inf"),
-             "error: s must be a finite number, got -inf\n"),
-            (("table", "--n", "2", "--xmin", "-nan"),
-             "error: x_min must be a finite number >= 0, got nan\n"),
-            (("transform", "power_p", "-inf"),
-             "error: power must be a finite number >= 0, got -inf\n"),
-        ],
-        ids=["table-xmax", "eval-x", "transform-s", "table-alpha", "power_p",
-             "eval-x-inf", "eval-x-nan", "transform-s-inf", "table-xmin-nan", "power_p-inf"],
-    )
+    @pytest.mark.parametrize("argv, message", NEGATIVE_LOOKING.values(),
+                             ids=list(NEGATIVE_LOOKING))
     def test_one_line_error_as_with_an_equals_sign(self, capsys, argv, message):
-        assert run_cli(capsys, *argv) == (2, "", message)
-        *head, option, value = argv
-        if option.startswith("--"):
-            assert run_cli(capsys, *head, f"{option}={value}") == (2, "", message)
+        for spelling in spellings(argv):
+            assert run_cli(capsys, *spelling) == (2, "", message)
 
 
 class TestArgumentRules:
@@ -575,12 +541,11 @@ class TestSolve:
         assert "s-domain residual: 0 (exact)\n" in out
         assert out.endswith("match: MISMATCH against the direct coefficients\n")
 
-    @pytest.mark.parametrize("n", [0, 1, 5, 12, 40])
+    @pytest.mark.parametrize("n", SOLVE_GOLDEN_N)
     def test_golden_output(self, capsys, n):
         # Recorded from the Fraction-pole TransformExpr this output must match;
         # the equation line is rendered from the operator derived from
-        # laguerre_ode, and Y is solved from it.  n = 40 is the largest n the
-        # benchmark's cli-mix draws for solve.
+        # laguerre_ode, and Y is solved from it.
         code, out, _ = run_cli(capsys, "solve", "--n", str(n))
         assert code == 0
         assert out == (GOLDEN / f"solve_n{n}.txt").read_text()
@@ -616,96 +581,42 @@ class TestVerify:
         _assert_one_line_usage_error(run_cli(capsys, "verify", "--scope", "nope"))
 
 
-# The library modules each command loads, in a fresh interpreter, beyond
-# ``claguerre`` and ``claguerre.cli``.  The probe runs under ``-S``: a site
-# hook may import ``typing`` itself, which would hide one that claguerre loads.
-_LOADED_BY = [
-    (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre", "recurrence"}),
-    (("table", "--n", "3", "--samples", "5"), {"recurrence", "tables"}),
-    (("transform", "laguerre", "5", "--s", "2"),
-     {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
-    (("transform", "one", "--s", "2"), {"integrate", "recurrence"}),
-    (("transform", "power_p", "1.5", "--alpha", "0.5", "--s", "2"),
-     {"integrate", "recurrence"}),
-    (("transform", "exp_u", "--s", "2"), {"integrate", "recurrence"}),
-    (("transform", "sin_wu", "2", "--s", "1.5"), {"integrate", "recurrence"}),
-    (("transform", "cos_wu", "--s", "2"), {"integrate", "recurrence"}),
-    (("transform", "power_p", "1.5", "--alpha", "0.5"), {"integrate", "recurrence"}),
-    (("transform", "-h"), {"integrate", "recurrence"}),
-    (("solve", "--n", "4"),
-     {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
-    (("verify", "--scope", "all"),
-     {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence", "tables", "verify"}),
-]
-# The probe prints the exit code, the claguerre modules before and after the
-# command, and which of the heavy and the exact-arithmetic modules it loaded;
-# a help request's exit code comes from its SystemExit.
-_IMPORT_PROBE = """\
-import json, sys
-import claguerre.cli
-def ours():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "claguerre")
-before = ours()
-try:
-    code = claguerre.cli.main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
-print(json.dumps([code, before, ours(),
-                  [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
-                  [m for m in ("decimal", "fractions") if m in sys.modules]]))
-"""
-# ``import claguerre.tables`` alone, under ``-S``: the claguerre modules it
-# loads and which exact-arithmetic modules; the float layer needs neither.
-_TABLES_PROBE = """\
-import json, sys
-import claguerre.tables
-print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "claguerre"),
-                  [m for m in ("decimal", "fractions") if m in sys.modules]]))
-"""
-_TABLES_LOADS = [["claguerre", "claguerre.recurrence", "claguerre.tables"], []]
-
-
-def _probe_imports(argv):
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _IMPORT_PROBE, *argv], capture_output=True,
-        text=True, env=CHILD_ENV, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
+def _probe_imports(what):
+    return subprocess.run(
+        [sys.executable, *probe_args(what)], capture_output=True, text=True,
+        env=CHILD_ENV, check=True,
+    ).stdout
 
 
 class TestImports:
-    @pytest.mark.parametrize(
-        "argv, expected", _LOADED_BY,
-        ids=["eval", "table", "transform-laguerre", "transform-one", "transform-power_p",
-             "transform-exp_u", "transform-named", "transform-cos_wu",
-             "transform-named-without-s", "transform-help", "solve", "verify-all"],
-    )
-    def test_each_command_loads_only_what_it_runs(self, argv, expected):
-        code, before, after, heavy, exact = _probe_imports(argv)
-        assert code == 0
-        assert before == ["claguerre", "claguerre.cli"]
-        assert after == sorted(before + [f"claguerre.{m}" for m in expected])
-        assert heavy == []
-        if "alpha_calc" not in expected:  # a float-only command
-            assert exact == []
-
-    def test_table_loads_no_exact_arithmetic(self):
-        code, _, _, _, exact = _probe_imports(("table", "--n", "3", "--samples", "5"))
-        assert code == 0
-        assert exact == []
-
-    def test_the_tables_module_loads_only_the_float_layer(self):
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", _TABLES_PROBE], capture_output=True,
-            text=True, env=CHILD_ENV, check=True,
-        )
-        assert json.loads(proc.stdout) == _TABLES_LOADS
+    @pytest.mark.parametrize("what, expected", LOADED_BY.values(), ids=list(LOADED_BY))
+    def test_each_command_loads_only_what_it_runs(self, what, expected):
+        assert_loads(_probe_imports(what), what, expected)
 
     def test_a_rejected_command_line_loads_no_library_module(self):
-        code, before, after, heavy, _ = _probe_imports(("eval", "--n", "abc", "--x", "1"))
+        code, loaded, heavy, _ = json.loads(_probe_imports(("eval", "--n", "abc", "--x", "1")))
         assert code == 2
-        assert before == after == ["claguerre", "claguerre.cli"]
+        assert loaded == ["claguerre", "claguerre.cli"]
         assert heavy == []
+
+
+def test_check_versions_runs_every_shared_case(monkeypatch):
+    # The shared modules import no pytest, so the other Pythons can run them.
+    env = dict(CHILD_ENV, PYTHONPATH=os.pathsep.join((CHILD_ENV["PYTHONPATH"], str(TESTS))))
+    blocked = "import sys; sys.modules['pytest'] = None; import test_contract, test_exact_golden"
+    subprocess.run([sys.executable, "-c", blocked], env=env, check=True)
+    monkeypatch.setattr(subprocess, "Popen", None)  # building the list starts no process
+    names = [name for name, _, _ in check_versions.cases()]
+    assert len(set(names)) == len(names)
+    want = [f"solve --n {n}" for n in SOLVE_GOLDEN_N] + ["verify --scope all"]
+    want += [" ".join(s) for argv, _ in NEGATIVE_LOOKING.values() for s in spellings(argv)]
+    want += [f"table {' '.join(argv)} digest" for argv, _ in TABLE_DIGESTS]
+    want += [f"test_contract.{name}" for name in vars(test_contract) if name.startswith("test_")]
+    want += ["test_exact_golden.test_exact_results_digest"]
+    assert set(want) <= set(names)
+    for what, _ in LOADED_BY.values():
+        assert any(name.startswith(f"-S {check_versions.shown(what)} loads ") for name in names)
+    assert len(names) == len(want) + len(LOADED_BY) + len(check_versions.DEMOS)
 
 
 def _assert_one_line_usage_error(result):

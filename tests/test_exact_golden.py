@@ -24,6 +24,8 @@ from claguerre.laguerre import assoc_rodrigues, generating_series
 from claguerre.laplace import TransformExpr, inverse, transform
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# The command whose stdout is golden/verify_all.txt.
+VERIFY_ALL = ("verify", "--scope", "all")
 RATES = (F(-2), F(-1), F(-2, 3), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1))
 
 
@@ -81,5 +83,5 @@ def test_exact_results_digest():
 
 
 def test_verify_all_stdout(capsys):
-    assert cli.main(["verify", "--scope", "all"]) == 0
+    assert cli.main(list(VERIFY_ALL)) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify_all.txt").read_text()

@@ -14,14 +14,13 @@ from claguerre.laguerre import (
     assoc_rodrigues,
     generating_series,
     laguerre_closed,
-    laguerre_column,
     laguerre_ode,
-    laguerre_pair,
     laguerre_rodrigues,
     ode_residual,
     values_at_zero,
 )
 from claguerre.laplace import TransformExpr, laguerre_transform, solve_laguerre_ode
+from claguerre.recurrence import laguerre_column, laguerre_pair
 from claguerre.tables import build_table
 
 U = ReducedPoly((0, 1))
@@ -55,10 +54,6 @@ class TestRodrigues:
         # e^u * d/du(u e^-u) = 1 - u
         assert laguerre_rodrigues(1) == 1 - U
 
-    def test_matches_closed_form(self):
-        for n in range(81):
-            assert laguerre_rodrigues(n) == laguerre_closed(n)
-
 
 class TestAssociated:
     def test_closed_examples(self):
@@ -86,11 +81,10 @@ class TestAssociated:
         assert assoc_rodrigues(3, 2) == ReducedPoly((10, -10, F(5, 2), F(-1, 6)))
 
     def test_three_routes_agree(self):
+        # the Rodrigues route is test_contract's, on the same grid
         for n in range(41):
             for m in range(5):
-                closed = assoc_closed(n, m)
-                assert assoc_from_derivative(n, m) == closed
-                assert assoc_rodrigues(n, m) == closed
+                assert assoc_from_derivative(n, m) == assoc_closed(n, m)
 
     def test_coefficients_beyond_machine_words(self):
         # factorial ratios near n = 15 overflow 64-bit ints; the exact core

@@ -74,18 +74,3 @@ def test_importing_the_package_loads_no_submodule():
     )
     assert proc.stdout == "[] 0.1.0\n"
 
-
-def test_float_names_load_no_exact_algebra():
-    # the float layer and the named pairs resolve through their float-only homes
-    names = ("as_alpha", "laguerre_pair", "laguerre_column", "NamedSignal",
-             "transform_named")
-    code = (
-        f"import sys, claguerre; [getattr(claguerre, n) for n in {names!r}]; "
-        "print(sorted(m for m in sys.modules if m.startswith('claguerre.')), "
-        "[m for m in ('decimal', 'fractions') if m in sys.modules])"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"},
-    )
-    assert proc.stdout == "['claguerre.integrate', 'claguerre.recurrence'] []\n"

@@ -8,7 +8,7 @@ import pytest
 
 from claguerre import cli, integrate, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly
-from claguerre.laguerre import laguerre_pair
+from claguerre.recurrence import laguerre_pair
 from claguerre.verify import (
     SUITES,
     SuiteResult,
