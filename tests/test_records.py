@@ -11,7 +11,8 @@ from claguerre.alpha_calc import ReducedPoly
 from claguerre.integrate import QuadratureRule, gauss_laguerre
 from claguerre.laguerre import GeneratingExpansion, generating_series
 from claguerre.laplace import NamedSignal, PoleTerm
-from claguerre.tables import SampleTable
+from claguerre.recurrence import laguerre_pair
+from claguerre.tables import SampleTable, build_table
 from claguerre.verify import FIGURES, FigureFixture, SuiteResult
 
 U = ReducedPoly.monomial(1)
@@ -97,6 +98,29 @@ def test_sample_table_csv_layout():
     header_only = SampleTable(("x",), ((),))
     assert header_only.to_csv() == "x\n"
     assert header_only.rows == ()
+
+
+def test_built_table_passes_the_public_checks():
+    table = build_table(3, 1, (0.5, 1.0), 0.0, 6.0, 40)
+    assert type(table) is SampleTable
+    assert SampleTable(*table) == table
+    assert len(table.values) == len(table.columns) == 3
+    assert all(type(column) is tuple and len(column) == 40 for column in table.values)
+
+
+def test_built_table_rows_are_the_per_point_recurrence():
+    alphas = (0.25, 0.5, 1.0)
+    table = build_table(6, 2, alphas, 0.5, 7.5, 30)
+    assert type(table.rows) is tuple
+    assert [x.hex() for x in table.values[0]] == [
+        (0.5 + i * (7.0 / 29)).hex() for i in range(30)
+    ]
+    want = [
+        (x, *(laguerre_pair(6, 2, x**a / a)[0] for a in alphas)) for x in table.values[0]
+    ]
+    assert [tuple(v.hex() for v in row) for row in table.rows] == [
+        tuple(v.hex() for v in row) for row in want
+    ]
 
 
 def test_memoised_gauss_rule_is_shared_and_immutable():
