@@ -1,47 +1,31 @@
 #!/usr/bin/env python3
-"""The polynomial family, built four independent ways.
+"""The polynomial family, built along every route of ``verify.ROUTES``.
 
 The explicit coefficients, the Rodrigues derivative construction, the
-m-fold derivative relation and the generating-function expansion all
-produce the same exact rational coefficients; the defining differential
-equation annihilates each result.
+m-fold derivative relation, the generating-function expansion and the
+Laplace solve (of the m = 0 equation) all produce the same exact rational
+coefficients; the defining differential equation annihilates each result.
 """
 
-from claguerre import (
-    assoc_closed,
-    assoc_from_derivative,
-    assoc_rodrigues,
-    generating_series,
-    laguerre_closed,
-    laguerre_rodrigues,
-    ode_residual,
-    solve_laguerre_ode,
-    values_at_zero,
-    x_view_str,
-)
+from claguerre import assoc_closed, laguerre_closed, ode_residual, values_at_zero, x_view_str
+from claguerre.verify import ROUTES, check_routes
 
 print("== the first few polynomials ==")
 for n in range(6):
     print(f"L_{n}(u) = {laguerre_closed(n)}")
 
 print()
-print("== four routes, one answer ==")
-n = 5
-routes = {
-    "closed coefficients": laguerre_closed(n),
-    "Rodrigues formula": laguerre_rodrigues(n),
-    "Laplace solution": solve_laguerre_ode(n),
-    "generating series": generating_series(0, n)[n],
-}
-for name, poly in routes.items():
-    print(f"{name:>22}: {poly}")
-assert len({poly.coeffs for poly in routes.values()}) == 1
+print("== every route, one answer ==")
+for n, m in ((5, 0), (3, 2)):
+    for name, (column, max_m) in ROUTES.items():
+        built = column(n, m)[n] if max_m is None or m <= max_m else f"not built for m > {max_m}"
+        print(f"{f'{name}, L_{n}^{m}':>26}: {built}")
+print(f"{check_routes(12, range(5))} (route, n, m) comparisons agree for n <= 12, m <= 4")
 
 print()
 print("== associated family ==")
 for n, m in ((1, 1), (2, 1), (3, 2)):
     closed = assoc_closed(n, m)
-    assert closed == assoc_from_derivative(n, m) == assoc_rodrigues(n, m)
     print(f"L_{n}^{m}(u) = {closed}")
     print(f"        x-view: {x_view_str(closed)}")
 

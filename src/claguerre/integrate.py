@@ -224,6 +224,7 @@ def quad_transform(
     """
     if not s > 0.0:  # nan included
         raise ValueError("s must be positive")
+    _check_real(s, "s")
     return math.fsum(w * g(u / s) for u, w in zip(rule.nodes, rule.weights)) / s
 
 
@@ -232,10 +233,11 @@ def transform_check(F, g, s: float, degree: int | None = None) -> tuple[float, f
     by the fixed rule of order TRANSFORM_CHECK_ORDER.
 
     This is the one check that ``claguerre transform ... --s`` prints and
-    verify's named-pair suite bounds.  A g of ``degree`` past the rule's
-    exactness, s <= 0 once F(s) is tried (F's region check speaks first) and
-    a non-finite value raise ValueError: the CLI's usage error, not a nan.
+    verify's named-pair suite bounds.  A non-finite s (the real rule, first),
+    a g of ``degree`` past the rule's exactness, s <= 0 once F(s) is tried (F's
+    region check speaks first) and a non-finite value raise ValueError, no nan.
     """
+    _check_real(s, "s")
     exact_max = 2 * TRANSFORM_CHECK_ORDER - 1
     if degree is not None and degree > exact_max:
         raise ValueError(f"the quadrature check needs n <= {exact_max}, got {degree}")

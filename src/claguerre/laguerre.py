@@ -1,16 +1,12 @@
 """Conformable Laguerre and associated Laguerre polynomials.
 
-Each polynomial has several independent constructions, kept deliberately
-separate so they can cross-check one another exactly:
-
-* explicit rational coefficients (``laguerre_closed`` / ``assoc_closed``),
-* iterated conformable derivatives of the weighted monomial
-  u**n * exp(-u) (the Rodrigues route),
-* the m-fold derivative relation linking associated and plain polynomials,
-* a truncated generating-function expansion in an auxiliary variable t.
-
-A fifth route, termwise inversion of the s-domain solution of the defining
-differential equation, lives in :mod:`claguerre.laplace`.
+Each polynomial is built along independent routes, kept apart so that they
+check one another exactly: the explicit rational coefficients
+(``laguerre_closed`` / ``assoc_closed``), the Rodrigues formula (iterated
+conformable derivatives of u**n * exp(-u)), the m-fold derivative relation
+and a truncated generating-function expansion in an auxiliary variable t.
+With the Laplace solve of :mod:`claguerre.laplace` they are the rows of
+``claguerre.verify.ROUTES``, the one table that every agreement check reads.
 
 Fast float values, ``laguerre_pair`` and ``laguerre_column``, come from the
 three-term recurrence of :mod:`claguerre.recurrence`, which never reads the

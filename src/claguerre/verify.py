@@ -32,7 +32,6 @@ from .laguerre import (
     generating_series,
     laguerre_closed,
     laguerre_ode,
-    laguerre_rodrigues,
     ode_residual,
     values_at_zero,
 )
@@ -40,8 +39,10 @@ from .recurrence import laguerre_pair
 from .tables import build_table
 
 __all__ = [
+    "ROUTES",
     "SUITES",
     "SuiteResult",
+    "check_routes",
     "random_exppoly",
     "run_suites",
     "scope_names",
@@ -199,33 +200,42 @@ def _suite_x_view_round_trip() -> str:
 # -- laguerre -----------------------------------------------------------------
 
 
-def _suite_triple_construction() -> str:
-    for n in range(13):
-        closed = laguerre_closed(n)
-        _ensure(
-            laguerre_rodrigues(n) == closed,
-            lambda: f"Rodrigues route differs at n={n}",
-        )
-        _ensure(
-            laplace.solve_laguerre_ode(n) == closed,
-            lambda: f"transform route differs at n={n}",
-        )
-    return "n <= 12, three construction routes identical"
+# Every construction of L_n^m, read by each agreement check: name -> (column,
+# max_m); column(top, m) builds L_0^m ... L_top^m along that route alone, for
+# m <= max_m when that is set.  Columns call builders by name, so tracing sees them.
+ROUTES = {
+    "closed form": (lambda top, m: [assoc_closed(n, m) for n in range(top + 1)], None),
+    "Rodrigues": (lambda top, m: [assoc_rodrigues(n, m) for n in range(top + 1)], None),
+    "m-fold derivative": (
+        lambda top, m: [assoc_from_derivative(n, m) for n in range(top + 1)], None),
+    "generating series": (lambda top, m: generating_series(m, max(top, 1))[:top + 1], None),
+    "Laplace solve": (lambda top, m: [laplace.solve_laguerre_ode(n) for n in range(top + 1)], 0),
+}
 
 
-def _suite_assoc_triple() -> str:
-    for n in range(9):
-        for m in range(5):
-            closed = assoc_closed(n, m)
-            _ensure(
-                assoc_from_derivative(n, m) == closed,
-                lambda: f"derivative route differs at (n={n}, m={m})",
-            )
-            _ensure(
-                assoc_rodrigues(n, m) == closed,
-                lambda: f"Rodrigues route differs at (n={n}, m={m})",
-            )
-    return "n <= 8, m <= 4, three construction routes identical"
+def check_routes(top: int, orders, names=None) -> int:
+    """Check that each route of ``names`` (default: every row but the first,
+    the closed form) that covers m builds the closed form's column, for each m
+    of ``orders``; the number of (route, n, m) comparisons."""
+    count = 0
+    for m in orders:
+        closed = ROUTES["closed form"][0](top, m)
+        for name in names or list(ROUTES)[1:]:
+            column, max_m = ROUTES[name]
+            if max_m is None or m <= max_m:
+                for n, (got, want) in enumerate(zip(column(top, m), closed, strict=True)):
+                    _ensure(got == want, lambda: f"{name} route differs from the closed "
+                            f"form at (n={n}, m={m})")
+                count += top + 1
+    return count
+
+
+def _agreement(top: int, orders, names, detail: str):
+    """A suite that is one :func:`check_routes` call of ``names``."""
+    def suite() -> str:
+        check_routes(top, orders, names)
+        return detail
+    return suite
 
 
 def _suite_ode_annihilation() -> str:
@@ -234,17 +244,6 @@ def _suite_ode_annihilation() -> str:
             residual = ode_residual(assoc_closed(n, m), n, m)
             _ensure(residual.is_zero, lambda: f"residual {residual} at (n={n}, m={m})")
     return "n <= 10, m <= 4, residual identically zero"
-
-
-def _suite_generating_coefficients() -> str:
-    for m in range(4):
-        expansion = generating_series(m, 10)
-        for n in range(11):
-            _ensure(
-                expansion[n] == assoc_closed(n, m),
-                lambda: f"series coefficient differs at (n={n}, m={m})",
-            )
-    return "orders m <= 3 to t^10, coefficients exact"
 
 
 def _suite_zero_values() -> str:
@@ -631,10 +630,13 @@ SUITES: dict[str, tuple[tuple[str, object], ...]] = {
         ("x-view-round-trip", _suite_x_view_round_trip),
     ),
     "laguerre": (
-        ("triple-construction", _suite_triple_construction),
-        ("assoc-triple", _suite_assoc_triple),
+        ("triple-construction", _agreement(12, (0,), ("Rodrigues", "Laplace solve"),
+                                           "n <= 12, three construction routes identical")),
+        ("assoc-triple", _agreement(8, range(5), ("m-fold derivative", "Rodrigues"),
+                                    "n <= 8, m <= 4, three construction routes identical")),
         ("ode-annihilation", _suite_ode_annihilation),
-        ("generating-coefficients", _suite_generating_coefficients),
+        ("generating-coefficients", _agreement(10, range(4), ("generating series",),
+                                               "orders m <= 3 to t^10, coefficients exact")),
         ("zero-values", _suite_zero_values),
         ("classical-oracle-alpha1", _suite_classical_oracle),
         ("generating-numeric-sum", _suite_generating_numeric),

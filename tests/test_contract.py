@@ -11,8 +11,8 @@ import math
 import pickle
 import random
 
+from claguerre import verify
 from claguerre.alpha_calc import ExpPoly, d_alpha_n
-from claguerre.laguerre import assoc_closed, assoc_rodrigues, laguerre_closed, laguerre_rodrigues
 from claguerre.laplace import TransformExpr, laguerre_transform
 from claguerre.recurrence import laguerre_pair
 from claguerre.tables import SampleTable, build_table
@@ -147,13 +147,10 @@ def test_derivative_memo_survives_any_order_and_pickle():
             assert all(d_alpha_n(g, n) == d_alpha_n(f, n) for n in range(10)), (f, protocol)
 
 
-def test_rodrigues_construction_equals_the_closed_form():
-    # steps the weight exp(-u) on k!-scaled integers from n = 8 on
-    for n in range(81):
-        assert laguerre_rodrigues(n) == laguerre_closed(n), n
-    for n in range(41):
-        for m in range(5):
-            assert assoc_rodrigues(n, m) == assoc_closed(n, m), (n, m)
+def test_every_route_builds_the_closed_form():
+    # every other row of verify.ROUTES at n <= 80 and m <= 4, the Laplace
+    # solve at m = 0 only: 81 * (3 * 5 + 1) comparisons
+    assert verify.check_routes(80, range(5)) == 1296
 
 
 def test_solved_laplace_image_equals_the_binomial_expansion():

@@ -35,5 +35,5 @@ def test_demo_runs(script):
 
 
 def test_transform_demo_covers_every_named_pair():
-    out = _run(ROOT / "demos" / "03_transform_replay.py")
+    out = _run(ROOT / "demos" / "03_transform_solve.py")
     assert {line.split()[0] for line in out.splitlines() if " at s=" in line} == set(_PAIRS)

@@ -207,6 +207,11 @@ class TestQuadTransform:
         with pytest.raises(ValueError, match="^s must be positive$"):
             quad_transform(lambda u: 1.0, math.nan, gauss_laguerre(5))
 
+    def test_rejects_infinite_s(self):
+        # inf > 0 holds, and the sum would be 0.0, so the real rule refuses it.
+        with pytest.raises(ValueError, match="^s must be a finite number, got inf$"):
+            quad_transform(lambda u: 1.0, math.inf, gauss_laguerre(5))
+
 
 class TestTransformCheck:
     def test_closed_value_and_the_fixed_rule(self):
@@ -236,11 +241,16 @@ class TestTransformCheck:
         with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not a finite float$"):
             transform_check(F, g, s)
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_a_non_finite_s_meets_the_real_rule(self, s):
-        # TransformExpr refuses a non-finite s before the check reads it.
+    @pytest.mark.parametrize("kind, s", [
+        pytest.param(kind, s, id=f"{kind}-{s!r}".removeprefix("laguerre-"))
+        for kind in ("laguerre", *integrate._PAIRS) for s in (math.nan, math.inf, -math.inf)
+    ])
+    def test_a_non_finite_s_meets_the_real_rule(self, kind, s):
+        # the check refuses a non-finite s before F, a named pair's too, reads it
+        F = (laguerre_transform(3) if kind == "laguerre"
+             else integrate.transform_named(integrate.NamedSignal(kind), 0.5))
         with pytest.raises(ValueError, match=rf"^s must be a finite number, got {s!r}$"):
-            transform_check(laguerre_transform(3), lambda u: 1.0, s)
+            transform_check(F, lambda u: 1.0, s)
 
     @pytest.mark.parametrize("s", [-1.0, 0.0])
     def test_s_at_or_below_zero_is_refused(self, s):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from claguerre import laguerre
+from claguerre import laguerre, verify
 from claguerre.alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
 from claguerre.laguerre import (
     GeneratingExpansion,
@@ -19,7 +19,7 @@ from claguerre.laguerre import (
     ode_residual,
     values_at_zero,
 )
-from claguerre.laplace import TransformExpr, laguerre_transform, solve_laguerre_ode
+from claguerre.laplace import TransformExpr, laguerre_transform
 from claguerre.recurrence import laguerre_column, laguerre_pair
 from claguerre.tables import build_table
 
@@ -63,7 +63,6 @@ class TestAssociated:
     def test_m_zero_reduces_to_plain(self):
         for n in range(6):
             assert assoc_closed(n, 0) == laguerre_closed(n)
-            assert assoc_from_derivative(n, 0) == laguerre_closed(n)
 
     def test_derivative_route_by_hand(self):
         # -d/du L3 = -(-3 + 3u - u^2/2) = 3 - 3u + u^2/2
@@ -79,12 +78,6 @@ class TestAssociated:
     def test_rodrigues_route_examples(self):
         assert assoc_rodrigues(3, 1) == ReducedPoly((4, -6, 2, F(-1, 6)))
         assert assoc_rodrigues(3, 2) == ReducedPoly((10, -10, F(5, 2), F(-1, 6)))
-
-    def test_three_routes_agree(self):
-        # the Rodrigues route is test_contract's, on the same grid
-        for n in range(41):
-            for m in range(5):
-                assert assoc_from_derivative(n, m) == assoc_closed(n, m)
 
     def test_coefficients_beyond_machine_words(self):
         # factorial ratios near n = 15 overflow 64-bit ints; the exact core
@@ -145,12 +138,6 @@ class TestGeneratingSeries:
         assert generating_series(1, 2)[1] == ReducedPoly((2, -1))
         assert generating_series(1, 2)[1] == assoc_closed(1, 1)
 
-    def test_coefficients_match_closed_forms(self):
-        for m in range(5):
-            expansion = generating_series(m, 80)
-            for n in range(81):
-                assert expansion[n] == assoc_closed(n, m)
-
     @pytest.mark.parametrize("m", range(5))
     def test_order_one(self, m):
         expansion = generating_series(m, 1)
@@ -159,10 +146,8 @@ class TestGeneratingSeries:
 
     @pytest.mark.parametrize("m", [0, 4])
     def test_high_order_storage_equals_closed_forms(self, m):
-        expansion = generating_series(m, 120)
-        for n in range(121):
-            got, want = expansion[n], assoc_closed(n, m)
-            assert (got._num, got._den) == (want._num, want._den)
+        # ReducedPoly equality compares the stored numerators and denominator
+        assert verify.check_routes(120, (m,), ("generating series",)) == 121
 
     def test_route_never_reads_the_closed_form(self, monkeypatch):
         want = [assoc_closed(n, 3) for n in range(41)]
@@ -259,12 +244,6 @@ class TestValuesAtZero:
 
 
 class TestCrossConstruction:
-    def test_triple_equality(self):
-        for n in range(13):
-            closed = laguerre_closed(n)
-            assert laguerre_rodrigues(n) == closed
-            assert solve_laguerre_ode(n) == closed
-
     def test_classical_recurrence_oracle_at_alpha_one(self):
         for n in range(13):
             poly = laguerre_closed(n)

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import test_contract
 from claguerre import cli, integrate, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly
 from claguerre.recurrence import laguerre_pair
@@ -132,6 +134,20 @@ def test_s_domain_residual_catches_a_wrong_equation(monkeypatch):
     failed = [e for e in run_suites("laplace") if not e.passed]
     assert [e.name for e in failed] == ["laplace/s-domain-residual"]
     assert failed[0].detail == "solved image 1/s - 1/s^2 is not the transform of L_0"
+
+
+@pytest.mark.parametrize("suite, route", [("triple-construction", "Laplace solve"),
+                                          ("assoc-triple", "m-fold derivative"),
+                                          ("generating-coefficients", "generating series")])
+def test_each_agreement_suite_reads_the_route_table(monkeypatch, suite, route):
+    # a wrong route, L_n^(m+1) for L_n^m, first differs at n = 1
+    closed, max_m = verify.ROUTES["closed form"][0], verify.ROUTES[route][1]
+    monkeypatch.setitem(verify.ROUTES, route, (lambda top, m: closed(top, m + 1), max_m))
+    message = f"{route} route differs from the closed form at (n=1, m=0)"
+    failed = {e.name: e.detail for e in run_suites("laguerre") if not e.passed}
+    assert failed == {f"laguerre/{suite}": message}
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        test_contract.test_every_route_builds_the_closed_form()
 
 
 def test_classical_recurrence_small_values():
