@@ -153,6 +153,11 @@ def test_every_route_builds_the_closed_form():
     assert verify.check_routes(80, range(5)) == 1296
 
 
+def test_rodrigues_construction_equals_the_closed_form():
+    # steps the weight exp(-u) on k!-scaled integers from n = 8 on
+    assert verify.check_routes(80, range(5), ("Rodrigues",)) == 405
+
+
 def test_solved_laplace_image_equals_the_binomial_expansion():
     for n in range(201):
         want = TransformExpr(((-1) ** k * math.comb(n, k), 0, k + 1) for k in range(n + 1))

@@ -68,6 +68,11 @@ class TestAssociated:
         # -d/du L3 = -(-3 + 3u - u^2/2) = 3 - 3u + u^2/2
         assert assoc_from_derivative(2, 1) == ReducedPoly((3, -3, F(1, 2)))
 
+    def test_three_routes_agree(self):
+        # the closed form, Rodrigues and the m-fold derivative
+        names = ("Rodrigues", "m-fold derivative")
+        assert verify.check_routes(80, range(5), names) == 2 * 405
+
     def test_derivative_route_higher_order(self):
         assert assoc_from_derivative(3, 3) == ReducedPoly((20, -15, 3, F(-1, 6)))
 
@@ -137,6 +142,9 @@ class TestGeneratingSeries:
         # (1 + 2t + ...)(1 - ut + ...) collects to 2 - u at order t
         assert generating_series(1, 2)[1] == ReducedPoly((2, -1))
         assert generating_series(1, 2)[1] == assoc_closed(1, 1)
+
+    def test_coefficients_match_closed_forms(self):
+        assert verify.check_routes(80, range(5), ("generating series",)) == 405
 
     @pytest.mark.parametrize("m", range(5))
     def test_order_one(self, m):
@@ -244,6 +252,10 @@ class TestValuesAtZero:
 
 
 class TestCrossConstruction:
+    def test_triple_equality(self):
+        # the closed form, Rodrigues and the Laplace solve, at m = 0
+        assert verify.check_routes(80, (0,), ("Rodrigues", "Laplace solve")) == 2 * 81
+
     def test_classical_recurrence_oracle_at_alpha_one(self):
         for n in range(13):
             poly = laguerre_closed(n)

@@ -294,6 +294,10 @@ class TestSolve:
     def test_degree_three(self):
         assert solve_laguerre_ode(3) == ReducedPoly((1, -3, F(3, 2), F(-1, 6)))
 
+    def test_matches_closed_form(self):
+        # the Laplace route solves the m = 0 equation only, and says so
+        assert verify.check_routes(80, range(5), ("Laplace solve",)) == 81
+
     def test_solve_stages(self, monkeypatch):
         # The stages solve prints: the derived image, its residual and its
         # inverse; solve_laguerre_ode is that inverse.
