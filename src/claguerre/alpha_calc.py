@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, floordiv, mul, neg, sub
 
-from .recurrence import _check_count, _check_real, _reduced_u, as_alpha
+from .recurrence import _beyond, _check_count, _check_real, _reduced_u, as_alpha
 
 __all__ = [
     "AlgebraError",
@@ -322,7 +322,7 @@ class ReducedPoly:
         if not num:
             return 0 * u
         if isinstance(u, float) and self._overflows(p, q):
-            raise OverflowError(f"the value at u = {u!r} is beyond the float range")
+            raise OverflowError(_beyond(u))
         # Horner on integers: sum num[k] * p**k * q**(d-k) / (den * q**d).
         acc, scale = num[-1], 1
         for c in reversed(num[:-1]):

@@ -85,9 +85,17 @@ def build_table(
         )
     # Near the float maximum the top point can round past it.
     _check_real(xs[-1], "x")
-    columns = [laguerre_column(n, m, [x**a / a for x in xs]) for a in alphas]
-    # The step check above proves x strictly increasing and every column is
-    # as long as x, so of SampleTable's checks only finiteness is left.
-    if not all(map(math.isfinite, chain.from_iterable(columns))):
+    # laguerre_column refuses a non-finite u with ValueError and a value that
+    # overflows with OverflowError; each column's u is checked before an
+    # overflow is reported.  The step check above proves x strictly
+    # increasing and every column is as long as x, so SampleTable's checks
+    # all hold.
+    columns, overflowed = [], False
+    for a in alphas:
+        try:
+            columns.append(laguerre_column(n, m, [x**a / a for x in xs]))
+        except OverflowError:
+            overflowed = True
+    if overflowed:
         raise ValueError("table values must be finite")
     return SampleTable._make((header, (tuple(xs), *map(tuple, columns))))

@@ -7,7 +7,8 @@ pytest-free test modules that tier-1 collects too:
 * ``test_contract`` holds the CLI tables.  Each of their command lines runs
   here as ``python -m claguerre.cli``: the golden ``solve`` outputs, the
   negative-looking values in both spellings and the ``table`` digests.
-  Its import-probe rows run under ``python -S``.  Each of its ``test_*``
+  Its import-probe rows, and its rejected command line, run under
+  ``python -S``.  Each of its ``test_*``
   functions runs as ``python -c "import test_contract;
   test_contract.<name>()"``.
 * ``test_exact_golden`` gives the ``verify --scope all`` golden command and
@@ -81,17 +82,28 @@ def shown(what) -> str:
     return what if isinstance(what, str) else " ".join(what)
 
 
-def probe_case(what, expected: set):
-    """One import-probe row of ``test_contract.LOADED_BY``."""
+def probe_case(name: str, what, check):
+    """One import probe of ``what``, whose output ``check`` asserts on."""
     def judge(proc):
         try:
-            test_contract.assert_loads(proc.stdout.decode(), what, expected)
+            check(proc.stdout.decode())
         except (AssertionError, IndexError, ValueError) as exc:  # no or bad output
             return failure(proc, f"{exc!r}, ")
         return ""
-    exact = "" if "alpha_calc" in expected else ", fractions, decimal"
-    return (f"-S {shown(what)} loads {', '.join(sorted(expected))} and no dataclasses, "
-            f"inspect, typing{exact}"), test_contract.probe_args(what), judge
+    return f"-S {shown(what)} {name}", test_contract.probe_args(what), judge
+
+
+def loads_case(what, expected: set):
+    """One import-probe row of ``test_contract.LOADED_BY``."""
+    loads, absent = sorted(expected), ["dataclasses", "inspect", "typing"]
+    if "alpha_calc" not in expected:
+        absent += ["fractions", "decimal"]
+    if test_contract.asks_for_help(what):
+        loads.append("argparse")
+    else:
+        absent += ["argparse", "shutil"]
+    name = f"loads {', '.join(loads)} and no {', '.join(absent)}"
+    return probe_case(name, what, lambda out: test_contract.assert_loads(out, what, expected))
 
 
 def call_case(module, name: str):
@@ -129,7 +141,9 @@ def cases():
     for argv, digest in test_contract.TABLE_DIGESTS:
         yield digest_case(argv, digest)
     for what, expected in test_contract.LOADED_BY.values():
-        yield probe_case(what, expected)
+        yield loads_case(what, expected)
+    yield probe_case("exits 2 and loads argparse but no library module",
+                     test_contract.REJECTED, test_contract.assert_rejected_loads)
     for name in vars(test_contract):
         if name.startswith("test_"):
             yield call_case(test_contract, name)

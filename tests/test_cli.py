@@ -1,5 +1,6 @@
+import contextlib
 import hashlib
-import json
+import io
 import math
 import os
 import re
@@ -7,8 +8,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from claguerre import cli, laplace, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly, x_view_str
@@ -19,8 +23,8 @@ from claguerre.verify import SuiteResult
 import check_versions
 import test_contract
 from test_contract import (
-    LOADED_BY, NEGATIVE_LOOKING, SOLVE_GOLDEN_N, TABLE_DIGESTS, assert_loads, probe_args,
-    spellings,
+    LOADED_BY, NEGATIVE_LOOKING, REJECTED, SOLVE_GOLDEN_N, TABLE_DIGESTS, assert_loads,
+    assert_rejected_loads, namespace, probe_args, spellings,
 )
 
 
@@ -81,6 +85,16 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "--n", "-1", "--alpha", "1", "--x", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("alphas, message", [
+        ("1", "L_400^100 at x=1700.0 is not a finite float"),
+        # u = inf at the second alpha is named before the first one's overflow
+        ("1,5e-324", "u must be a finite number, got inf"),
+    ])
+    def test_a_value_past_the_float_range_is_a_usage_error(self, capsys, alphas, message):
+        result = run_cli(capsys, "eval", "--n", "400", "--m", "100", "--alpha", alphas,
+                         "--x", "1700")
+        assert result == (2, "", f"error: {message}\n")
+
     def test_high_degree_value_is_exact_to_twelve_digits(self, capsys):
         # Horner over the monomial coefficients printed 4.73e15 here.
         code, out, _ = run_cli(capsys, "eval", "--n", "50", "--x", "50", "--alpha", "1")
@@ -108,6 +122,12 @@ class TestTable:
         assert result == (2, "", f"error: {message}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_table(n, 0, (1.0,), 0.0, float(xmax), samples)
+
+    def test_an_infinite_u_is_named_before_an_overflow(self, capsys):
+        # the first column overflows, the second has u = inf
+        result = run_cli(capsys, "table", "--n", "200", "--alpha", "1,5e-324",
+                         "--xmax", "1e6", "--samples", "3")
+        assert result == (2, "", "error: u must be a finite number, got inf\n")
 
     @pytest.mark.parametrize(
         "xmin, xmax, samples",
@@ -594,10 +614,7 @@ class TestImports:
         assert_loads(_probe_imports(what), what, expected)
 
     def test_a_rejected_command_line_loads_no_library_module(self):
-        code, loaded, heavy, _ = json.loads(_probe_imports(("eval", "--n", "abc", "--x", "1")))
-        assert code == 2
-        assert loaded == ["claguerre", "claguerre.cli"]
-        assert heavy == []
+        assert_rejected_loads(_probe_imports(REJECTED))
 
 
 def test_check_versions_runs_every_shared_case(monkeypatch):
@@ -614,9 +631,9 @@ def test_check_versions_runs_every_shared_case(monkeypatch):
     want += [f"test_contract.{name}" for name in vars(test_contract) if name.startswith("test_")]
     want += ["test_exact_golden.test_exact_results_digest"]
     assert set(want) <= set(names)
-    for what, _ in LOADED_BY.values():
-        assert any(name.startswith(f"-S {check_versions.shown(what)} loads ") for name in names)
-    assert len(names) == len(want) + len(LOADED_BY) + len(check_versions.DEMOS)
+    for what in [*(what for what, _ in LOADED_BY.values()), REJECTED]:
+        assert any(name.startswith(f"-S {check_versions.shown(what)} ") for name in names)
+    assert len(names) == len(want) + len(LOADED_BY) + 1 + len(check_versions.DEMOS)
 
 
 def _assert_one_line_usage_error(result):
@@ -666,6 +683,67 @@ class TestArgparseErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: claguerre eval ")
         assert captured.err == ""
+
+
+# Tokens for drawn command lines: values of each option type with small
+# sizes, so that every accepted line runs in milliseconds, negative-looking
+# numbers and non-ASCII digits among them; tokens that fit no type; and
+# tokens that argparse must handle.
+_VALUE_TOKENS = {
+    int: ["0", "1", "3", "12", "-1", "2000", "\u0663", " 2"],
+    float: ["0", "1", "1.5", "8", "-1e5", "-inf", "inf", "nan", "-nan", "1e-3", "1e308",
+            "\u0661.\u0665"],
+    str: ["1", "0.5", "0.25,1", "", "-1e-3", "cli", "laguerre", "nope"],
+}
+_JUNK_TOKENS = ["abc", "", "1e", "-x"]
+_EXPR_TOKENS = ["one", "power_p", "exp_u", "sin_wu", "cos_wu", "laguerre", "sinh_u",
+                "2", "-1e-3", ""]
+_STRAY_TOKENS = ["-h", "--help", "--", "-", "--n=3", "--sam", "--bogus", "-x y", "--s", "7"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line: a command, its expression tokens if it is
+    ``transform``, its required options and some others in any order, and
+    now and then a value of no type, an option twice or a stray token."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    _, positional, options = cli._COMMANDS.get(command, ({}, None, ()))
+    argv = [command]
+    if positional is not None:
+        argv += draw(st.lists(st.sampled_from(_EXPR_TOKENS), max_size=2))
+    chosen = [(name, convert) for name, convert, _, required, _ in draw(st.permutations(options))
+              if draw(st.booleans()) or required and draw(st.integers(0, 7))]
+    if chosen and draw(st.integers(0, 9)) == 0:
+        chosen.append(chosen[0])
+    for name, convert in chosen:
+        tokens = _VALUE_TOKENS[convert] if draw(st.integers(0, 9)) else _JUNK_TOKENS
+        argv += [f"--{name}", draw(st.sampled_from(tokens))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAY_TOKENS)))
+    return argv
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExactParser:
+    # 600 drawn lines from a fixed seed: about a third are accepted, and a
+    # third of those exit 0.
+    @seed(36)
+    @settings(max_examples=600, deadline=None)
+    @given(_command_lines())
+    def test_an_accepted_line_parses_and_runs_as_through_argparse(self, argv):
+        args = cli._parse_exact(argv)
+        if args is None:
+            return
+        assert namespace(args) == namespace(cli._build_parser().parse_args(argv))
+        with mock.patch.object(cli, "_parse_exact", lambda argv: None):
+            through_argparse = _outcome(argv)
+        assert _outcome(argv) == through_argparse
 
 
 class TestSizeCaps:

@@ -11,7 +11,7 @@ import math
 import pickle
 import random
 
-from claguerre import verify
+from claguerre import cli, verify
 from claguerre.alpha_calc import ExpPoly, d_alpha_n
 from claguerre.laplace import TransformExpr, laguerre_transform
 from claguerre.recurrence import laguerre_pair
@@ -71,7 +71,8 @@ def spellings(argv):
 # What each command line (a tuple) or Python statement (a string) loads in a
 # fresh interpreter: the claguerre modules beyond ``claguerre`` and, for a
 # command line, ``claguerre.cli``.  A row without ``alpha_calc`` is float
-# work and loads neither ``fractions`` nor ``decimal``.
+# work and loads neither ``fractions`` nor ``decimal``.  Only a help request
+# loads ``argparse``; no other row loads it or ``shutil``.
 LOADED_BY = {
     "eval": (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre", "recurrence"}),
     "table": (("table", "--n", "3", "--samples", "5"), {"recurrence", "tables"}),
@@ -99,7 +100,7 @@ LOADED_BY = {
 # statement; ``-S`` because a site hook may import ``typing`` itself, which
 # would hide one that claguerre loads.  It prints the exit code (a help
 # request's comes from its SystemExit), the claguerre modules loaded, and
-# which of the heavy and the exact-arithmetic modules.
+# which of the heavy, the exact-arithmetic and the argument-parsing modules.
 IMPORT_PROBE = """\
 import json, sys
 try:
@@ -113,7 +114,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "claguerre"),
                   [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
-                  [m for m in ("decimal", "fractions") if m in sys.modules]]))
+                  [m for m in ("decimal", "fractions") if m in sys.modules],
+                  [m for m in ("argparse", "shutil") if m in sys.modules]]))
 """
 
 
@@ -122,15 +124,78 @@ def probe_args(what):
     return ["-S", "-c", IMPORT_PROBE, *(("-c", what) if isinstance(what, str) else what)]
 
 
+def asks_for_help(what) -> bool:
+    return not isinstance(what, str) and "-h" in what
+
+
 def assert_loads(stdout, what, expected):
     """The probe's output for ``what`` shows exit 0 and exactly ``expected``."""
-    code, loaded, heavy, exact = json.loads(stdout.splitlines()[-1])
+    code, loaded, heavy, exact, parsing = json.loads(stdout.splitlines()[-1])
     base = ["claguerre"] if isinstance(what, str) else ["claguerre", "claguerre.cli"]
     assert code == 0, code
     assert loaded == sorted(base + [f"claguerre.{m}" for m in expected]), loaded
     assert heavy == [], heavy
     if "alpha_calc" not in expected:
         assert exact == [], exact
+    if asks_for_help(what):
+        assert "argparse" in parsing, parsing
+    else:
+        assert parsing == [], parsing
+
+
+# A rejected command line loads no library module; argparse, which words
+# the error, loads for it.
+REJECTED = ("eval", "--n", "abc", "--x", "1")
+
+
+def assert_rejected_loads(stdout):
+    """The probe's output for ``REJECTED`` shows exit 2 and only argparse."""
+    code, loaded, heavy, _, parsing = json.loads(stdout.splitlines()[-1])
+    assert code == 2, code
+    assert loaded == ["claguerre", "claguerre.cli"], loaded
+    assert heavy == [], heavy
+    assert "argparse" in parsing, parsing
+
+
+# Command lines for the parser that skips argparse, each with whether it
+# accepts the line.  An accepted line must give argparse's namespace; a
+# declined one is left to argparse, whose parsing differs between versions.
+EXACT_PARSES = [
+    *[(spelling, len(spelling) == len(argv))
+      for argv, _ in NEGATIVE_LOOKING.values() for spelling in spellings(argv)],
+    (("eval", "--n=3", "--x", "1"), False),
+    (("table", "--n", "3", "--sam", "5"), False),
+    (("table", "--n", "3", "--samples", "5"), True),
+    (("eval", "--n", "3", "--x", "1", "--n", "4"), False),
+    (("transform", "sin_wu", "--s", "2", "1.5"), False),
+    (("transform", "sin_wu", "1.5", "--s", "2"), True),
+    (("transform", "-h"), False),
+    (("eval", "-h"), False),
+    (("eval", "--n", "3", "--", "--x", "1"), False),
+    (("transform", "", "--alpha", ""), True),
+    (("eval", "--n", "", "--x", "1"), False),
+    (("eval", "--n", "\u0663", "--x", "\u0661.\u0665"), True),
+    (("verify",), True),
+    (("solve", "--n"), False),
+    (("eval", "--x", "1"), False),
+    ((), False),
+    (("bogus",), False),
+]
+
+
+def namespace(args) -> dict:
+    """``vars(args)`` with each nan as a marker, so that nan equals nan."""
+    return {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+            for k, v in vars(args).items()}
+
+
+def test_the_exact_parser_gives_argparse_namespace_or_declines():
+    for argv, accepted in EXACT_PARSES:
+        got = cli._parse_exact(argv)
+        assert (got is not None) == accepted, argv
+        if accepted:
+            want = cli._build_parser().parse_args(argv)
+            assert namespace(got) == namespace(want), (argv, vars(got), vars(want))
 
 
 def test_derivative_memo_survives_any_order_and_pickle():

@@ -329,18 +329,27 @@ class TestFloatRecurrence:
             return cur, prev
 
         rng = random.Random(7)
-        # 1e5 and 1e300 overflow to inf or nan at the larger degrees.
+        # 1e5 and 1e300 overflow to inf or nan at the larger degrees, where
+        # both forms raise OverflowError instead.
         us = [0.0, 1e-300, 0.5, 1e5, 1e300] + [rng.uniform(0.0, 120.0) for _ in range(40)]
         for n in (0, 1, 2, 9, 48, 100, 1500):
             for m in (0, 1, 4, 100):
-                want = [int_constant_pair(n, m, u) for u in us]
-                pairs = [laguerre_pair(n, m, u) for u in us]
+                want = {u: int_constant_pair(n, m, u) for u in us}
+                finite = [u for u in us if all(map(math.isfinite, want[u]))]
+                pairs = [laguerre_pair(n, m, u) for u in finite]
                 assert [(v.hex(), p.hex()) for v, p in pairs] == [
-                    (v.hex(), p.hex()) for v, p in want]
-                assert [v.hex() for v in laguerre_column(n, m, us)] == [
-                    v.hex() for v, _ in want]
+                    (v.hex(), p.hex()) for v, p in map(want.get, finite)]
+                assert [v.hex() for v in laguerre_column(n, m, finite)] == [
+                    want[u][0].hex() for u in finite]
                 assert laguerre_column(n, m, []) == []
-        assert not math.isfinite(laguerre_pair(1500, 100, 1e5)[0])
+                for u in set(us) - set(finite):
+                    with pytest.raises(OverflowError):
+                        laguerre_pair(n, m, u)
+                if finite != us:
+                    with pytest.raises(OverflowError):
+                        laguerre_column(n, m, us)
+        with pytest.raises(OverflowError):
+            laguerre_pair(1500, 100, 1e5)
 
     @pytest.mark.parametrize("n", [0, 3])
     @pytest.mark.parametrize("us", [[math.nan], [0.5, math.nan, 2.0]])
@@ -369,6 +378,20 @@ class TestFloatRecurrence:
     def test_infinities_summing_to_nan_are_refused(self):
         with pytest.raises(ValueError, match="^u must be a finite number, got inf$"):
             laguerre_column(1, 0, [math.inf, -math.inf])
+
+    # Each returned (nan, nan), or (-inf, 4.17e278) at u = 1e70, without error.
+    @pytest.mark.parametrize("n, m, u", [(400, 100, 1700.0), (1500, 0, 3000.0),
+                                         (200, 0, 1e5), (5, 0, 1e70)])
+    def test_a_pair_past_the_float_range_raises(self, n, m, u):
+        message = f"^the value at u = {re.escape(repr(u))} is beyond the float range$"
+        with pytest.raises(OverflowError, match=message):
+            laguerre_pair(n, m, u)
+
+    def test_a_column_past_the_float_range_names_its_point(self):
+        # It returned [3.51e105, nan].
+        message = r"^the value at u = 1700\.0 is beyond the float range$"
+        with pytest.raises(OverflowError, match=message):
+            laguerre_column(400, 100, [1.0, 1700.0])
 
     def test_finite_column_whose_sum_overflows_still_runs(self):
         us = [1e308, 1e308]
