@@ -125,6 +125,7 @@ def probe_args(what):
 
 
 def asks_for_help(what) -> bool:
+    """Whether a probe row is a help request, the one row that loads argparse."""
     return not isinstance(what, str) and "-h" in what
 
 
