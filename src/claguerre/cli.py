@@ -10,9 +10,9 @@ usage errors, 3 for an unexpected internal error, reported in one line, and
 stderr.
 
 A ``ValueError`` is the signal for a rejected input, wherever it is raised:
-by argparse (through ``_Parser.error``), by a size cap below, or by the
-library inside a handler.  ``main`` turns each one into a single
-``error: <message>`` line on stderr and exit 2; no handler catches it.
+by the parser, by a size cap below, or by the library inside a handler.
+``main`` turns each one into a single ``error: <message>`` line on stderr
+and exit 2; no handler catches it.
 
 Each command imports the library modules it runs inside its handler, so
 ``table`` loads only the float layer, ``recurrence``, and ``tables``; a
@@ -21,22 +21,16 @@ pairs and their quadrature check; ``eval`` adds ``alpha_calc`` and
 ``laguerre`` for its exact form, ``transform laguerre`` and ``solve`` add
 ``laplace``, and only ``verify`` loads the suites.
 
-A well-formed command line is parsed without argparse: ``_parse_exact``
-reads the one table of subcommands, ``_COMMANDS``, and gives the namespace
-argparse would give.  argparse is imported, and its parser built from the
-same table, only for a help request and for a line ``_parse_exact``
-declines, so every help text and error message is argparse's.  That saves
-each well-formed call 3.8-4.8 ms compiled from source in the benchmark's
-environment, 4.0-4.7 ms with bytecode and 6.7-7.6 ms under ``python3 -S``,
-where argparse also loaded ``shutil``, ``bz2`` and ``lzma`` (medians of 21
-interleaved runs of each of five commands, one pinned CPU of a 2-vCPU Linux
-host, Python 3.11.7).
+One parser, ``_parse``, reads every command line from the one table of
+subcommands, ``_COMMANDS``, as argparse 3.11 does, with its messages on every
+Python.  Only a help request imports argparse, which saves every other call
+4-5 ms, 7-8 ms under ``python3 -S`` (medians of 21 interleaved runs, one
+pinned CPU of a 2-vCPU Linux host, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -60,8 +54,7 @@ _SIZE_LIMITS = (("n", MAX_N), ("m", MAX_M), ("samples", MAX_SAMPLES))
 _EXIT_BROKEN_PIPE = 141
 # POSIX's least PIPE_BUF: no pipe splits a write of this many bytes or fewer.
 _PIPE_CHUNK = 512
-# A token that starts like a negative float: -1, -.5, -1e5, -inf, -nan.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+_HELP = ("-h", "--help")
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -131,16 +124,6 @@ def _grammar() -> dict:
     grammar = {k: (pair.field, spelling[pair.field], float) for k, pair in _PAIRS.items()}
     grammar["laguerre"] = ("n", "<n>", int)
     return grammar
-
-
-class _GrammarHelp(str):
-    """A help template whose ``%(grammar)s`` lists the transform expressions;
-    argparse applies ``%`` only when it prints help, so only then is
-    ``integrate`` loaded for it."""
-
-    def __mod__(self, params):
-        text = ", ".join(f"{k} {spelt}".rstrip() for k, (_, spelt, _) in _grammar().items())
-        return str.__mod__(self, dict(params, grammar=text))
 
 
 def _cmd_transform(args) -> int:
@@ -227,11 +210,10 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-# Every subcommand once, for both parsers: the keywords of its
-# ``add_parser`` call, its positional as (name, help) or None, and its
-# options as (name, type, default, required, help).  A positional takes one
-# or more tokens.  The handler of ``<name>`` is ``_cmd_<name>``, looked up
-# when a line is parsed.
+# Every subcommand once: the keywords of its ``add_parser`` call, where
+# ``_help`` fills in each ``%(grammar)s``, its positional as (name, help) or
+# None, and its options as (name, type, default, required, help).  A
+# positional takes one or more tokens.  ``_cmd_<name>`` handles ``<name>``.
 _COMMANDS = {
     "eval": ({"help": "evaluate a polynomial at one point"}, None, (
         ("n", int, None, True, "degree"),
@@ -249,8 +231,7 @@ _COMMANDS = {
         ("xmax", float, 8.0, False, None),
         ("samples", int, 200, False, None),
     )),
-    "transform": ({"help": _GrammarHelp("print a transform (%(grammar)s)")},
-                  ("expr", _GrammarHelp("one of: %(grammar)s")), (
+    "transform": ({"help": "print a transform (%(grammar)s)"}, ("expr", "one of: %(grammar)s"), (
         ("alpha", str, "1.0", False, None),
         ("s", float, None, False, "also evaluate and cross-check at this s"),
     )),
@@ -264,103 +245,121 @@ _COMMANDS = {
 
 
 def _is_value(token: str) -> bool:
-    """Whether argparse reads ``token`` as a value wherever it stands."""
-    return not token.startswith("-") or _NEGATIVE_NUMBER.match(token) is not None
+    """Whether ``token`` is a value wherever it stands: it does not start with
+    '-', is '-' alone, or starts like a number: -1, -.5, -1e5, -inf, -nan."""
+    return (not token.startswith("-") or token == "-" or token[1:2].isdecimal()
+            or token[1:2] == "." and token[2:3].isdecimal()
+            or token[1:4].lower() in ("inf", "nan"))
 
 
-def _parse_exact(argv):
-    """The namespace argparse gives a well-formed command line, or None.
-
-    Well-formed is the command name, its positionals if it takes any, then
-    ``--name value`` pairs, each option named in full and at most once,
-    every value converting, every required option present, and no value
-    starting with '-' unless it reads as a negative number.  Everything
-    else, help requests and rejected lines among them, is left to argparse,
-    so every help text and error message is argparse's own.
-    """
-    if not argv or argv[0] not in _COMMANDS:
+def _option(token: str, names):
+    """None for a value, else (the option of ``names`` that ``token`` names,
+    or the token itself if none; the value it carries after '=' or after
+    ``-h``, or None).  A double-dash token may be an option's unique prefix."""
+    if _is_value(token):
         return None
-    command, *rest = argv
+    head, equals, given = token.partition("=")
+    given = given if equals else None
+    if head in names:
+        return head, given
+    if token[1] != "-":
+        matches = [("-h", token[2:])] if token.startswith("-h") else []
+    else:
+        matches = [(name, given) for name in names if name.startswith(head)]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {token} could match "
+                         f"{', '.join(name for name, _ in matches)}")
+    return matches[0] if matches else None if " " in token else (token, None)
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The namespace of a command line, or ValueError with its error line.
+    Only unknown options and a help request may precede the command; ``--``
+    makes every later token a value; an option takes the value in its token
+    or the next one, the last given winning."""
+    extras, rest = [], list(argv)
+    while rest and rest[0] != "--" and (option := _option(rest[0], _HELP)):
+        if option[0] in _HELP:
+            _help(None, *option)
+        extras.append(rest.pop(0))  # an unknown option, for the closing error
+    command, *rest = rest or [None]
+    if command is None or command == "--" and not rest:
+        raise ValueError("the following arguments are required: command")
+    if command not in _COMMANDS:
+        raise ValueError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
     _, positional, options = _COMMANDS[command]
-    found = {"command": command, "handler": globals()[f"_cmd_{command}"]}
-    count = 0
-    if positional is not None:
-        while count < len(rest) and _is_value(rest[count]):
-            count += 1
-        if not count:
-            return None
-        found[positional[0]] = rest[:count]
-    pairs = rest[count:]
-    given = dict(zip(pairs[::2], pairs[1::2]))
-    if len(pairs) != 2 * len(given):
-        return None  # an option without a value, or one given twice
-    for name, convert, default, required, _ in options:
-        value = given.pop(f"--{name}", None)
-        if value is None:
-            if required:
-                return None
-            found[name] = default
-        elif not _is_value(value):
-            return None
-        else:
-            try:
-                found[name] = convert(value)
-            except ValueError:
-                return None
-    return None if given else SimpleNamespace(**found)
+    spec = {f"--{option[0]}": option for option in options}
+    cut = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, (*_HELP, *spec)) if at < cut else None for at, token in enumerate(rest)]
+    found, target = {"command": command, "handler": globals()[f"_cmd_{command}"]}, extras
+    tokens = enumerate(zip(rest, kinds))
+    for at, (token, kind) in tokens:
+        if kind is None:  # a run of values, the positional's if it is the first
+            if positional and positional[0] not in found and rest[at:] != ["--"]:
+                target = found[positional[0]] = []
+            if at != cut or target is extras:  # the positional drops the first --
+                target.append(token)
+            continue
+        (name, given), target = kind, extras  # an option ends a run of values
+        if name not in spec:
+            if name in _HELP:
+                _help(command, name, given)
+            extras.append(token)
+            continue
+        if given is None:
+            if at + 1 >= cut or kinds[at + 1]:
+                raise ValueError(f"argument {name}: expected one argument")
+            _, (given, _) = next(tokens)
+        convert = spec[name][1]
+        try:
+            found[name[2:]] = convert(given)
+        except ValueError:
+            raise ValueError(f"argument {name}: invalid {convert.__name__} "
+                             f"value: {given!r}") from None
+
+    missing = [positional[0]] if positional and positional[0] not in found else []
+    missing += [name for name, option in spec.items() if option[3] and name[2:] not in found]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**{name: default for name, _, default, _, _ in options} | found)
 
 
-def _build_parser():
-    """The argparse parser of ``_COMMANDS``, for the lines that
-    :func:`_parse_exact` leaves to it."""
+def _help(command, name: str = "-h", given=None) -> None:
+    """Print argparse's help for ``command`` (the program's for None) and exit
+    0, unless ``-h`` or ``--help`` was given a value: the one place argparse
+    is imported."""
+    if name == "-h" and given:  # -hh reads as -h -h, and -hhx as -h -h -x
+        given = given.lstrip("h") or None
+    if given is not None:
+        raise ValueError(f"argument -h/--help: ignored explicit argument {given!r}")
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        """An ArgumentParser that reads every negative-looking number as a
-        value and raises ValueError for a rejected command line.
-
-        argparse takes a token that starts with '-' for an option unless it
-        matches the parser's negative-number pattern, which covers -1 and
-        -0.5 but not -1e5, -inf or -nan; no option here looks like a number.
-        Subparsers are built by the same class.
-        """
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = _NEGATIVE_NUMBER
-
-        def error(self, message):
-            raise ValueError(message)
-
-    parser = _Parser(
-        prog="claguerre",
-        description="Conformable Laguerre polynomials and their transform calculus.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (keywords, positional, options) in _COMMANDS.items():
-        p = sub.add_parser(command, **keywords)
+    grammar = {"grammar": ", ".join(f"{k} {s}".rstrip() for k, (_, s, _) in _grammar().items())}
+    parser = argparse.ArgumentParser(
+        "claguerre", description="Conformable Laguerre polynomials and their transform calculus.")
+    sub = parser.add_subparsers()
+    for name, (keywords, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(name, **{key: help % grammar for key, help in keywords.items()})
         if positional is not None:
-            name, help_text = positional
-            p.add_argument(name, nargs="+", help=help_text)
-        for name, convert, default, required, help_text in options:
-            p.add_argument(f"--{name}", type=convert, default=default, required=required,
-                           help=help_text)
-        p.set_defaults(handler=globals()[f"_cmd_{command}"])
-    return parser
+            p.add_argument(positional[0], nargs="+", help=positional[1] % grammar)
+        for option, _, _, required, help in options:
+            p.add_argument(f"--{option}", required=required, help=help)
+    parser.parse_args([command, "-h"] if command else ["-h"])
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse_exact(argv)
-        if args is None:
-            args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         for name, cap in _SIZE_LIMITS:
             if hasattr(args, name):
                 _check_size(name, getattr(args, name), cap)
         return args.handler(args)
-    except ValueError as exc:  # a rejected input, from argparse or the library
+    except ValueError as exc:  # a rejected input, from the parser or the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

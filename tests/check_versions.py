@@ -6,7 +6,8 @@ pytest-free test modules that tier-1 collects too:
 
 * ``test_contract`` holds the CLI tables.  Each of their command lines runs
   here as ``python -m claguerre.cli``: the golden ``solve`` outputs, the
-  negative-looking values in both spellings and the ``table`` digests.
+  negative-looking values in both spellings, the rejected lines with their
+  error lines and the ``table`` digests.
   Its import-probe rows, and its rejected command line, run under
   ``python -S``.  Each of its ``test_*``
   functions runs as ``python -c "import test_contract;
@@ -96,9 +97,10 @@ def probe_case(name: str, what, check):
 def loads_case(what, expected: set):
     """One import-probe row of ``test_contract.LOADED_BY``."""
     loads, absent = sorted(expected), ["dataclasses", "inspect", "typing"]
+    helps = test_contract.asks_for_help(what)
     if "alpha_calc" not in expected:
-        absent += ["fractions", "decimal"]
-    if test_contract.asks_for_help(what):
+        absent += ["fractions", "decimal"] + ([] if helps else ["re"])
+    if helps:
         loads.append("argparse")
     else:
         absent += ["argparse", "shutil"]
@@ -138,11 +140,13 @@ def cases():
     for argv, message in test_contract.NEGATIVE_LOOKING.values():
         for spelling in test_contract.spellings(argv):
             yield cli_case(spelling, 2, b"", message.encode())
+    for argv, message in test_contract.REJECTED_LINES.values():
+        yield cli_case(argv, 2, b"", message.encode())
     for argv, digest in test_contract.TABLE_DIGESTS:
         yield digest_case(argv, digest)
     for what, expected in test_contract.LOADED_BY.values():
         yield loads_case(what, expected)
-    yield probe_case("exits 2 and loads argparse but no library module",
+    yield probe_case("exits 2 and loads no library module, re, argparse or shutil",
                      test_contract.REJECTED, test_contract.assert_rejected_loads)
     for name in vars(test_contract):
         if name.startswith("test_"):

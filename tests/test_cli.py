@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -8,7 +9,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -23,8 +23,8 @@ from claguerre.verify import SuiteResult
 import check_versions
 import test_contract
 from test_contract import (
-    LOADED_BY, NEGATIVE_LOOKING, REJECTED, SOLVE_GOLDEN_N, TABLE_DIGESTS, assert_loads,
-    assert_rejected_loads, namespace, probe_args, spellings,
+    LOADED_BY, NEGATIVE_LOOKING, REJECTED, REJECTED_LINES, SOLVE_GOLDEN_N, TABLE_DIGESTS,
+    assert_loads, assert_rejected_loads, namespace, probe_args, spellings,
 )
 
 
@@ -627,6 +627,7 @@ def test_check_versions_runs_every_shared_case(monkeypatch):
     assert len(set(names)) == len(names)
     want = [f"solve --n {n}" for n in SOLVE_GOLDEN_N] + ["verify --scope all"]
     want += [" ".join(s) for argv, _ in NEGATIVE_LOOKING.values() for s in spellings(argv)]
+    want += [" ".join(argv) for argv, _ in REJECTED_LINES.values()]
     want += [f"table {' '.join(argv)} digest" for argv, _ in TABLE_DIGESTS]
     want += [f"test_contract.{name}" for name in vars(test_contract) if name.startswith("test_")]
     want += ["test_exact_golden.test_exact_results_digest"]
@@ -644,8 +645,14 @@ def _assert_one_line_usage_error(result):
     assert len(err.splitlines()) == 1
 
 
+class TestRejectedLines:
+    @pytest.mark.parametrize("argv, message", REJECTED_LINES.values(), ids=list(REJECTED_LINES))
+    def test_one_error_line_in_argparse_3_11_wording(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", message)
+
+
 class TestArgparseErrors:
-    # What argparse itself rejects ends as any other rejected input does.
+    # What the parser rejects ends as any other rejected input does.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -683,6 +690,16 @@ class TestArgparseErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: claguerre eval ")
         assert captured.err == ""
+
+    @pytest.mark.parametrize("spelling", ["--help", "--he", "-hh", "-h=h"])
+    def test_every_help_spelling_prints_the_same_help(self, capsys, spelling):
+        # argparse reads -hh as -h -h and --he as a prefix of --help
+        printed = []
+        for argv in (["eval", "--n", "1", "-h"], ["eval", "--n", "1", spelling]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            printed.append((exit_info.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
 
 
 # Tokens for drawn command lines: values of each option type with small
@@ -723,27 +740,64 @@ def _command_lines(draw):
     return argv
 
 
-def _outcome(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+class _Help(Exception):
+    """A help request, with the prog of the parser asked."""
 
 
+class _Argparse311(argparse.ArgumentParser):
+    """argparse reading every negative-looking token as a value, raising
+    ValueError for a rejected line and _Help for a help request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise ValueError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.prog)
+
+
+def _oracle():
+    """The argparse parser of ``cli._COMMANDS``."""
+    parser = _Argparse311(prog="claguerre")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, positional, options) in cli._COMMANDS.items():
+        p = sub.add_parser(command)
+        if positional is not None:
+            p.add_argument(positional[0], nargs="+")
+        for name, convert, default, required, _ in options:
+            p.add_argument(f"--{name}", type=convert, default=default, required=required)
+        p.set_defaults(handler=getattr(cli, f"_cmd_{command}"))
+    return parser
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse`` gives, its error message, or the usage line
+    of the help it prints."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return namespace(parse(argv))
+    except ValueError as exc:
+        return str(exc)
+    except _Help as exc:
+        return f"usage: {exc.args[0]}"
+    except SystemExit:
+        return out.getvalue().split(" [-h]")[0]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the oracle is argparse 3.11")
 class TestExactParser:
-    # 600 drawn lines from a fixed seed: about a third are accepted, and a
-    # third of those exit 0.
+    # 600 drawn lines from a fixed seed, each parsed as argparse 3.11 parses
+    # it: the same namespace, error message or help.  About two in five are
+    # accepted, and about one in eight asks for help.
     @seed(36)
     @settings(max_examples=600, deadline=None)
     @given(_command_lines())
     def test_an_accepted_line_parses_and_runs_as_through_argparse(self, argv):
-        args = cli._parse_exact(argv)
-        if args is None:
-            return
-        assert namespace(args) == namespace(cli._build_parser().parse_args(argv))
-        with mock.patch.object(cli, "_parse_exact", lambda argv: None):
-            through_argparse = _outcome(argv)
-        assert _outcome(argv) == through_argparse
+        assert _parsed(cli._parse, argv) == _parsed(_oracle().parse_args, argv)
 
 
 class TestSizeCaps:

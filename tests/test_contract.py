@@ -10,6 +10,7 @@ import json
 import math
 import pickle
 import random
+from types import SimpleNamespace
 
 from claguerre import cli, verify
 from claguerre.alpha_calc import ExpPoly, d_alpha_n
@@ -33,9 +34,10 @@ TABLE_DIGESTS = [
       "--samples", "4"), "bf0edf24c710bf4b7e8ad6175dc2f277dbd966459fb4e805be900b527a196965"),
 ]
 
-# argparse's own pattern for negative numbers misses exponents, -inf and -nan;
-# each of these command lines must reach the command's own check and end with
-# exit 2, no stdout and this one line on stderr, in every spelling.
+# Values that start with '-' and read as numbers, exponents, -inf and -nan
+# among them, which argparse's own negative-number pattern would take for
+# options; each of these command lines must reach the command's own check and
+# end with exit 2, no stdout and this one line on stderr, in every spelling.
 NEGATIVE_LOOKING = {
     "table-xmax": (("table", "--n", "2", "--xmax", "-inf"),
                    "error: x_max must be a finite number, got -inf\n"),
@@ -59,6 +61,34 @@ NEGATIVE_LOOKING = {
                     "error: power must be a finite number >= 0, got -inf\n"),
 }
 
+# Command lines the parser rejects, each with the one line it prints on
+# stderr, with exit 2 and no stdout, on every Python: argparse 3.11's
+# wording.  ``-\u0131nf`` and ``-\u0130nf`` (dotless and dotted I) do not
+# start like a number, so they are options that leave ``--x`` no value.
+REJECTED_LINES = {
+    "unknown-command": (("bogus",), "error: argument command: invalid choice: 'bogus' "
+                        "(choose from 'eval', 'table', 'transform', 'solve', 'verify')\n"),
+    "no-command": (("--bogus",), "error: the following arguments are required: command\n"),
+    "missing-options": (("eval",), "error: the following arguments are required: --n, --x\n"),
+    "missing-expression": (("transform", "--s", "2"),
+                           "error: the following arguments are required: expr\n"),
+    "invalid-int": (("eval", "--n", "abc", "--x", "1"),
+                    "error: argument --n: invalid int value: 'abc'\n"),
+    "invalid-float": (("eval", "--n", "1", "--x=1e"),
+                      "error: argument --x: invalid float value: '1e'\n"),
+    "unrecognized": (("solve", "--n", "3", "--m", "2"), "error: unrecognized arguments: --m 2\n"),
+    "final-dashes": (("verify", "--"), "error: unrecognized arguments: --\n"),
+    "ambiguous-prefix": (("table", "--n", "1", "--x", "2"),
+                         "error: ambiguous option: --x could match --xmin, --xmax\n"),
+    "no-value": (("eval", "--x", "1", "--n"), "error: argument --n: expected one argument\n"),
+    "dotless-i-inf": (("eval", "--n", "2", "--x", "-\u0131nf"),
+                      "error: argument --x: expected one argument\n"),
+    "dotted-I-inf": (("eval", "--n", "2", "--x", "-\u0130nf"),
+                     "error: argument --x: expected one argument\n"),
+    "help-with-a-value": (("eval", "--help=x"),
+                          "error: argument -h/--help: ignored explicit argument 'x'\n"),
+}
+
 
 def spellings(argv):
     """``argv``, and its ``--option=value`` form when it ends in an option."""
@@ -71,8 +101,9 @@ def spellings(argv):
 # What each command line (a tuple) or Python statement (a string) loads in a
 # fresh interpreter: the claguerre modules beyond ``claguerre`` and, for a
 # command line, ``claguerre.cli``.  A row without ``alpha_calc`` is float
-# work and loads neither ``fractions`` nor ``decimal``.  Only a help request
-# loads ``argparse``; no other row loads it or ``shutil``.
+# work and loads neither ``fractions`` nor ``decimal``, nor ``re`` unless it
+# asks for help.  Only a help request loads ``argparse``; no other row loads
+# it or ``shutil``.
 LOADED_BY = {
     "eval": (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre", "recurrence"}),
     "table": (("table", "--n", "3", "--samples", "5"), {"recurrence", "tables"}),
@@ -100,9 +131,10 @@ LOADED_BY = {
 # statement; ``-S`` because a site hook may import ``typing`` itself, which
 # would hide one that claguerre loads.  It prints the exit code (a help
 # request's comes from its SystemExit), the claguerre modules loaded, and
-# which of the heavy, the exact-arithmetic and the argument-parsing modules.
+# which of the heavy, the exact-arithmetic (with ``re``, which ``fractions``
+# and argparse import) and the argument-parsing modules.
 IMPORT_PROBE = """\
-import json, sys
+import sys
 try:
     if sys.argv[1] == "-c":
         exec(sys.argv[2])
@@ -112,10 +144,12 @@ try:
         code = claguerre.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "claguerre"),
-                  [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
-                  [m for m in ("decimal", "fractions") if m in sys.modules],
-                  [m for m in ("argparse", "shutil") if m in sys.modules]]))
+found = [code, sorted(m for m in sys.modules if m.split(".")[0] == "claguerre"),
+         [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
+         [m for m in ("decimal", "fractions", "re") if m in sys.modules],
+         [m for m in ("argparse", "shutil") if m in sys.modules]]
+import json  # only now: json loads re
+print(json.dumps(found))
 """
 
 
@@ -137,50 +171,72 @@ def assert_loads(stdout, what, expected):
     assert loaded == sorted(base + [f"claguerre.{m}" for m in expected]), loaded
     assert heavy == [], heavy
     if "alpha_calc" not in expected:
-        assert exact == [], exact
+        assert exact == (["re"] if asks_for_help(what) else []), exact
     if asks_for_help(what):
         assert "argparse" in parsing, parsing
     else:
         assert parsing == [], parsing
 
 
-# A rejected command line loads no library module; argparse, which words
-# the error, loads for it.
+# A rejected command line loads no library module, and its error is worded
+# without argparse.
 REJECTED = ("eval", "--n", "abc", "--x", "1")
 
 
 def assert_rejected_loads(stdout):
-    """The probe's output for ``REJECTED`` shows exit 2 and only argparse."""
-    code, loaded, heavy, _, parsing = json.loads(stdout.splitlines()[-1])
+    """The probe's output for ``REJECTED`` shows exit 2 and none of the
+    library, the exact-arithmetic, ``re``, ``argparse`` or ``shutil``."""
+    code, loaded, heavy, exact, parsing = json.loads(stdout.splitlines()[-1])
     assert code == 2, code
     assert loaded == ["claguerre", "claguerre.cli"], loaded
-    assert heavy == [], heavy
-    assert "argparse" in parsing, parsing
+    assert (heavy, exact, parsing) == ([], [], []), (heavy, exact, parsing)
 
 
-# Command lines for the parser that skips argparse, each with whether it
-# accepts the line.  An accepted line must give argparse's namespace; a
-# declined one is left to argparse, whose parsing differs between versions.
+# The fields each ``NEGATIVE_LOOKING`` line sets, in either spelling.
+_NEGATIVE_FIELDS = {
+    "table-xmax": {"n": 2, "xmax": -math.inf},
+    "eval-x": {"n": 2, "x": -1e5},
+    "transform-s": {"expr": ["one"], "s": -1e-3},
+    "table-alpha": {"n": 2, "alpha": "-1e-3"},
+    "power_p": {"expr": ["power_p", "-1e-3"], "s": 2.0},
+    "eval-x-inf": {"n": 2, "x": -math.inf},
+    "eval-x-nan": {"n": 2, "x": math.nan},
+    "transform-s-inf": {"expr": ["one"], "s": -math.inf},
+    "table-xmin-nan": {"n": 2, "xmin": math.nan},
+    "power_p-inf": {"expr": ["power_p", "-inf"]},
+}
+
+# Command lines for the parser, each with the fields its namespace sets
+# beyond the command's defaults, or the message it is rejected with: the
+# spellings argparse accepts, and what it rejects.
 EXACT_PARSES = [
-    *[(spelling, len(spelling) == len(argv))
-      for argv, _ in NEGATIVE_LOOKING.values() for spelling in spellings(argv)],
-    (("eval", "--n=3", "--x", "1"), False),
-    (("table", "--n", "3", "--sam", "5"), False),
-    (("table", "--n", "3", "--samples", "5"), True),
-    (("eval", "--n", "3", "--x", "1", "--n", "4"), False),
-    (("transform", "sin_wu", "--s", "2", "1.5"), False),
-    (("transform", "sin_wu", "1.5", "--s", "2"), True),
-    (("transform", "-h"), False),
-    (("eval", "-h"), False),
-    (("eval", "--n", "3", "--", "--x", "1"), False),
-    (("transform", "", "--alpha", ""), True),
-    (("eval", "--n", "", "--x", "1"), False),
-    (("eval", "--n", "\u0663", "--x", "\u0661.\u0665"), True),
-    (("verify",), True),
-    (("solve", "--n"), False),
-    (("eval", "--x", "1"), False),
-    ((), False),
-    (("bogus",), False),
+    *[(spelling, _NEGATIVE_FIELDS[name])
+      for name, (argv, _) in NEGATIVE_LOOKING.items() for spelling in spellings(argv)],
+    (("eval", "--n=3", "--x", "1"), {"n": 3, "x": 1.0}),
+    (("table", "--n", "3", "--sam", "5"), {"n": 3, "samples": 5}),
+    (("table", "--n", "0", "--s=2"), {"n": 0, "samples": 2}),
+    (("table", "--n", "3", "--samples", "5"), {"n": 3, "samples": 5}),
+    (("eval", "--n", "3", "--x", "1", "--n", "4"), {"n": 4, "x": 1.0}),
+    (("eval", "--n", "x", "--x", "1", "--n", "4"), "argument --n: invalid int value: 'x'"),
+    (("transform", "sin_wu", "--s", "2", "1.5"), "unrecognized arguments: 1.5"),
+    (("transform", "sin_wu", "1.5", "--s", "2"), {"expr": ["sin_wu", "1.5"], "s": 2.0}),
+    (("transform", "--s", "2", "sin_wu", "1.5"), {"expr": ["sin_wu", "1.5"], "s": 2.0}),
+    (("transform", "--s", "2", "--", "--", "1.5"), {"expr": ["--", "1.5"], "s": 2.0}),
+    (("transform", "--s", "2", "--"), "the following arguments are required: expr"),
+    (("eval", "--n", "3", "--", "--x", "1"), "the following arguments are required: --x"),
+    (("transform", "", "--alpha", ""), {"expr": [""], "alpha": ""}),
+    (("eval", "--n", "", "--x", "1"), "argument --n: invalid int value: ''"),
+    (("eval", "--n=--", "--x", "1"), "argument --n: invalid int value: '--'"),
+    (("eval", "--n", "\u0663", "--x", "\u0661.\u0665"), {"n": 3, "x": 1.5}),
+    (("verify",), {}),
+    (("solve", "--n", "1", "--"), "unrecognized arguments: --"),
+    (("--bogus", "solve", "--n", "1", "7"), "unrecognized arguments: --bogus 7"),
+    (("solve", "--n"), "argument --n: expected one argument"),
+    (("eval", "-hx"), "argument -h/--help: ignored explicit argument 'x'"),
+    *[(argv, message[len("error: "):-1]) for argv, message in REJECTED_LINES.values()],
+    ((), "the following arguments are required: command"),
+    (("--", "eval"), "argument command: invalid choice: '--' "
+                     "(choose from 'eval', 'table', 'transform', 'solve', 'verify')"),
 ]
 
 
@@ -191,12 +247,17 @@ def namespace(args) -> dict:
 
 
 def test_the_exact_parser_gives_argparse_namespace_or_declines():
-    for argv, accepted in EXACT_PARSES:
-        got = cli._parse_exact(argv)
-        assert (got is not None) == accepted, argv
-        if accepted:
-            want = cli._build_parser().parse_args(argv)
-            assert namespace(got) == namespace(want), (argv, vars(got), vars(want))
+    for argv, want in EXACT_PARSES:
+        try:
+            got = namespace(cli._parse(argv))
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(want, dict):
+            _, _, options = cli._COMMANDS[argv[0]]
+            want = namespace(SimpleNamespace(
+                command=argv[0], handler=getattr(cli, f"_cmd_{argv[0]}"),
+                **{name: default for name, _, default, _, _ in options} | want))
+        assert got == want, (argv, got, want)
 
 
 def test_derivative_memo_survives_any_order_and_pickle():
