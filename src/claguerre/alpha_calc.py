@@ -18,9 +18,9 @@ derivatives, transforms).  Results that are canonical by construction go
 through ``_make`` without the gcd pass: negation, rate shifts, a rate put on
 a canonical polynomial, division by u**m, and scalar products, which
 divide out only the factors the scalar can share with the block.  Outside
-this module, ``laguerre.assoc_closed`` and ``laguerre.generating_series``
-build each degree-n polynomial over n! with top numerator +-1, so they use
-``_make`` too.
+this module, ``laguerre.assoc_closed`` (through ``recurrence._closed_form``)
+and ``laguerre.generating_series`` build each degree-n polynomial over n!
+with top numerator +-1, so they use ``_make`` too.
 ``ReducedPoly.coeffs`` and ``ExpPoly.terms`` fill their Fraction views on
 first use, and :func:`d_alpha_n` keeps the derivatives it has built on each
 ExpPoly; threads that race to fill one compute equal values.
@@ -34,7 +34,15 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import add, floordiv, mul, neg, sub
 
-from .recurrence import _beyond, _check_count, _check_real, _reduced_u, as_alpha
+from .recurrence import (
+    _beyond,
+    _check_count,
+    _check_real,
+    _join_signed,
+    _reduced_u,
+    _x_view,
+    as_alpha,
+)
 
 __all__ = [
     "AlgebraError",
@@ -63,17 +71,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(
         f"exact coefficient expected (int or Fraction), got {type(value).__name__}"
     )
-
-
-def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
-    """Join (negative, magnitude text) pieces as ``a - b + c``; "0" if none."""
-    text = ""
-    for neg, body in pieces:
-        if text:
-            text += (" - " if neg else " + ") + body
-        else:
-            text = ("-" if neg else "") + body
-    return text or "0"
 
 
 def _add_ints(a, b) -> list[int]:
@@ -229,14 +226,6 @@ class ReducedPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            p, q = scalar.numerator, scalar.denominator
-            if not p:
-                raise ZeroDivisionError("division of a polynomial by zero")
-            return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
-        return NotImplemented
 
     def _scaled(self, p: int, q: int) -> "ReducedPoly":
         """The product by p/q in lowest terms with q > 0, see :func:`_scale`."""
@@ -807,13 +796,6 @@ def d_alpha_numeric(
 
 
 def x_view_str(p: ReducedPoly) -> str:
-    """Text form of p in x-space, e.g. ``1 - 2 * a^(-1) * x^(1*a)``.
-
-    Term k reads coeff * a^(-k) * x^(k*a), since u**k expands to
-    x**(k*alpha) / alpha**k.  Zero coefficients are skipped.
-    """
-    return _join_signed(
-        (c < 0, f"{abs(c)} * a^({-k}) * x^({k}*a)" if k else str(abs(c)))
-        for k, c in enumerate(p.coeffs)
-        if c
-    )
+    """Text form of p in x-space, e.g. ``1 - 2 * a^(-1) * x^(1*a)``: the
+    fraction-free :func:`claguerre.recurrence._x_view` of p's numerators."""
+    return _x_view(p._num, p._den)

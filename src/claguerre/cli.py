@@ -15,11 +15,12 @@ by the parser, by a size cap below, or by the library inside a handler.
 and exit 2; no handler catches it.
 
 Each command imports the library modules it runs inside its handler, so
-``table`` loads only the float layer, ``recurrence``, and ``tables``; a
-named ``transform`` loads the float layer and ``integrate``, which holds the
-pairs and their quadrature check; ``eval`` adds ``alpha_calc`` and
-``laguerre`` for its exact form, ``transform laguerre`` and ``solve`` add
-``laplace``, and only ``verify`` loads the suites.
+``eval`` loads only the fraction-free layer, ``recurrence``, which holds its
+closed-form numerators and their x-space text as well as the recurrence;
+``table`` adds ``tables``; a named ``transform`` adds ``integrate``, which
+holds the pairs and their quadrature check; ``transform laguerre`` and
+``solve`` add ``alpha_calc``, ``laguerre`` and ``laplace``, and only
+``verify`` loads the suites.
 
 One parser, ``_parse``, reads every command line from the one table of
 subcommands, ``_COMMANDS``, as argparse 3.11 does, with its messages on every
@@ -74,9 +75,7 @@ def _check_size(name: str, value: int, cap: int) -> None:
 
 
 def _cmd_eval(args) -> int:
-    from .alpha_calc import x_view_str
-    from .laguerre import assoc_closed
-    from .recurrence import _reduced_u, laguerre_pair
+    from .recurrence import _closed_form, _reduced_u, _x_view, laguerre_pair
 
     alphas = _parse_alphas(args.alpha)
     us = [_reduced_u(args.x, a) for a in alphas]  # a bad u is named before an overflow
@@ -86,7 +85,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"L_{args.n}^{args.m} at x={args.x!r} is not a finite float") from None
     for a, value in zip(alphas, values):
         print(f"L_{args.n}^{args.m}(alpha={a!r}, x={args.x!r}) = {value:.12g}")
-    print(f"exact form: {x_view_str(assoc_closed(args.n, args.m))}")
+    print(f"exact form: {_x_view(*_closed_form(args.n, args.m))}")
     return 0
 
 

@@ -20,10 +20,10 @@ exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import factorial, perm
 
 from .alpha_calc import AlgebraError, ExpPoly, ReducedPoly, _add_ints, d_alpha_n
-from .recurrence import _check_count, _check_index
+from .recurrence import _check_count, _check_index, _closed_form
 
 __all__ = [
     "GeneratingExpansion",
@@ -55,13 +55,7 @@ def assoc_closed(n: int, m: int) -> ReducedPoly:
     """Associated polynomial with coefficient of u**r equal to
     (-1)**r * (n+m)! / ((n-r)! * (r+m)! * r!)."""
     _check_index(n, m)
-    # Over the denominator n!, the numerator of u**r is
-    # (-1)**r * C(n+m, n-r) * n!/r!.  The top one (r = n) is (-1)**n, so the
-    # form is canonical as built.
-    return ReducedPoly._make(
-        tuple([(-1) ** r * comb(n + m, n - r) * perm(n, n - r) for r in range(n + 1)]),
-        factorial(n),
-    )
+    return ReducedPoly._make(*_closed_form(n, m))
 
 
 def assoc_from_derivative(n: int, m: int) -> ReducedPoly:

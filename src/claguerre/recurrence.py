@@ -1,17 +1,22 @@
-"""The float layer: the argument rules and the three-term recurrence.
+"""The fraction-free layer: the argument rules, the three-term recurrence,
+and the integer pieces of the closed form and its text.
 
 ``laguerre_pair`` (one point) and ``laguerre_column`` (a grid) take n float
 steps per point, where :meth:`claguerre.alpha_calc.ReducedPoly.eval` rounds
 the exact value once at big-integer cost.  The conformable polynomial is the
 classical L_n^m at u = x**alpha / alpha, so one recurrence serves every alpha.
-Only ``math`` and ``collections.abc`` are imported, so ``claguerre table``
-loads no exact algebra; the exact modules take their argument rules from here.
+``_closed_form`` gives the closed-form numerators of L_n^m over n!, and
+``_x_view`` the x-space text of numerators over one denominator, joined by
+``_join_signed``, the one signed-term renderer.  Only ``math`` and
+``collections.abc`` are imported, so ``claguerre table`` and ``claguerre
+eval`` load no exact algebra; the exact modules take their argument rules,
+the closed form and the renderers from here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from math import inf, isfinite
+from collections.abc import Iterable, Sequence
+from math import comb, factorial, gcd, inf, isfinite, perm
 
 __all__ = ["as_alpha", "laguerre_column", "laguerre_pair"]
 
@@ -59,6 +64,50 @@ def _check_index(n: int, m: int = 0) -> None:
     """Reject a degree n or an order m that is not a nonnegative integer."""
     _check_count(n, "degree")
     _check_count(m, "order")
+
+
+def _closed_form(n: int, m: int) -> tuple[tuple[int, ...], int]:
+    """(numerators, n!): the coefficient of u**r in L_n^m is
+    (-1)**r * (n+m)! / ((n-r)! * (r+m)! * r!) = numerator r / n!.
+
+    Numerator r is (-1)**r * C(n+m, n-r) * n!/r!.  The top one (r = n) is
+    (-1)**n, so the pair is in :class:`claguerre.alpha_calc.ReducedPoly`'s
+    canonical form as built.  The caller checks n and m.
+    """
+    num = tuple([(-1) ** r * comb(n + m, n - r) * perm(n, n - r) for r in range(n + 1)])
+    return num, factorial(n)
+
+
+def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, magnitude text) pieces as ``a - b + c``; "0" if none."""
+    text = ""
+    for neg, body in pieces:
+        if text:
+            text += (" - " if neg else " + ") + body
+        else:
+            text = ("-" if neg else "") + body
+    return text or "0"
+
+
+def _ratio(c: int, den: int) -> str:
+    """|c| / den in lowest terms, as ``str`` of the Fraction prints it."""
+    g = gcd(c, den)
+    c, den = abs(c) // g, den // g
+    return str(c) if den == 1 else f"{c}/{den}"
+
+
+def _x_view(num: Sequence[int], den: int) -> str:
+    """Text form in x-space of the polynomial with coefficient num[k] / den
+    of u**k, den > 0, e.g. ``1 - 2 * a^(-1) * x^(1*a)``.
+
+    Term k reads coeff * a^(-k) * x^(k*a), since u**k expands to
+    x**(k*alpha) / alpha**k.  Zero coefficients are skipped.
+    """
+    return _join_signed(
+        (c < 0, f"{_ratio(c, den)} * a^({-k}) * x^({k}*a)" if k else _ratio(c, den))
+        for k, c in enumerate(num)
+        if c
+    )
 
 
 def laguerre_pair(n: int, m: int, u: float) -> tuple[float, float]:

@@ -70,7 +70,7 @@ class TestReducedPoly:
     def test_scalar_arithmetic(self):
         assert 1 - U == ReducedPoly((1, -1))
         assert (1 - U) * F(1, 2) == ReducedPoly((F(1, 2), F(-1, 2)))
-        assert ReducedPoly((2, 4)) / 2 == ReducedPoly((1, 2))
+        assert ReducedPoly((2, 4)) * F(1, 2) == ReducedPoly((1, 2))
 
     def test_power(self):
         assert (1 - U) ** 2 == ReducedPoly((1, -2, 1))
@@ -483,7 +483,7 @@ class TestIntegerContentModel:
         for k in (c, *factor_scalars((p._num,), p._den)):
             cases += [(p * k, model([x * k for x in ma])), (k * p, model([x * k for x in ma]))]
             if k:
-                cases.append((p / k, model([x / F(k) for x in ma])))
+                cases.append((p * (1 / F(k)), model([x / F(k) for x in ma])))
         cases.append(((p * U**2).divide_by_u(2), ma))
         for got, want in cases:
             assert got.coeffs == want
@@ -619,10 +619,6 @@ class TestIntegerContentModel:
         assert ((p * 3)._num, (p * 3)._den) == ((1, -4), 1)
         assert_canonical(p - p)
         assert (p - p)._den == 1
-
-    def test_scalar_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            ReducedPoly((1, 2)) / 0
 
 
 class TestHashAgreesWithEquality:
@@ -900,7 +896,7 @@ class TestExpPolyBlock:
         monkeypatch.setattr(ExpPoly, "_from_block", classmethod(counting_from_block))
         monkeypatch.setattr(ReducedPoly, "_set", counting_set)
         got = [-f, f.shift_rate(F(1, 2)), 3 * f, f * F(-2, 3), ExpPoly.exp(F(1, 3), p),
-               -p, 3 * p, p * F(2, 3), p / 6, pu.divide_by_u(1)]
+               -p, 3 * p, p * F(2, 3), p * F(1, 6), pu.divide_by_u(1)]
         direct = list(calls)
         diff = f - g
         monkeypatch.undo()

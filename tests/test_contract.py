@@ -6,14 +6,19 @@ Python the package declares.  So this module imports no pytest, and its
 tests take no fixtures.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import pickle
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 from claguerre import cli, verify
 from claguerre.alpha_calc import ExpPoly, d_alpha_n
+from claguerre.laguerre import assoc_closed
 from claguerre.laplace import TransformExpr, laguerre_transform
 from claguerre.recurrence import laguerre_pair
 from claguerre.tables import SampleTable, build_table
@@ -33,6 +38,15 @@ TABLE_DIGESTS = [
     (("--n", "0", "--alpha", "1", "--xmin", "1e16", "--xmax", "1.0000000000000006e16",
       "--samples", "4"), "bf0edf24c710bf4b7e8ad6175dc2f277dbd966459fb4e805be900b527a196965"),
 ]
+
+# SHA-256 of the stdout of `eval` with the default alphas at each n <= 40,
+# m <= 4 and x in EVAL_POINTS, in that order, joined; and of `eval --n 1500
+# --m 100 --x 0`, whose exact form is the longest the caps allow.  Both were
+# recorded while `eval` built its exact form through `alpha_calc`.
+EVAL_POINTS = ("0.0", "1.5", "37.25")
+EVAL_SWEEP_DIGEST = "987b9fb6eaa85287e7becd5aea1a026920a9b44b377e6be049bea8d9b95d9d24"
+EVAL_AT_THE_CAPS = ("--n", "1500", "--m", "100", "--x", "0")
+EVAL_AT_THE_CAPS_DIGEST = "7aa481dfa2fc6b2e255df12fb4ac6c25876c0498b09433d94196033e37c3e1b6"
 
 # Values that start with '-' and read as numbers, exponents, -inf and -nan
 # among them, which argparse's own negative-number pattern would take for
@@ -100,12 +114,12 @@ def spellings(argv):
 
 # What each command line (a tuple) or Python statement (a string) loads in a
 # fresh interpreter: the claguerre modules beyond ``claguerre`` and, for a
-# command line, ``claguerre.cli``.  A row without ``alpha_calc`` is float
-# work and loads neither ``fractions`` nor ``decimal``, nor ``re`` unless it
-# asks for help.  Only a help request loads ``argparse``; no other row loads
-# it or ``shutil``.
+# command line, ``claguerre.cli``.  A row without ``alpha_calc`` is
+# fraction-free work and loads neither ``fractions`` nor ``decimal``, nor
+# ``re`` unless it asks for help.  Only a help request loads ``argparse``; no
+# other row loads it or ``shutil``.
 LOADED_BY = {
-    "eval": (("eval", "--n", "3", "--x", "1.5"), {"alpha_calc", "laguerre", "recurrence"}),
+    "eval": (("eval", "--n", "3", "--x", "1.5"), {"recurrence"}),
     "table": (("table", "--n", "3", "--samples", "5"), {"recurrence", "tables"}),
     "transform-laguerre": (("transform", "laguerre", "5", "--s", "2"),
                            {"alpha_calc", "integrate", "laguerre", "laplace", "recurrence"}),
@@ -258,6 +272,36 @@ def test_the_exact_parser_gives_argparse_namespace_or_declines():
                 command=argv[0], handler=getattr(cli, f"_cmd_{argv[0]}"),
                 **{name: default for name, _, default, _, _ in options} | want))
         assert got == want, (argv, got, want)
+
+
+def eval_stdout(*argv) -> bytes:
+    """The stdout of ``eval`` with ``argv``, run in process; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["eval", *argv])
+    assert code == 0, (argv, code)
+    return out.getvalue().encode()
+
+
+def test_eval_prints_the_recorded_bytes():
+    sweep = b"".join(eval_stdout("--n", str(n), "--m", str(m), "--x", x)
+                     for n in range(41) for m in range(5) for x in EVAL_POINTS)
+    assert hashlib.sha256(sweep).hexdigest() == EVAL_SWEEP_DIGEST
+    cap = eval_stdout(*EVAL_AT_THE_CAPS)
+    assert hashlib.sha256(cap).hexdigest() == EVAL_AT_THE_CAPS_DIGEST
+
+
+def test_closed_form_coefficients_up_to_the_caps():
+    # 50 (n, m, r) up to cli.MAX_N and cli.MAX_M, the corners among them,
+    # against (-1)**r * (n+m)! / ((n-r)! (r+m)! r!) in Fraction arithmetic
+    rng, f = random.Random(38), math.factorial
+    pairs = [(cli.MAX_N, cli.MAX_M), (cli.MAX_N, 0), (0, cli.MAX_M)]
+    pairs += [(rng.randint(0, cli.MAX_N), rng.randint(0, cli.MAX_M)) for _ in range(7)]
+    for n, m in pairs:
+        coeffs = assoc_closed(n, m).coeffs
+        for r in (0, n, *(rng.randint(0, n) for _ in range(3))):
+            want = (-1) ** r * Fraction(f(n + m), f(n - r) * f(r + m) * f(r))
+            assert coeffs[r] == want, (n, m, r)
 
 
 def test_derivative_memo_survives_any_order_and_pickle():

@@ -163,7 +163,7 @@ class TestGeneratingSeries:
         def forbidden(*args):
             raise AssertionError("the generating route read the closed form")
 
-        for name in ("assoc_closed", "comb", "perm", "factorial"):
+        for name in ("assoc_closed", "_closed_form", "perm", "factorial"):
             monkeypatch.setattr(laguerre, name, forbidden)
         # Rows are canonical as built, so no normalising pass runs either.
         for name in ("_from_ints", "_set"):
