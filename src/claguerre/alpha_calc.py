@@ -21,9 +21,10 @@ divide out only the factors the scalar can share with the block.  Outside
 this module, ``laguerre.assoc_closed`` (through ``recurrence._closed_form``)
 and ``laguerre.generating_series`` build each degree-n polynomial over n!
 with top numerator +-1, so they use ``_make`` too.
-``ReducedPoly.coeffs`` and ``ExpPoly.terms`` fill their Fraction views on
-first use, and :func:`d_alpha_n` keeps the derivatives it has built on each
-ExpPoly; threads that race to fill one compute equal values.
+The printers read the integer blocks.  ``ReducedPoly.coeffs`` and
+``ExpPoly.terms`` fill their Fraction views on first use, for API readers and
+``ExpPoly.eval_u``, and :func:`d_alpha_n` keeps the derivatives it has built
+on each ExpPoly; threads that race to fill one compute equal values.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from .recurrence import (
     _check_count,
     _check_real,
     _join_signed,
+    _powers,
     _reduced_u,
+    _terms,
     _x_view,
     as_alpha,
 )
@@ -363,25 +366,12 @@ class ReducedPoly:
     def __bool__(self):
         return bool(self._num)
 
-    def _signed_terms(self, var: str) -> list[tuple[bool, str]]:
-        pieces = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            pieces.append((c < 0, body))
-        return pieces
-
     def __str__(self):
-        return _join_signed(self._signed_terms("u"))
+        return _join_signed(_terms(self._num, self._den, _powers("u")))
 
     def __repr__(self):
-        return f"ReducedPoly({[str(c) for c in self.coeffs]})"
+        u = _powers("u")  # each coefficient prints as a constant polynomial
+        return f"ReducedPoly({[_join_signed(_terms((c,), self._den, u)) for c in self._num]})"
 
 
 # The shared zero polynomial; every value here is immutable.
@@ -615,18 +605,22 @@ class ExpPoly:
         return bool(self._keys)
 
     def __str__(self):
-        pieces = []
-        for r, p in self.terms:
-            signed = p._signed_terms("u")
-            if r:
-                rate = "-u" if r == -1 else ("u" if r == 1 else f"{r}*u")
-                neg, body = (False, f"({p})") if len(signed) > 1 else signed[0]
+        pieces, u = [], _powers("u")
+        for (a, b), num in zip(self._keys, self._nums):
+            signed = _terms(num, self._den, u)
+            if a:
+                # The rate a/b prints as the one-term polynomial a/b * u.
+                rate = _join_signed(_terms((0, a), b, u))
+                neg, body = (False, f"({_join_signed(signed)})") if signed[1:] else signed[0]
                 signed = [(neg, f"{'' if body == '1' else body + '*'}exp({rate})")]
             pieces += signed
         return _join_signed(pieces)
 
     def __repr__(self):
-        return f"ExpPoly({[(str(r), str(p)) for r, p in self.terms]})"
+        u, den = _powers("u"), self._den  # a rate prints as a constant polynomial
+        pairs = [(_join_signed(_terms((a,), b, u)), _join_signed(_terms(num, den, u)))
+                 for (a, b), num in zip(self._keys, self._nums)]
+        return f"ExpPoly({pairs})"
 
 
 # The shared empty block: the zero ExpPoly.

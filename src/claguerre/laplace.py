@@ -33,14 +33,13 @@ from .alpha_calc import (
     _EMPTY,
     _ZERO,
     _as_fraction,
-    _join_signed,
     _merged,
     _rsub,
     _sub,
 )
 from .integrate import NamedSignal, transform_named
 from .laguerre import laguerre_ode
-from .recurrence import _check_count, _check_real
+from .recurrence import _check_count, _check_real, _join_signed, _powers, _ratio, _terms
 
 __all__ = [
     "NamedSignal",
@@ -227,23 +226,20 @@ class TransformExpr:
         size, so a float sum would keep none of the value's digits.  A nan or
         infinite float s is a ValueError; an int or Fraction s is taken exactly."""
         s = Fraction(_check_real(s, "s") if isinstance(s, float) else s)
-        total = self._poly(s)
-        for r, p in self._block.terms:
-            w = 1 / (s - r)
-            total += w * p(w)
+        total, block = self._poly(s), self._block
+        for (a, b), num in zip(block._keys, block._nums):
+            w = 1 / (s - Fraction(a, b))
+            total += w * ReducedPoly._from_ints(list(num), block._den)(w)
         return float(total)
 
     def __str__(self):
-        pieces = []
-        for c, r, m in self.poles:
-            if r == 0:
-                den = "s" if m == 1 else f"s^{m}"
-            else:
-                sign = "-" if r > 0 else "+"
-                base = f"(s{sign}{abs(r)})"
-                den = base if m == 1 else f"{base}^{m}"
-            pieces.append((c < 0, f"{abs(c)}/{den}"))
-        return _join_signed(pieces + self._poly._signed_terms("s"))
+        block, pieces = self._block, []
+        for (a, b), num in zip(block._keys, block._nums):
+            pole = f"(s{'-' if a > 0 else '+'}{_ratio(a, b)})" if a else "s"
+            pieces += _terms(
+                num, block._den, lambda k, c: f"{c}/{pole}^{k + 1}" if k else f"{c}/{pole}"
+            )
+        return _join_signed(pieces + _terms(self._poly._num, self._poly._den, _powers("s")))
 
     def __repr__(self):
         return f"TransformExpr({self})"
@@ -352,7 +348,7 @@ def s_domain_equation(n: int) -> str:
     """:func:`s_domain_operator` as text, highest derivative first."""
     terms = []
     for l, q in enumerate(s_domain_operator(n)):
-        Q_l = _join_signed(ReducedPoly._make(q, 1)._signed_terms("s"))
+        Q_l = _join_signed(_terms(q, 1, _powers("s")))
         terms.insert(0, f"({Q_l})*Y" + "'" * l + "(s)")
     return " + ".join(terms) + " = 0"
 

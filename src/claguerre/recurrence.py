@@ -6,16 +6,16 @@ steps per point, where :meth:`claguerre.alpha_calc.ReducedPoly.eval` rounds
 the exact value once at big-integer cost.  The conformable polynomial is the
 classical L_n^m at u = x**alpha / alpha, so one recurrence serves every alpha.
 ``_closed_form`` gives the closed-form numerators of L_n^m over n!, and
-``_x_view`` the x-space text of numerators over one denominator, joined by
-``_join_signed``, the one signed-term renderer.  Only ``math`` and
-``collections.abc`` are imported, so ``claguerre table`` and ``claguerre
-eval`` load no exact algebra; the exact modules take their argument rules,
-the closed form and the renderers from here.
+``_terms``, the one term renderer, prints every exact value from integer
+numerators over one denominator, each coefficient by ``_ratio``, joined by
+``_join_signed``.  Only ``math`` and ``collections.abc`` are imported, so
+``table`` and ``eval`` load no exact algebra; the exact modules take their
+argument rules, the closed form and the renderers from here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from math import comb, factorial, gcd, inf, isfinite, perm
 
 __all__ = ["as_alpha", "laguerre_column", "laguerre_pair"]
@@ -96,18 +96,27 @@ def _ratio(c: int, den: int) -> str:
     return str(c) if den == 1 else f"{c}/{den}"
 
 
+def _terms(num: Sequence[int], den: int, body: Callable) -> list[tuple[bool, str]]:
+    """A (negative, text) piece for :func:`_join_signed` per nonzero num[k],
+    den > 0: the text is ``body(k, |num[k]| / den as _ratio prints it)``."""
+    return [(c < 0, body(k, _ratio(c, den))) for k, c in enumerate(num) if c]
+
+
+def _powers(var: str) -> Callable[[int, str], str]:
+    """The :func:`_terms` body of a polynomial in ``var``: c, c*var, c*var^k; no ``1*``."""
+    def body(k: int, c: str) -> str:
+        if not k:
+            return c
+        power = var if k == 1 else f"{var}^{k}"
+        return power if c == "1" else f"{c}*{power}"
+    return body
+
+
 def _x_view(num: Sequence[int], den: int) -> str:
     """Text form in x-space of the polynomial with coefficient num[k] / den
-    of u**k, den > 0, e.g. ``1 - 2 * a^(-1) * x^(1*a)``.
-
-    Term k reads coeff * a^(-k) * x^(k*a), since u**k expands to
-    x**(k*alpha) / alpha**k.  Zero coefficients are skipped.
-    """
-    return _join_signed(
-        (c < 0, f"{_ratio(c, den)} * a^({-k}) * x^({k}*a)" if k else _ratio(c, den))
-        for k, c in enumerate(num)
-        if c
-    )
+    of u**k, den > 0, e.g. ``1 - 2 * a^(-1) * x^(1*a)``: term k reads
+    coeff * a^(-k) * x^(k*a), as u**k expands to x**(k*alpha) / alpha**k."""
+    return _join_signed(_terms(num, den, lambda k, c: f"{c} * a^({-k}) * x^({k}*a)" if k else c))
 
 
 def laguerre_pair(n: int, m: int, u: float) -> tuple[float, float]:

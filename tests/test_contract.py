@@ -17,12 +17,20 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from claguerre import cli, verify
-from claguerre.alpha_calc import ExpPoly, d_alpha_n
+from claguerre.alpha_calc import ExpPoly, ReducedPoly, d_alpha_n
 from claguerre.laguerre import assoc_closed
-from claguerre.laplace import TransformExpr, laguerre_transform
+from claguerre.laplace import (
+    TransformExpr,
+    derivative_rule,
+    inverse,
+    laguerre_transform,
+    s_domain_equation,
+    transform,
+)
 from claguerre.recurrence import laguerre_pair
 from claguerre.tables import SampleTable, build_table
 from claguerre.verify import random_exppoly
+from test_exact_golden import GOLDEN, RATES
 
 # ``solve --n n`` prints golden/solve_n{n}.txt.  n = 40 is the largest n the
 # benchmark's cli-mix draws for solve.
@@ -47,6 +55,10 @@ EVAL_POINTS = ("0.0", "1.5", "37.25")
 EVAL_SWEEP_DIGEST = "987b9fb6eaa85287e7becd5aea1a026920a9b44b377e6be049bea8d9b95d9d24"
 EVAL_AT_THE_CAPS = ("--n", "1500", "--m", "100", "--x", "0")
 EVAL_AT_THE_CAPS_DIGEST = "7aa481dfa2fc6b2e255df12fb4ac6c25876c0498b09433d94196033e37c3e1b6"
+
+# SHA-256 of ``printed_forms()``, recorded while the printers read the
+# Fraction views; the other printed exact forms are in golden files.
+PRINTED_FORMS_DIGEST = "9dfdc5b4ca2ca016c650becbcb2da5652534514f2754094c55c751b54eb55bfa"
 
 # Values that start with '-' and read as numbers, exponents, -inf and -nan
 # among them, which argparse's own negative-number pattern would take for
@@ -347,3 +359,60 @@ def test_built_table_is_the_checked_record_of_the_per_point_recurrence():
     for x, *got in rows:
         want = [laguerre_pair(6, 2, x**a / a)[0] for a in alphas]
         assert [v.hex() for v in got] == [v.hex() for v in want], (x, got, want)
+
+
+def printed_forms() -> list[str]:
+    """The forms that no golden pins: ``s_domain_equation(n)`` for n <= 40,
+    and for 40 seeded images T (rates negative, fractional, zero and
+    positive) the ``str`` of ``derivative_rule``, ``mul_s``, ``d_ds`` and
+    ``shifted`` results, polynomial parts in s among them, the ``str`` and
+    ``repr`` of T's inverse and of one polynomial part, and ``repr(T(s))``
+    at an exact and a float s beyond every rate."""
+    rng = random.Random(39)
+    out = [s_domain_equation(n) for n in range(41)]
+    for _ in range(40):
+        T = transform(random_exppoly(rng, rates=RATES, max_degree=4))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        P = T.mul_s().mul_s()
+        images = (derivative_rule(T, c), T.mul_s(), P, P.mul_s(), P.mul_s().d_ds(),
+                  T.d_ds(rng.randint(1, 3)), T.shifted(c), P.mul_s().shifted(c))
+        out += map(str, images)
+        out += [str(inverse(T)), repr(inverse(T)), str(P.poly_part), repr(P.poly_part)]
+        s = Fraction(rng.randint(5, 40), rng.randint(1, 4))
+        out += [repr(V(x)) for V in (T, P) for x in (s, rng.uniform(1.5, 9.0))]
+    return out
+
+
+def test_printed_forms_give_the_recorded_bytes():
+    forms = printed_forms()
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == PRINTED_FORMS_DIGEST
+
+
+@contextlib.contextmanager
+def views_refused():
+    """``ReducedPoly.coeffs``, ``ExpPoly.terms`` and ``TransformExpr.poles``
+    raise AssertionError when read, until the block ends."""
+    def refuse(self):
+        raise AssertionError(f"a view of {type(self).__name__} was read")
+    views = [(cls, name, cls.__dict__[name])
+             for cls, name in ((ReducedPoly, "coeffs"), (ExpPoly, "terms"),
+                               (TransformExpr, "poles"))]
+    try:
+        for cls, name, _ in views:
+            setattr(cls, name, property(refuse))
+        yield
+    finally:
+        for cls, name, view in views:
+            setattr(cls, name, view)
+
+
+def test_printers_read_only_the_integer_blocks():
+    # the pinned forms and ``solve --n 12`` print their recorded bytes with
+    # no Fraction view built
+    out = io.StringIO()
+    with views_refused(), contextlib.redirect_stdout(out):
+        forms = printed_forms()
+        code = cli.main(["solve", "--n", "12"])
+    assert code == 0, code
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == PRINTED_FORMS_DIGEST
+    assert out.getvalue() == (GOLDEN / "solve_n12.txt").read_text()
