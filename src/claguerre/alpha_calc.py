@@ -579,9 +579,16 @@ class ExpPoly:
 
     def eval_u(self, u: float) -> float:
         """Numeric value at u.  A nan or infinite u raises ValueError, also
-        on the zero ExpPoly, which is 0.0 at finite u."""
+        on the zero ExpPoly, which is 0.0 at finite u; a term or a sum
+        beyond the float range raises OverflowError."""
         u = _check_real(u, "u")
-        return sum((p(u) * math.exp(float(r) * u) for r, p in self.terms), 0.0)
+        try:
+            total = sum((p(u) * math.exp(float(r) * u) for r, p in self.terms), 0.0)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise OverflowError(_beyond(u))
+        return total
 
     def eval(self, x: float, alpha) -> float:
         """Numeric value at x >= 0; by continuity u = 0 at x = 0."""

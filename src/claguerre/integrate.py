@@ -343,10 +343,12 @@ def transform_named(sig: NamedSignal, alpha) -> Callable[[float], float]:
     """Closed-form transform of a named signal, as a numeric function of s.
 
     Nothing is evaluated before a call, so an image too large for a float
-    raises at the s it is called with."""
+    raises at the s it is called with; a nan or infinite s raises
+    ValueError, as for :class:`claguerre.laplace.TransformExpr`."""
     image, args, s_min = _PAIRS[sig.kind].image, sig._args(alpha), sig.s_min
 
     def F(s: float) -> float:
+        _check_real(s, "s")
         if s <= s_min:
             raise ValueError(
                 f"s = {s} outside the convergence region s > {s_min} for {sig.kind}"

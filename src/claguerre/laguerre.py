@@ -19,6 +19,7 @@ exp(-u) du on [0, inf); see :mod:`claguerre.integrate`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, perm
 
@@ -102,31 +103,24 @@ def ode_residual(p: ReducedPoly, n: int, m: int = 0) -> ReducedPoly:
 
 class GeneratingExpansion(tuple):
     """Truncated expansion in t: a tuple whose entry n is the coefficient
-    polynomial of t**n, built and shown as (order, coefficient_polys)."""
+    polynomial of t**n, of degree at most n.  The repr also shows the
+    truncation order, len - 1."""
 
     __slots__ = ()
 
-    def __new__(cls, order: int, coefficient_polys: tuple[ReducedPoly, ...]):
-        if len(coefficient_polys) != order + 1:
-            raise ValueError("expansion must hold order + 1 coefficients")
-        for k, p in enumerate(coefficient_polys):
+    def __new__(cls, coefficient_polys: Iterable[ReducedPoly]):
+        self = super().__new__(cls, coefficient_polys)
+        for k, p in enumerate(self):
             if p.degree > k:
                 raise ValueError(f"coefficient of t^{k} has degree {p.degree}")
-        return super().__new__(cls, coefficient_polys)
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return self.order, self.coefficient_polys
-
-    @property
-    def order(self) -> int:
-        return len(self) - 1
+        return self
 
     @property
     def coefficient_polys(self) -> tuple[ReducedPoly, ...]:
         return tuple(self)
 
     def __repr__(self):
-        return (f"GeneratingExpansion(order={self.order!r}, "
+        return (f"GeneratingExpansion(order={len(self) - 1}, "
                 f"coefficient_polys={self.coefficient_polys!r})")
 
 
@@ -183,7 +177,7 @@ def generating_series(m: int, order: int) -> GeneratingExpansion:
             f *= k
             row[k - 1] *= f
         coeffs[n] = ReducedPoly._make(tuple(row), f)
-    return GeneratingExpansion(order, tuple(coeffs))
+    return GeneratingExpansion(coeffs)
 
 
 def values_at_zero(n: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -22,7 +22,6 @@ objects.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -44,7 +43,6 @@ from .recurrence import _check_count, _check_real, _join_signed, _powers, _ratio
 __all__ = [
     "NamedSignal",
     "NonInvertibleError",
-    "PoleTerm",
     "TransformExpr",
     "derivative_rule",
     "inverse",
@@ -62,12 +60,6 @@ class NonInvertibleError(ValueError):
     """The expression has a polynomial part, so no function inverse exists."""
 
 
-class PoleTerm(namedtuple("PoleTerm", "coeff rate order")):
-    """coeff / (s - rate)**order with exact rational coeff and rate."""
-
-    __slots__ = ()
-
-
 class TransformExpr:
     """Exact rational function of s in expanded partial-fraction form.
 
@@ -75,11 +67,12 @@ class TransformExpr:
     w = 1/(s - rate): per rate, entry k of its integer list is the numerator
     of the pole c/(s - rate)**(k+1), all over the block's one denominator.
     The block is canonical, so equality is structural, and sums, negation,
-    scalar products and shifts are the block's own operations.  ``poles``
-    lists the same terms as ``PoleTerm``s in (rate, order) order, built on
-    each call.  ``poly_part`` is a polynomial in s (a :class:`ReducedPoly`
-    read with variable s); it is nonzero only for distributional images,
-    which have no inverse in the function class.
+    scalar products and shifts are the block's own operations.  The public
+    constructor takes (coeff, rate, order) triples, one per pole
+    coeff/(s - rate)**order, and merges like poles.  ``poly_part`` is a
+    polynomial in s (a :class:`ReducedPoly` read with variable s); it is
+    nonzero only for distributional images, which have no inverse in the
+    function class.
     """
 
     __slots__ = ("_block", "_poly")
@@ -115,15 +108,6 @@ class TransformExpr:
         if isinstance(value, (int, Fraction)):
             return TransformExpr._make(_EMPTY, ReducedPoly._coerce(value))
         return None
-
-    @property
-    def poles(self) -> tuple[PoleTerm, ...]:
-        return tuple(
-            PoleTerm(c, r, k + 1)
-            for r, p in self._block.terms
-            for k, c in enumerate(p.coeffs)
-            if c
-        )
 
     @property
     def poly_part(self) -> ReducedPoly:

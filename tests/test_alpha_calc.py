@@ -587,6 +587,16 @@ class TestIntegerContentModel:
         with pytest.raises(OverflowError):
             ReducedPoly.monomial(2)(1e200)
 
+    @pytest.mark.parametrize("u", [700.0, 1000.0])
+    def test_an_exppoly_past_the_float_range_meets_the_overflow_rule(self, u):
+        # u**100 is finite at both; the product overflows at 700 and exp(u)
+        # itself at 1000, and each is the one rule's OverflowError
+        e = ExpPoly.exp(1, ReducedPoly.monomial(100))
+        message = f"^the value at u = {u!r} is beyond the float range$"
+        with pytest.raises(OverflowError, match=message):
+            e.eval_u(u)
+        assert e.eval_u(1.5) == float(F(1.5) ** 100) * math.exp(1.5)
+
     @pytest.mark.parametrize("u", [1e300, -1e300])
     def test_a_proved_overflow_raises_before_the_sum(self, u):
         from claguerre.laguerre import assoc_closed

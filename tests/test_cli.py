@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from claguerre import cli, laplace, verify
+from claguerre import cli, integrate, laplace, verify
 from claguerre.alpha_calc import ExpPoly, ReducedPoly, x_view_str
 from claguerre.laguerre import assoc_closed, laguerre_closed
 from claguerre.recurrence import laguerre_column, laguerre_pair
@@ -492,6 +492,9 @@ _REAL_ARGUMENTS = [
     ("laguerre_column", lambda v: laguerre_column(3, 0, [0.5, v]), "u", None),
     ("NamedSignal-power", lambda v: laplace.NamedSignal("power_p", p=v), "power", 0),
     ("NamedSignal-omega", lambda v: laplace.NamedSignal("sin_wu", omega=v), "omega", None),
+    *[(f"transform_named-{kind}",
+       lambda v, kind=kind: laplace.transform_named(laplace.NamedSignal(kind), 0.5)(v),
+       "s", None) for kind in integrate._PAIRS],
     ("build_table-x_min", lambda v: build_table(1, 0, (1.0,), v, 1.0, 2), "x_min", 0),
     ("build_table-x_max", lambda v: build_table(1, 0, (1.0,), 0.0, v, 2), "x_max", None),
     ("eval-x", ("eval", "--n", "3", "--x={}"), "x", 0),

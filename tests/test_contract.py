@@ -390,13 +390,12 @@ def test_printed_forms_give_the_recorded_bytes():
 
 @contextlib.contextmanager
 def views_refused():
-    """``ReducedPoly.coeffs``, ``ExpPoly.terms`` and ``TransformExpr.poles``
-    raise AssertionError when read, until the block ends."""
+    """``ReducedPoly.coeffs`` and ``ExpPoly.terms`` raise AssertionError
+    when read, until the block ends."""
     def refuse(self):
         raise AssertionError(f"a view of {type(self).__name__} was read")
     views = [(cls, name, cls.__dict__[name])
-             for cls, name in ((ReducedPoly, "coeffs"), (ExpPoly, "terms"),
-                               (TransformExpr, "poles"))]
+             for cls, name in ((ReducedPoly, "coeffs"), (ExpPoly, "terms"))]
     try:
         for cls, name, _ in views:
             setattr(cls, name, property(refuse))

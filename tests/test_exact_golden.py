@@ -9,8 +9,9 @@ change of representation cannot move an exact result:
   scalar products, n-fold derivatives, transforms, inverses, associated
   Rodrigues polynomials and generating series.
 
-The inputs are built through the public constructors from Fractions, so the
-digest depends on nothing but the public behaviour it fingerprints.
+The inputs are built through the public constructors from Fractions.  An
+image's fingerprint also lists its (coeff, rate, order) pole triples, read
+from its integer block in (rate, order) order.
 """
 
 import hashlib
@@ -45,8 +46,9 @@ def _fingerprint(value) -> str:
         terms = [(type(r).__name__, type(p).__name__, repr(p)) for r, p in value.terms]
         extra = f"{rates}|{terms}"
     elif isinstance(value, TransformExpr):
-        extra = str([(str(c), type(c).__name__, str(r), type(r).__name__, m)
-                     for c, r, m in value.poles])
+        extra = str([(str(c), type(c).__name__, str(r), type(r).__name__, k + 1)
+                     for r, p in value._block.terms
+                     for k, c in enumerate(p.coeffs) if c])
     else:
         extra = type(value).__name__
     return f"{value}|{value!r}|{extra}"

@@ -13,7 +13,6 @@ from claguerre.laguerre import laguerre_closed
 from claguerre.laplace import (
     NamedSignal,
     NonInvertibleError,
-    PoleTerm,
     TransformExpr,
     derivative_rule,
     inverse,
@@ -185,7 +184,6 @@ class TestSubtraction:
             got = x - y
             assert type(got) is TransformExpr
             assert got == x + (-y)
-            assert got.poles == (x + (-y)).poles
 
     def test_float_operand_is_rejected(self):
         T = TransformExpr([(1, 0, 1)], poly_part=2)
@@ -452,40 +450,41 @@ def test_randomized_suite_smoke():
         assert inverse(transform(p)) == p
 
 
-# -- the per-rate representation against the list-of-PoleTerm algorithm ------
+# -- the per-rate representation against the list-of-poles algorithm --------
 
 
 class RefTransform:
-    """Reference: merged, sorted PoleTerms plus a polynomial part in s."""
+    """Reference: merged, sorted (coeff, rate, order) poles plus a polynomial
+    part in s."""
 
     def __init__(self, poles=(), poly=0):
         merged = {}
         for c, r, m in poles:
             merged[(F(r), m)] = merged.get((F(r), m), F(0)) + F(c)
-        self.poles = tuple(
-            PoleTerm(merged[key], *key) for key in sorted(merged) if merged[key]
+        self.triples = tuple(
+            (merged[key], *key) for key in sorted(merged) if merged[key]
         )
         self.poly = poly if isinstance(poly, ReducedPoly) else ReducedPoly((poly,))
 
     def __add__(self, other):
-        return RefTransform(self.poles + other.poles, self.poly + other.poly)
+        return RefTransform(self.triples + other.triples, self.poly + other.poly)
 
     def __neg__(self):
         return self * -1
 
     def __mul__(self, k):
-        return RefTransform([(c * k, r, m) for c, r, m in self.poles], self.poly * k)
+        return RefTransform([(c * k, r, m) for c, r, m in self.triples], self.poly * k)
 
     def d_ds(self, n):
         poles = []
-        for c, r, m in self.poles:
+        for c, r, m in self.triples:
             rising = math.prod(range(m, m + n))
             poles.append((c * (-1) ** n * rising, r, m + n))
         return RefTransform(poles, self.poly.deriv(n))
 
     def mul_s(self):
         poles, extra = [], F(0)
-        for c, r, m in self.poles:
+        for c, r, m in self.triples:
             poles.append((c * r, r, m))
             if m == 1:
                 extra += c
@@ -495,19 +494,19 @@ class RefTransform:
 
     def shifted(self, a):
         return RefTransform(
-            [(c, r - a, m) for c, r, m in self.poles], self.poly.taylor_shift(a)
+            [(c, r - a, m) for c, r, m in self.triples], self.poly.taylor_shift(a)
         )
 
     def value(self, s):
         s = F(s)
         total = self.poly(s)
-        for c, r, m in self.poles:
+        for c, r, m in self.triples:
             total += c / (s - r) ** m
         return float(total)
 
     def text(self):
         pieces = []
-        for c, r, m in self.poles:
+        for c, r, m in self.triples:
             if r == 0:
                 den = "s" if m == 1 else f"s^{m}"
             else:
@@ -538,17 +537,13 @@ def assert_per_rate_canonical(T):
     assert all(num and num[-1] for num in block._nums)
     entries = [c for num in block._nums for c in num]
     assert block._den > 0 and math.gcd(block._den, *entries) == 1
-    assert all(type(p.rate) is F for p in T.poles)
-    assert list(T.poles) == sorted(T.poles, key=lambda p: (p.rate, p.order))
-    assert all(type(p.coeff) is F and p.coeff for p in T.poles)
 
 
 def assert_matches(got, ref):
     assert_per_rate_canonical(got)
-    assert got.poles == ref.poles
     assert got.poly_part == ref.poly
     assert str(got) == ref.text()
-    rebuilt = TransformExpr(ref.poles, ref.poly)
+    rebuilt = TransformExpr(ref.triples, ref.poly)
     assert got == rebuilt and hash(got) == hash(rebuilt)
 
 
@@ -575,7 +570,7 @@ class TestPerRateModel:
         assert_matches(a + k, ra + RefTransform((), k))
         assert_matches(k - a, RefTransform((), k) + (-ra))
         assert (a - a).is_zero
-        assert (a == b) == (ra.poles == rb.poles and ra.poly == rb.poly)
+        assert (a == b) == (ra.triples == rb.triples and ra.poly == rb.poly)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -609,8 +604,8 @@ class TestPerRateModel:
         T = transform(p)
         assert_matches(T, ref)
         assert inverse(T) == ExpPoly(
-            (t.rate, ReducedPoly.monomial(t.order - 1, t.coeff / math.factorial(t.order - 1)))
-            for t in ref.poles
+            (r, ReducedPoly.monomial(m - 1, c / math.factorial(m - 1)))
+            for c, r, m in ref.triples
         )
 
     def test_transform_and_inverse_build_no_fraction(self, monkeypatch):
@@ -640,7 +635,7 @@ class TestPerRateModel:
 
     def test_poles_are_not_stored(self):
         T = laguerre_transform(3)
-        assert T.poles == T.poles and T.poles is not T.poles
+        assert not hasattr(T, "poles")
         assert not hasattr(T, "__dict__")
 
     def test_public_constructor_keeps_its_checks(self):

@@ -3,14 +3,13 @@ readable reprs and the argument checks of their constructors."""
 
 import copy
 import pickle
-from fractions import Fraction as F
 
 import pytest
 
 from claguerre.alpha_calc import ReducedPoly
 from claguerre.integrate import QuadratureRule, gauss_laguerre
 from claguerre.laguerre import GeneratingExpansion, generating_series
-from claguerre.laplace import NamedSignal, PoleTerm
+from claguerre.laplace import NamedSignal
 from claguerre.recurrence import laguerre_pair
 from claguerre.tables import SampleTable, build_table
 from claguerre.verify import FIGURES, FigureFixture, SuiteResult
@@ -20,7 +19,7 @@ _formula = FIGURES[0].formula
 
 
 def _expansion():
-    return GeneratingExpansion(1, (ReducedPoly.one(), ReducedPoly((2, -1))))
+    return GeneratingExpansion((ReducedPoly.one(), ReducedPoly((2, -1))))
 
 
 # (record factory, its field names); each call builds a fresh, equal record.
@@ -30,12 +29,11 @@ RECORDS = [
     (lambda: NamedSignal("sin_wu", omega=2.0), ("kind", "p", "omega")),
     (lambda: FigureFixture(1, 1, 0, _formula), ("number", "n", "m", "formula")),
     (lambda: SuiteResult("a/b", True, "ok"), ("name", "passed", "detail")),
-    (_expansion, ("order", "coefficient_polys")),
-    (lambda: PoleTerm(F(1, 2), F(-1), 2), ("coeff", "rate", "order")),
+    (_expansion, ("coefficient_polys",)),
 ]
 IDS = [
     "SampleTable", "QuadratureRule", "NamedSignal", "FigureFixture",
-    "SuiteResult", "GeneratingExpansion", "PoleTerm",
+    "SuiteResult", "GeneratingExpansion",
 ]
 
 
@@ -73,9 +71,6 @@ def test_reprs_in_full():
     assert repr(NamedSignal("one")) == "NamedSignal(kind='one', p=0.0, omega=1.0)"
     assert repr(SuiteResult("a/b", False, "off")) == (
         "SuiteResult(name='a/b', passed=False, detail='off')"
-    )
-    assert repr(PoleTerm(F(1, 2), F(-1), 2)) == (
-        "PoleTerm(coeff=Fraction(1, 2), rate=Fraction(-1, 1), order=2)"
     )
 
 
@@ -160,9 +155,7 @@ def test_memoised_gauss_rule_is_shared_and_immutable():
          "power must be a finite number >= 0, got nan"),
         (lambda: NamedSignal("sin_wu", omega=float("inf")),
          "omega must be a finite number, got inf"),
-        (lambda: GeneratingExpansion(1, (ReducedPoly.one(),)),
-         "expansion must hold order + 1 coefficients"),
-        (lambda: GeneratingExpansion(1, (ReducedPoly.one(), U * U)),
+        (lambda: GeneratingExpansion((ReducedPoly.one(), U * U)),
          "coefficient of t^1 has degree 2"),
     ],
 )
@@ -185,10 +178,10 @@ def test_expansion_is_a_tuple_of_its_coefficients():
     expansion = generating_series(2, 5)
     assert type(expansion) is GeneratingExpansion
     assert isinstance(expansion, tuple)
-    assert len(expansion) == expansion.order + 1 == 6
+    assert len(expansion) == 6 and not hasattr(expansion, "order")
     assert type(expansion.coefficient_polys) is tuple
     assert expansion.coefficient_polys == tuple(expansion)
     for twin in (copy.copy(expansion), copy.deepcopy(expansion),
                  pickle.loads(pickle.dumps(expansion))):
         assert type(twin) is GeneratingExpansion
-        assert (twin.order, twin.coefficient_polys) == (5, expansion.coefficient_polys)
+        assert twin.coefficient_polys == expansion.coefficient_polys
